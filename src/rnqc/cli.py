@@ -93,9 +93,9 @@ def cmd_solve(args) -> int:
         print(f"seed {args.seed}")
     config = _config_from_args(formula.num_vars, args)
     plan = majsat.plan(formula, config)
-    report = majsat.run(plan, jobs=args.jobs)
-    yes = majsat.decide(report) == "YES"
-    print(f"verdict {'YES' if yes else 'NO'}")
+    report = majsat.run(plan)
+    yes = report.verdict == "YES"
+    print(f"verdict {report.verdict}")
 
     payload = {
         "manifest": _manifest(
@@ -280,7 +280,6 @@ def cmd_pathsum(args) -> int:
                     projector,
                     precision_c=args.precision_c,
                     budget=args.path_budget,
-                    jobs=args.jobs,
                 )
             )
 
@@ -314,6 +313,18 @@ def cmd_pathsum(args) -> int:
 # parser assembly
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    # kept for command-line compatibility; every run is single-threaded
+    p.add_argument("--jobs", type=_positive_int, default=1, help="accepted and ignored")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     p.add_argument("--timestamp", help="pin the manifest timestamp (for reproducible reports)")
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="decide majority satisfiability of a DIMACS formula")
+    p = sub.add_parser("solve", help="majority-satisfiability verdict for a DIMACS formula")
     p.add_argument("file")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--g", type=float, default=None)
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lowering", choices=("semantic", "primitive"), default=None)
     p.add_argument("--g-orientation", dest="g_orientation", choices=("boost", "literal"), default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.add_argument("--check", action="store_true", help="append a brute-force count comparison")
     p.add_argument("--keep-tautologies", action="store_true")
     _add_common(p)
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="direct,pathsum,counting")
     p.add_argument("--precision-c", dest="precision_c", type=int, default=None)
     p.add_argument("--path-budget", dest="path_budget", type=int, default=pathsum.DEFAULT_PATH_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     _add_common(p)
     p.set_defaults(func=cmd_pathsum)
 

@@ -1,6 +1,6 @@
 """Majority-SAT decision pipeline over the non-Hermitian gate set.
 
-Given a CNF formula over n variables, decide whether more than half of
+Given a CNF formula over n variables, determine whether more than half of
 the 2^n assignments satisfy it. The circuit: superpose the work
 register, run the oracle, mix every x-dependent qubit (work, defined
 variables, clause flags) with H then X, and apply r rounds of
@@ -12,16 +12,15 @@ boosted r' more times and kept only when it reads 1, and the sign of
 the BHR x-basis bias decides: strictly more -1 than +1 probability at
 some i in [i_min, i_max] means s > 2^(n-1).
 
-Exact mode computes the +-1 probabilities from the state vector.
-Sampled mode draws per-shot outcomes with one RNG stream per
-(i, set, run) job, so reports are bit-identical for any degree of
-parallelism.
+Both modes share one readout sweep over i. Exact mode computes the
++-1 probabilities from the state vector. Sampled mode draws per-shot
+outcomes with one RNG stream per (i, set, run) job, keyed by absolute
+job index, so a seed fixes the report bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,16 +147,12 @@ class MajsatPlan:
     readout_circuit: Circuit
     config: MajsatConfig
     initial_bits: int
+    # every x-dependent qubit: work, defined variables, clause flags
+    mixed_qubits: tuple[int, ...]
 
     @property
     def qubit_count(self) -> int:
         return self.oracle.circuit.qubit_count
-
-    @property
-    def mixed_qubits(self) -> tuple[int, ...]:
-        """Every x-dependent qubit: work, defined variables, clause flags."""
-        lay = self.layout
-        return lay.work + lay.aux + lay.clause
 
 
 @dataclass(frozen=True)
@@ -189,19 +184,19 @@ class MajsatReport:
         }
 
 
-def _mixed(layout: RegisterLayout) -> tuple[int, ...]:
-    return layout.work + layout.aux + layout.clause
+def _gain_rounds(controls: tuple[int, ...], nh: int, g: float, r: int) -> list[Gate]:
+    """r rounds of controlled scaling: one CG per control onto qubit nh."""
+    return [Gate("CG", (q, nh), g) for _ in range(r) for q in controls]
 
 
-def _amplification_gates(layout: RegisterLayout, g: float, r: int) -> tuple[Gate, ...]:
-    mixed = _mixed(layout)
-    nh = layout.non_hermitian
+def _amplification_gates(
+    mixed: tuple[int, ...], nh: int, g: float, r: int
+) -> tuple[Gate, ...]:
+    """H then X on every mixed qubit, then r gain rounds over them:
+    len(mixed) * (r + 2) gates."""
     gates = [Gate("H", (q,)) for q in mixed]
     gates += [Gate("X", (q,)) for q in mixed]
-    block = [Gate("CG", (q, nh), g) for q in mixed]
-    for _ in range(r):
-        gates += block
-    return tuple(gates)
+    return tuple(gates + _gain_rounds(mixed, nh, g, r))
 
 
 def _readout_gates(
@@ -214,7 +209,7 @@ def _readout_gates(
         gates.append(Gate("CCNOT", (bhr, layout.helper_one, o)))
     else:
         gates.append(Gate("CNOT", (bhr, o)))
-    gates += [Gate("CG", (o, nh), g) for _ in range(r_prime)]
+    gates += _gain_rounds((o,), nh, g, r_prime)
     return tuple(gates)
 
 
@@ -237,6 +232,7 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     work = tuple(range(n))
     aux = tuple(range(n, n + a))
     clause = tuple(range(n + a, n + a + p))
+    mixed = work + aux + clause
     oracle_q = n + a + p
     nh = oracle_q + 1
     bhr = oracle_q + 2
@@ -247,7 +243,7 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     )
     oracle_gates = build_oracle_gates(f3, sem_layout)
     sup_gates = tuple(Gate("H", (q,)) for q in work)
-    amp_gates = _amplification_gates(sem_layout, config.g, config.r)
+    amp_gates = _amplification_gates(mixed, nh, config.g, config.r)
 
     if config.lowering == "semantic":
         layout = sem_layout
@@ -307,6 +303,7 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
         readout_circuit=read_circuit,
         config=config,
         initial_bits=initial_bits,
+        mixed_qubits=mixed,
     )
 
 
@@ -329,6 +326,40 @@ def _readout_split(p: MajsatPlan) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
         if p.layout.bhr in g.qubits:
             return gates[:idx], gates[idx:]
     return gates, ()
+
+
+def _readout_sweep(p: MajsatPlan, st: sim.StateVector, visit, zero_mass_ok: bool = False) -> list:
+    """Run the readout for each i in the sweep; returns visit's results in i order.
+
+    The BHR-independent readout prefix is applied once to the amplified
+    state ``st``. Each i then gets its own copy, prepared with
+    beta/alpha = 2^i, run through the suffix and postselected on the
+    oracle qubit reading 1, and ``visit(i, kept probability, state)``
+    reads it. A kept branch of zero mass raises PostselectError, or
+    visits (i, 0.0, None) when zero_mass_ok is set.
+    """
+    cfg = p.config
+    prefix, suffix = _readout_split(p)
+    sim.apply_circuit(st, prefix)
+    out = []
+    for i in range(cfg.i_min, cfg.i_max + 1):
+        branch = st.copy()
+        sim.prepare_superposed_qubit(branch, p.layout.bhr, 1.0, math.ldexp(1.0, i))
+        sim.apply_circuit(branch, suffix)
+        try:
+            prob1, post = sim.postselect(branch, p.layout.oracle, 1)
+        except PostselectError:
+            if not zero_mass_ok:
+                raise
+            prob1, post = 0.0, None
+        out.append(visit(i, prob1, post))
+        del branch, post  # free this copy before the next one is made
+    return out
+
+
+def _verdict(per_i) -> str:
+    """Step rule: YES iff some i has every set successful."""
+    return "YES" if any(e["all_sets_success"] for e in per_i) else "NO"
 
 
 def _reference_count(p: MajsatPlan) -> int | None:
@@ -378,131 +409,83 @@ def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
             raise InputError("checkpoints need the brute-force count; formula too large")
         checks = {"amplification": sim.fidelity(st, _amplified_target(p, s_ref))}
 
-    prefix, suffix = _readout_split(p)
-    sim.apply_circuit(st, prefix)
-
-    per_i: list[dict] = []
     fid_grid: dict[int, float] = {}
-    worst_discard = 0.0
-    for i in range(cfg.i_min, cfg.i_max + 1):
-        branch = st.copy()
-        sim.prepare_superposed_qubit(branch, p.layout.bhr, 1.0, math.ldexp(1.0, i))
-        sim.apply_circuit(branch, suffix)
-        prob1, post = sim.postselect(branch, p.layout.oracle, 1)
-        p_plus, p_minus = sim.probabilities_x(post, p.layout.bhr)
-        worst_discard = max(worst_discard, 1.0 - prob1)
-        success = p_minus > p_plus
-        per_i.append(
-            {
-                "i": i,
-                "beta_over_alpha": math.ldexp(1.0, i),
-                "exact_p_minus": p_minus,
-                "exact_p_plus": p_plus,
-                "discarded_mass": 1.0 - prob1,
-                "all_sets_success": success,
-            }
-        )
-        if checkpoints and s_ref is not None:
-            fid_grid[i] = _readout_bhr_fidelity(p, post, s_ref, i)
 
+    def visit(i: int, prob1: float, post: sim.StateVector) -> dict:
+        p_plus, p_minus = sim.probabilities_x(post, p.layout.bhr)
+        if checks is not None:
+            fid_grid[i] = _readout_bhr_fidelity(p, post, s_ref, i)
+        return {
+            "i": i,
+            "beta_over_alpha": math.ldexp(1.0, i),
+            "exact_p_minus": p_minus,
+            "exact_p_plus": p_plus,
+            "discarded_mass": 1.0 - prob1,
+            "all_sets_success": p_minus > p_plus,
+        }
+
+    per_i = _readout_sweep(p, st, visit)
     if checks is not None:
         checks["readout_min_over_i"] = min(fid_grid.values())
         if cfg.i_min <= 0 <= cfg.i_max:
             checks["readout_at_alpha_eq_beta"] = fid_grid[0]
 
-    verdict = "YES" if any(e["all_sets_success"] for e in per_i) else "NO"
     return MajsatReport(
         source=p.source,
         n=p.formula.original_vars,
         config=cfg,
         per_i=tuple(per_i),
-        verdict=verdict,
+        verdict=_verdict(per_i),
         reference_s=s_ref,
         checkpoints=checks,
-        discarded_mass=worst_discard,
+        discarded_mass=max(e["discarded_mass"] for e in per_i),
     )
 
 
-def _sampled_one_i(
-    p: MajsatPlan,
-    base: sim.StateVector,
-    suffix: tuple[Gate, ...],
-    i_idx: int,
-    i: int,
-    seed: int,
-) -> dict:
-    cfg = p.config
-    branch = base.copy()
-    sim.prepare_superposed_qubit(branch, p.layout.bhr, 1.0, math.ldexp(1.0, i))
-    sim.apply_circuit(branch, suffix)
-    prob1 = sim.probabilities_z(branch, p.layout.oracle)[1]
-    if prob1 > 0.0:
-        _, post = sim.postselect(branch, p.layout.oracle, 1)
-        prob_minus_cond = sim.probabilities_x(post, p.layout.bhr)[1]
-    else:
-        prob_minus_cond = 0.0
-
-    set_results: list[dict] = []
-    discarded = 0
-    for set_idx in range(cfg.sets):
-        minus = plus = 0
-        for run in range(cfg.runs_per_set):
-            job = (i_idx * cfg.sets + set_idx) * cfg.runs_per_set + run
-            stream = make_stream(seed, job)
-            u1 = stream.random()
-            if u1 < prob1:
-                if stream.random() < prob_minus_cond:
-                    minus += 1
-                else:
-                    plus += 1
-            else:
-                discarded += 1
-        set_results.append(
-            {"minus_count": minus, "plus_count": plus, "success": minus > plus}
-        )
-    return {
-        "i": i,
-        "beta_over_alpha": math.ldexp(1.0, i),
-        "set_results": set_results,
-        "discarded_shots": discarded,
-        "all_sets_success": all(s["success"] for s in set_results),
-    }
-
-
-def run_sampled(p: MajsatPlan, seed: int | None = None, jobs: int = 1) -> MajsatReport:
+def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     """Shot-sampled sweep; one Philox stream per (i, set, run) job.
 
     Each shot draws a uniform for the oracle measurement (discarding on
     |0>, tallied) and, when kept, a second uniform for the BHR x-basis
     sign, reproducing the draw sequence of measuring a fresh state per
-    run. Job streams are keyed by absolute job index, and per-i results
-    are reduced in i order, so the report is bit-identical for any jobs
-    value and across repeat invocations with the same seed.
+    run. Job streams are keyed by absolute job index, so the report is
+    bit-identical across repeat invocations with the same seed.
     """
     cfg = p.config
     if seed is None:
         seed = cfg.seed
-    if jobs < 1:
-        raise InputError("jobs must be >= 1")
-    base = _amplified_state(p)
-    prefix, suffix = _readout_split(p)
-    sim.apply_circuit(base, prefix)
 
-    i_values = list(range(cfg.i_min, cfg.i_max + 1))
-    if jobs == 1:
-        records = [
-            _sampled_one_i(p, base, suffix, idx, i, seed)
-            for idx, i in enumerate(i_values)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sampled_one_i, p, base, suffix, idx, i, seed)
-                for idx, i in enumerate(i_values)
-            ]
-            records = [f.result() for f in futures]
+    def visit(i: int, prob1: float, post: sim.StateVector | None) -> dict:
+        prob_minus_cond = sim.probabilities_x(post, p.layout.bhr)[1] if prob1 > 0.0 else 0.0
+        i_idx = i - cfg.i_min
+        set_results: list[dict] = []
+        discarded = 0
+        for set_idx in range(cfg.sets):
+            minus = plus = 0
+            for run in range(cfg.runs_per_set):
+                job = (i_idx * cfg.sets + set_idx) * cfg.runs_per_set + run
+                stream = make_stream(seed, job)
+                u1 = stream.random()
+                if u1 < prob1:
+                    if stream.random() < prob_minus_cond:
+                        minus += 1
+                    else:
+                        plus += 1
+                else:
+                    discarded += 1
+            set_results.append(
+                {"minus_count": minus, "plus_count": plus, "success": minus > plus}
+            )
+        return {
+            "i": i,
+            "beta_over_alpha": math.ldexp(1.0, i),
+            "set_results": set_results,
+            "discarded_shots": discarded,
+            "all_sets_success": all(s["success"] for s in set_results),
+        }
 
-    total_shots = len(i_values) * cfg.sets * cfg.runs_per_set
+    records = _readout_sweep(p, _amplified_state(p), visit, zero_mass_ok=True)
+    total_shots = len(records) * cfg.sets * cfg.runs_per_set
     total_discarded = sum(rec["discarded_shots"] for rec in records)
     if total_discarded == total_shots:
         raise PostselectError(
@@ -517,13 +500,12 @@ def run_sampled(p: MajsatPlan, seed: int | None = None, jobs: int = 1) -> Majsat
         )
     low_confidence = max(margins) <= 1
 
-    verdict = "YES" if any(rec["all_sets_success"] for rec in records) else "NO"
     return MajsatReport(
         source=p.source,
         n=p.formula.original_vars,
         config=cfg,
         per_i=tuple(records),
-        verdict=verdict,
+        verdict=_verdict(records),
         reference_s=_reference_count(p),
         checkpoints=None,
         discarded_mass=total_discarded / total_shots,
@@ -531,17 +513,10 @@ def run_sampled(p: MajsatPlan, seed: int | None = None, jobs: int = 1) -> Majsat
     )
 
 
-def run(p: MajsatPlan, checkpoints: bool = False, jobs: int = 1) -> MajsatReport:
+def run(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
     if p.config.mode == "exact":
         return run_exact(p, checkpoints=checkpoints)
-    return run_sampled(p, jobs=jobs)
-
-
-def decide(report: MajsatReport) -> str:
-    """Step rule: YES iff some i has every set successful."""
-    if not report.per_i:
-        raise InputError("report covers an empty i range")
-    return "YES" if any(e["all_sets_success"] for e in report.per_i) else "NO"
+    return run_sampled(p)
 
 
 def amplification_fidelity_profile(
@@ -564,13 +539,12 @@ def amplification_fidelity_profile(
     st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
     sim.apply_circuit(st, p.superposition_circuit.gates)
     sim.apply_circuit(st, p.oracle.circuit.gates)
-    mixed = p.mixed_qubits
-    sim.apply_circuit(st, [Gate("H", (q,)) for q in mixed])
-    sim.apply_circuit(st, [Gate("X", (q,)) for q in mixed])
-    block = [Gate("CG", (q, p.layout.non_hermitian), p.config.g) for q in mixed]
+    gates = _amplification_gates(p.mixed_qubits, p.layout.non_hermitian, p.config.g, rounds)
+    width = len(p.mixed_qubits)
+    sim.apply_circuit(st, gates[: 2 * width])
     out: list[tuple[int, float]] = []
     for r in range(1, rounds + 1):
-        sim.apply_circuit(st, block)
+        sim.apply_circuit(st, gates[(r + 1) * width : (r + 2) * width])
         out.append((r, sim.fidelity(st, target)))
     return out
 
@@ -581,15 +555,7 @@ def readout_fidelity_grid(p: MajsatPlan) -> dict[int, float]:
     s_ref = _reference_count(p)
     if s_ref is None:
         raise InputError("fidelity grid needs the brute-force count")
-    cfg = p.config
-    st = _amplified_state(p)
-    prefix, suffix = _readout_split(p)
-    sim.apply_circuit(st, prefix)
-    grid: dict[int, float] = {}
-    for i in range(cfg.i_min, cfg.i_max + 1):
-        branch = st.copy()
-        sim.prepare_superposed_qubit(branch, p.layout.bhr, 1.0, math.ldexp(1.0, i))
-        sim.apply_circuit(branch, suffix)
-        _, post = sim.postselect(branch, p.layout.oracle, 1)
-        grid[i] = _readout_bhr_fidelity(p, post, s_ref, i)
-    return grid
+    pairs = _readout_sweep(
+        p, _amplified_state(p), lambda i, _, post: (i, _readout_bhr_fidelity(p, post, s_ref, i))
+    )
+    return dict(pairs)

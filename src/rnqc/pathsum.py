@@ -14,7 +14,6 @@ separate is that they fail independently.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,15 +48,6 @@ class Projector:
             raise CircuitError(f"unknown projector kind {self.kind!r}")
         if self.yes_qubit < 0:
             raise CircuitError("projector qubit must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PathTerm:
-    """One contributing path pair: the visited basis indices and the product
-    of matrix elements along it.  Zero-valued terms are never materialized."""
-
-    path: tuple
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -117,14 +107,7 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     total = sim.norm_sq_mantissa(state) * scale
     if projector.kind == "yn":
         return PathSumResult("direct", total, 0.0, _acceptance(total, 0.0), 0)
-    amps = state.amps.reshape(-1)
-    bit = 1 << projector.yes_qubit
-    yes = 0.0
-    for z in range(amps.shape[0]):
-        if z & bit:
-            a = amps[z]
-            yes += (a * a.conjugate()).real
-    yes *= scale
+    yes = sim._branch_masses(state, projector.yes_qubit)[1] * scale
     no = max(total - yes, 0.0)
     return PathSumResult("direct", yes, no, _acceptance(yes, no), 0)
 
@@ -250,20 +233,6 @@ def path_sum_amplitude(
     )
 
 
-def dtm_predicate(term: PathTerm, k: float, polarity: str) -> bool:
-    """Threshold acceptance rule for one path term.
-
-    The positive machine accepts when the real part is positive and the
-    grid value k lies strictly below it; the negative machine mirrors the
-    rule for negative real parts.
-    """
-    if polarity == "+":
-        return term.value.real > 0 and k < term.value.real
-    if polarity == "-":
-        return term.value.real < 0 and k > term.value.real
-    raise CircuitError(f"polarity must be '+' or '-', got {polarity!r}")
-
-
 def _grid_count(magnitude: float, nc: int) -> int:
     """Number of grid thresholds a term of this |Re| accepts, exactly.
 
@@ -302,7 +271,6 @@ def counting_estimate(
     projector: Projector,
     precision_c: Optional[int] = None,
     budget: int = DEFAULT_PATH_BUDGET,
-    jobs: int = 1,
 ) -> PathSumResult:
     """Projector masses recovered from exhaustive threshold counting.
 
@@ -314,8 +282,6 @@ def counting_estimate(
     term.
     """
     _check_inputs(circuit, input_basis, projector)
-    if jobs < 1:
-        raise CircuitError("jobs must be at least 1")
     endpoints = _forward_paths(circuit, input_basis, budget)
     groups = list(endpoints.items())
     path_count = sum(len(p) ** 2 for _, p in groups)
@@ -345,24 +311,19 @@ def counting_estimate(
     if spacing == 0.0:
         raise GridSpacingError(f"grid spacing 2**-{nc} underflows to zero")
 
+    # one tally per endpoint group, summed into the yes side and the total
     bit = 1 << projector.yes_qubit
-    yes_groups = [p for z, p in groups if projector.kind == "yn" or z & bit]
-    all_groups = [p for _, p in groups]
-
-    def tally(group_list):
-        if jobs == 1 or len(group_list) < 2:
-            parts = [_count_bucket([p], nc) for p in group_list]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_count_bucket, [p], nc) for p in group_list]
-                parts = [f.result() for f in futures]
-        pos = sum(p for p, _, _ in parts)
-        neg = sum(q for _, q, _ in parts)
-        im = sum(r for _, _, r in parts)
-        return pos, neg, im
-
-    yes_pos, yes_neg, yes_im = tally(yes_groups)
-    tot_pos, tot_neg, tot_im = tally(all_groups)
+    yes_pos = yes_neg = tot_pos = tot_neg = 0
+    yes_im = tot_im = 0.0
+    for z, paths in groups:
+        pos, neg, im = _count_bucket([paths], nc)
+        tot_pos += pos
+        tot_neg += neg
+        tot_im += im
+        if projector.kind == "yn" or z & bit:
+            yes_pos += pos
+            yes_neg += neg
+            yes_im += im
     if abs(yes_im) > IM_TOLERANCE or abs(tot_im) > IM_TOLERANCE:
         raise InvariantError(
             f"pair-product imaginary residue {max(abs(yes_im), abs(tot_im)):.3e} "

@@ -376,30 +376,3 @@ def qubit_state_fidelity(state: StateVector, qubit: int, c0, c1) -> float:
     val = mass / (base * target_norm)
     return min(max(val, 0.0), 1.0)
 
-
-def product_state_fidelity(state: StateVector, factors: Sequence[tuple[float, float]]) -> float:
-    """Fidelity against the (unnormalized) product state given per qubit.
-
-    factors[q] = (c0, c1) is qubit q's factor c0|0> + c1|1>. Contracting
-    one axis at a time keeps this O(2^n) instead of materializing the
-    target vector.
-    """
-    n = state.num_qubits
-    if len(factors) != n:
-        raise InputError(f"need {n} per-qubit factors, got {len(factors)}")
-    t = state.amps.reshape((2,) * n)
-    target_norm = 1.0
-    for q in range(n - 1, -1, -1):
-        c0, c1 = factors[q]
-        c0 = complex(c0).conjugate() if state.mode == "complex" else float(c0)
-        c1 = complex(c1).conjugate() if state.mode == "complex" else float(c1)
-        t = t[0] * c0 + t[1] * c1
-        target_norm *= abs(factors[q][0]) ** 2 + abs(factors[q][1]) ** 2
-    if target_norm == 0.0:
-        raise ZeroStateError("product target has zero norm")
-    base = norm_sq_mantissa(state)
-    if base == 0.0:
-        raise ZeroStateError("state vector has zero norm")
-    ov = complex(t)
-    val = (ov * ov.conjugate()).real / (base * target_norm)
-    return min(max(float(val), 0.0), 1.0)

@@ -286,6 +286,21 @@ def test_sampled_reports_identical_across_jobs(files, tmp_path):
     assert out1.read_bytes() == out8.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, name, extra",
+    [
+        ("solve", "yes.cnf", ["--mode", "exact"]),
+        ("solve", "yes.cnf", ["--mode", "sampled"]),
+        ("pathsum", "hgh.json", []),
+    ],
+    ids=["solve-exact", "solve-sampled", "pathsum"],
+)
+def test_jobs_must_be_positive(files, command, name, extra):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, files[name], *extra, "--jobs", "0"])
+    assert exc.value.code == 2
+
+
 def test_exact_reports_identical_across_invocations(files, tmp_path):
     argv = ["solve", files["yes.cnf"], "--timestamp", "2026-01-01T00:00:00Z"]
     out1 = tmp_path / "a.json"

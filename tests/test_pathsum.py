@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from rnqc import cnf, majsat, pathsum
+from rnqc import cnf, majsat, pathsum, sim
 from rnqc.circuit import Circuit, Gate
 from rnqc.errors import CircuitError, GridSpacingError, PathBudgetError
-from rnqc.pathsum import PathTerm, Projector
+from rnqc.pathsum import Projector
 
 H0 = Gate("H", (0,))
 HGH = Circuit(1, (H0, Gate("G", (0,), 2.0), H0))
@@ -56,6 +57,35 @@ def test_direct_hgh_masses():
     assert abs(total.c_yes_sq - 2.125) < 1e-12
     assert total.c_no_sq == 0.0
     assert total.acceptance == 1.0
+
+
+def _direct_yes_by_loop(circuit, input_basis, yes_qubit):
+    """Reference yes-mass: a per-index loop over the dense final state."""
+    mode = "complex" if any(g.kind == "T" for g in circuit.gates) else "real"
+    state = sim.new_state(circuit.qubit_count, basis_index=input_basis, mode=mode)
+    state = sim.apply_circuit(state, circuit)
+    amps = state.amps.reshape(-1)
+    yes = 0.0
+    for z in range(amps.shape[0]):
+        if z & (1 << yes_qubit):
+            a = amps[z]
+            yes += (a * a.conjugate()).real
+    return yes * math.ldexp(1.0, 2 * state.exponent)
+
+
+@pytest.mark.parametrize("yes_qubit", [0, 2, 4])
+@pytest.mark.parametrize("with_t", [False, True], ids=["real", "complex"])
+def test_direct_yes_mass_matches_loop(yes_qubit, with_t):
+    gates = [Gate("H", (q,)) for q in range(5)]
+    gates += [Gate("CG", (0, 2), 3.0), Gate("CCNOT", (1, 3, 4)), Gate("G", (4,), 1.5)]
+    gates += [Gate("H", (2,)), Gate("CNOT", (2, 0))]
+    if with_t:
+        gates += [Gate("T", (3,)), Gate("H", (3,))]
+    circ = Circuit(5, tuple(gates))
+    res = pathsum.direct_amplitude(circ, 0, Projector("yes", yes_qubit))
+    ref = _direct_yes_by_loop(circ, 0, yes_qubit)
+    # 32 float64 terms summed in a different order
+    assert abs(res.c_yes_sq - ref) <= 32 * np.finfo(np.float64).eps * (res.c_yes_sq + res.c_no_sq)
 
 
 def test_direct_empty_circuit():
@@ -113,17 +143,8 @@ def test_pathsum_complex_circuit_with_t():
 
 
 # ---------------------------------------------------------------------------
-# threshold predicates
+# threshold counts
 # ---------------------------------------------------------------------------
-
-
-def test_dtm_predicate_cases():
-    assert pathsum.dtm_predicate(PathTerm((0,), 0.25), 0.1, "+")
-    assert not pathsum.dtm_predicate(PathTerm((0,), -0.25), 0.1, "+")
-    assert pathsum.dtm_predicate(PathTerm((0,), -0.25), -0.1, "-")
-    assert not pathsum.dtm_predicate(PathTerm((0,), 0.25), 0.3, "+")
-    with pytest.raises(CircuitError):
-        pathsum.dtm_predicate(PathTerm((0,), 0.25), 0.1, "x")
 
 
 def test_count_bucket_all_positive_has_empty_negative_side():
@@ -171,11 +192,47 @@ def test_counting_grid_underflow():
         pathsum.counting_estimate(HGH, 0, YES0, precision_c=1100)
 
 
-def test_counting_jobs_deterministic():
-    circ = Circuit(3, (H0, Gate("H", (1,)), Gate("CCNOT", (0, 1, 2)), Gate("G", (2,), 2.0)))
-    serial = pathsum.counting_estimate(circ, 0, Projector("yes", 2), jobs=1)
-    threaded = pathsum.counting_estimate(circ, 0, Projector("yes", 2), jobs=4)
-    assert serial == threaded
+def _counting_two_pass(circuit, input_basis, projector, precision_c):
+    """Reference tally: the yes groups in one pass, then every group again."""
+    groups = list(pathsum._forward_paths(circuit, input_basis, pathsum.DEFAULT_PATH_BUDGET).items())
+    nc = circuit.qubit_count * precision_c
+    spacing = math.ldexp(1.0, -nc)
+    bit = 1 << projector.yes_qubit
+
+    def tally(group_list):
+        parts = [pathsum._count_bucket([p], nc) for p in group_list]
+        return sum(p for p, _, _ in parts), sum(q for _, q, _ in parts)
+
+    yes_pos, yes_neg = tally([p for z, p in groups if projector.kind == "yn" or z & bit])
+    tot_pos, tot_neg = tally([p for _, p in groups])
+    yes_est = (yes_pos - yes_neg) * spacing
+    total_est = (tot_pos - tot_neg) * spacing
+    if projector.kind == "yn":
+        yes_sq, no_sq = total_est, 0.0
+    else:
+        yes_sq, no_sq = yes_est, max(total_est - yes_est, 0.0)
+    path_count = sum(len(p) ** 2 for _, p in groups)
+    return pathsum.PathSumResult(
+        "counting",
+        yes_sq,
+        no_sq,
+        pathsum._acceptance(yes_sq, no_sq),
+        path_count,
+        precision_c=precision_c,
+        error_bound=path_count * spacing,
+    )
+
+
+@pytest.mark.parametrize("projector", [Projector("yes", 2), Projector("yn")], ids=["yes", "yn"])
+def test_counting_single_pass_matches_two_pass(projector):
+    circ = Circuit(
+        3,
+        (H0, Gate("H", (1,)), Gate("CCNOT", (0, 1, 2)), Gate("G", (2,), 2.0), Gate("H", (2,)), H0),
+    )
+    fixed = pathsum.counting_estimate(circ, 0, projector, precision_c=12)
+    assert fixed == _counting_two_pass(circ, 0, projector, 12)
+    adaptive = pathsum.counting_estimate(circ, 0, projector)
+    assert adaptive == _counting_two_pass(circ, 0, projector, adaptive.precision_c)
 
 
 # ---------------------------------------------------------------------------
