@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from rnqc import sim
+from rnqc import majsat, sim
 from rnqc.circuit import Circuit, Gate
 from rnqc.errors import (
     CircuitError,
@@ -81,6 +81,20 @@ def test_state_from_amplitudes_validates():
         sim.state_from_amplitudes([1.0, 0.0, 0.0])  # not a power of two
     with pytest.raises(ZeroStateError):
         sim.state_from_amplitudes([0.0, 0.0])
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0], [2**2000, 1]):
+        with pytest.raises(InputError):
+            sim.state_from_amplitudes(bad)
+    with pytest.raises(InputError):
+        sim.state_from_amplitudes([1.0, complex(0.0, math.nan)], mode="complex")
+
+
+def test_state_from_amplitudes_runs_rescale_guard():
+    state = sim.state_from_amplitudes([2**600] * 4, exponent=3)
+    assert _amps(state).tolist() == [1.0] * 4
+    assert state.exponent == 603
+    assert sim.probabilities_z(state, 0) == (0.5, 0.5)
+    with pytest.raises(NormOverflowError):
+        sim.norm_sq(state)
 
 
 def test_prepare_superposed_equal_weights():
@@ -180,6 +194,138 @@ def test_empty_circuit_is_identity():
     before = _amps(state).copy()
     sim.apply_circuit(state, [])
     assert np.array_equal(_amps(state), before)
+
+
+_POW2_PARAMS = st.one_of(
+    st.integers(-6, 6).filter(bool), st.integers(390, 400), st.integers(-400, -390)
+).map(lambda e: math.ldexp(1.0, e))
+_ANY_PARAMS = st.one_of(
+    st.floats(0.05, 20.0).filter(lambda p: p != 1.0),
+    st.floats(2.0**390, 2.0**400),
+    st.floats(2.0**-400, 2.0**-390),
+)
+
+
+@st.composite
+def _random_circuit(draw, params):
+    """A state of up to 8 qubits, up to 40 gates of every kind, and the
+    fusion's tail and block widths to compile them with."""
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(("real", "complex")))
+    kinds = ["H", "X", "Z", "G", "CG", "CNOT", "CCNOT", "NCNOT"] + (["T"] if mode == "complex" else [])
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "NCNOT":
+            arity = draw(st.integers(2, 8))
+        else:
+            arity = {"CG": 2, "CNOT": 2, "CCNOT": 3}.get(kind, 1)
+        if arity > n:
+            continue
+        qubits = draw(st.permutations(range(n)))[:arity]
+        gates.append(Gate(kind, qubits, draw(params) if kind in ("G", "CG") else None))
+    seed = draw(st.integers(0, 2**32 - 1))
+    widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)))
+    return _random_state(np.random.default_rng(seed), n, mode), gates, widths
+
+
+def _scaled(state, e):
+    """The true amplitudes times 2^-e, exact unless they underflow."""
+    shift = state.exponent - e
+    if state.mode == "real":
+        return np.ldexp(state.amps, shift)
+    return np.ldexp(state.amps.real, shift) + 1j * np.ldexp(state.amps.imag, shift)
+
+
+def _fused_and_reference(state, gates, widths):
+    """Both paths' amplitudes on the reference's scale.
+
+    The fused path compiles with the drawn tail and block widths, so that
+    registers of at most 8 qubits still get blocks of many rows that are
+    cut by every cap. Discards the case (hypothesis.assume) when the gate
+    loop lost an amplitude to underflow: a factor of 2^-400 and later
+    2^+400 on one branch leaves the loop with a zero where the fused
+    factor of 1 keeps the value, so the loop is no reference there.
+    """
+    ref = state.copy()
+    for gate in gates:
+        live = ref.amps != 0
+        sim.apply_gate(ref, gate)
+        tiny = np.abs(ref.amps) < np.finfo(np.float64).tiny
+        assume(not np.any(tiny & (live | (ref.amps != 0))))
+    sim._compile.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_DENSE_QUBITS", widths[0])
+            patch.setattr(sim, "_BLOCK_QUBITS", widths[1])
+            fused = sim.apply_circuit(state.copy(), gates)
+    finally:
+        sim._compile.cache_clear()
+    top = int(np.frexp(np.max(np.abs(ref.amps)))[1])
+    return _scaled(fused, ref.exponent + top), _scaled(ref, ref.exponent + top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_random_circuit(_POW2_PARAMS))
+def test_fused_circuit_matches_gate_loop_bit_for_bit(case):
+    # Power-of-two factors multiply exactly, so fusing them changes no bit.
+    # Amplitudes 2^300 below the largest may still have lost bits to
+    # underflow inside a fused block.
+    got, want = _fused_and_reference(*case)
+    big = np.abs(want) >= 2.0**-300
+    assert np.array_equal(got[big], want[big])
+    assert np.all(np.abs(got[~big] - want[~big]) <= 2.0**-300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_random_circuit(_ANY_PARAMS))
+def test_fused_circuit_matches_gate_loop(case):
+    got, want = _fused_and_reference(*case)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_fused_run_folds_rounds_and_cuts_at_factor_range():
+    # Two rounds of CG fold into one CG(q, 3, 2^200) per control. Three of
+    # them would scale the all-ones branch by 2^600, past one block's
+    # range, so the block takes two and the third runs on its own.
+    gates = [Gate("H", (q,)) for q in range(3)]
+    gates += [Gate("CG", (q, 3), 2.0**100) for _ in range(2) for q in range(3)]
+    steps = sim._compile(tuple(gates), 4)
+    assert steps[:3] == tuple(gates[:3])
+    assert not isinstance(steps[3], Gate)
+    assert steps[4:] == (Gate("CG", (2, 3), 2.0**200),)
+    state = sim.apply_circuit(sim.new_state(4, 1 << 3), gates)
+    assert state.exponent > 0, "the guard must have rescaled"
+    assert 2.0**-500 <= np.max(np.abs(state.amps)) <= 2.0**500
+    assert sim.probabilities_z(state, 0)[1] == 1.0
+
+
+def _gate_loop(state, circuit):
+    for gate in getattr(circuit, "gates", circuit):
+        sim.apply_gate(state, gate)
+    return state
+
+
+@pytest.mark.parametrize("lowering", majsat.LOWERINGS)
+@pytest.mark.parametrize("rounds", ["default", "2n"])
+def test_fused_exact_runs_match_gate_loop_on_corpus(corpus, monkeypatch, lowering, rounds):
+    # Semantic circuits at g = 2 scale by powers of two only: identical.
+    # Primitive ones fold G(sqrt 2) twice into one factor 2(1 + 2^-52)
+    # per CG, which moves probabilities by up to 26 eps on this corpus.
+    tol = 0.0 if lowering == "semantic" else 64 * np.finfo(np.float64).eps
+    for name, formula in corpus:
+        n = formula.num_vars
+        r = None if rounds == "default" else 2 * n
+        plan = majsat.plan(formula, majsat.default_config(n, r=r, r_prime=r, lowering=lowering))
+        fused = majsat.run_exact(plan)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "apply_circuit", _gate_loop)
+            ref = majsat.run_exact(plan)
+        assert fused.verdict == ref.verdict, name
+        for got, want in zip(fused.per_i, ref.per_i):
+            assert got["all_sets_success"] == want["all_sets_success"], name
+            for key in ("exact_p_minus", "exact_p_plus", "discarded_mass"):
+                assert abs(got[key] - want[key]) <= tol, (name, got["i"], key)
 
 
 def test_apply_circuit_register_mismatch():
