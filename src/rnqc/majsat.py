@@ -12,10 +12,15 @@ boosted r' more times and kept only when it reads 1, and the sign of
 the BHR x-basis bias decides: strictly more -1 than +1 probability at
 some i in [i_min, i_max] means s > 2^(n-1).
 
-Both modes share one readout sweep over i. Exact mode computes the
-+-1 probabilities from the state vector. Sampled mode draws per-shot
-outcomes with one RNG stream per (i, set, run) job, keyed by absolute
-job index, so a seed fixes the report bit for bit.
+Both modes share one readout sweep over i. Everything after the
+amplified state is a monomial suffix on a few qubits (oracle,
+non-Hermitian, BHR, and the constant-one qubits in primitive lowering)
+plus a readout of the BHR, so the sweep reads one Gram matrix of the
+amplified state over those qubits and works out every i from it,
+without copying the state. Exact mode reports the +-1 probabilities.
+Sampled mode draws per-shot outcomes with one RNG stream per
+(i, set, run) job, keyed by absolute job index, so a seed fixes the
+report bit for bit.
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ class MajsatReport:
 
 def _gain_rounds(controls: tuple[int, ...], nh: int, g: float, r: int) -> list[Gate]:
     """r rounds of controlled scaling: one CG per control onto qubit nh."""
-    return [Gate("CG", (q, nh), g) for _ in range(r) for q in controls]
+    return [Gate("CG", (q, nh), g) for q in controls] * r
 
 
 def _amplification_gates(
@@ -328,33 +333,83 @@ def _readout_split(p: MajsatPlan) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     return gates, ()
 
 
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal double
+
+
 def _readout_sweep(p: MajsatPlan, st: sim.StateVector, visit, zero_mass_ok: bool = False) -> list:
     """Run the readout for each i in the sweep; returns visit's results in i order.
 
     The BHR-independent readout prefix is applied once to the amplified
-    state ``st``. Each i then gets its own copy, prepared with
-    beta/alpha = 2^i, run through the suffix and postselected on the
-    oracle qubit reading 1, and ``visit(i, kept probability, state)``
-    reads it. A kept branch of zero mass raises PostselectError, or
-    visits (i, 0.0, None) when zero_mass_ok is set.
+    state ``st``. The rest is monomial on its qubits L, the BHR among
+    them: it sends local basis state x to dest[x] with weight w[x]. So
+    one Gram matrix M of ``st`` over L (M[x, y] = sum over the other
+    qubits of psi(., x) psi(., y)) fixes every i, and ``st`` is never
+    copied. With the BHR prepared as c0|0> + c1|1>, (c0, c1) = (1, 2^i)
+    normalized, source x carries c[its BHR bit] w[x] and draws on M's
+    row x with the BHR bit cleared, since the BHR starts in |0>.
+    Postselection keeps the outputs whose oracle bit is 1.
+    ``visit(i, kept probability, rho)`` reads rho, the BHR's unnormalized
+    2x2 reduced matrix on the kept branch; each entry is a quadratic form
+    in (c0, c1).
+
+    Every term is scaled by a power of two against the largest one
+    before it is summed, so weights like g^r' cannot overflow. A kept
+    branch below the smallest normal double on that scale counts as zero
+    mass, as the underflow in a state-vector run would: it raises
+    PostselectError, or visits (i, 0.0, None) when zero_mass_ok is set.
     """
     cfg = p.config
+    lay = p.layout
     prefix, suffix = _readout_split(p)
     sim.apply_circuit(st, prefix)
+    local = sorted({q for g in suffix for q in g.qubits} | {lay.bhr})
+    gram, _ = sim.gram(st, local)
+    dest, w, e = sim.monomial_map(suffix, local)
+
+    x = np.arange(len(dest))
+    bhr, oracle = 1 << local.index(lay.bhr), 1 << local.index(lay.oracle)
+    c_bit = ((x & bhr) != 0).astype(int)  # which of (c0, c1) source x carries
+    if np.any(np.diag(gram)[c_bit == 1]):
+        raise InputError(f"qubit {lay.bhr} is not in a definite |0> state")
+    src = x & ~bhr
+    mass = np.diag(gram)[src]
+    live = mass > 0.0
+    # 2^top bounds the largest live weighted mass w^2 4^e M[x, x]; every
+    # term is scaled by 2^-top before it is summed.
+    top = int(np.max(2 * e[live] + np.frexp(mass[live])[1]))
+    terms = np.ldexp(w * w * mass, 2 * e - top)
+    inv = np.empty_like(dest)
+    inv[dest] = x
+    kept = x[((x & oracle) != 0) & ((x & bhr) == 0)]
+    u, v = inv[kept], inv[kept | bhr]  # the sources of each kept pair of BHR outputs
+    both = live[u] & live[v]
+    cross = np.ldexp(np.where(both, w[u] * w[v] * gram[src[u], src[v]], 0.0), e[u] + e[v] - top)
+
     out = []
     for i in range(cfg.i_min, cfg.i_max + 1):
-        branch = st.copy()
-        sim.prepare_superposed_qubit(branch, p.layout.bhr, 1.0, math.ldexp(1.0, i))
-        sim.apply_circuit(branch, suffix)
-        try:
-            prob1, post = sim.postselect(branch, p.layout.oracle, 1)
-        except PostselectError:
+        beta = math.ldexp(1.0, i)
+        c = np.array([1.0, beta]) / math.hypot(1.0, beta)
+        cx = c[c_bit]
+        sq = cx * cx * terms
+        off = float(np.sum(cx[u] * cx[v] * cross))
+        rho = np.array([[float(np.sum(sq[u])), off], [off, float(np.sum(sq[v]))]])
+        kept_mass = rho[0, 0] + rho[1, 1]
+        if kept_mass < _TINY:
             if not zero_mass_ok:
-                raise
-            prob1, post = 0.0, None
-        out.append(visit(i, prob1, post))
-        del branch, post  # free this copy before the next one is made
+                raise PostselectError(f"postselected branch qubit{lay.oracle}=1 has zero mass")
+            out.append(visit(i, 0.0, None))
+            continue
+        out.append(visit(i, float(kept_mass / np.sum(sq)), rho))
     return out
+
+
+def _x_probabilities(rho: np.ndarray) -> tuple[float, float]:
+    """(P(+1), P(-1)) of an x-basis readout of a qubit with reduced matrix rho."""
+    kept = rho[0, 0] + rho[1, 1]
+    mp = max(float(kept + 2.0 * rho[0, 1]), 0.0)
+    mm = max(float(kept - 2.0 * rho[0, 1]), 0.0)
+    tot = mp + mm
+    return mp / tot, mm / tot
 
 
 def _verdict(per_i) -> str:
@@ -368,27 +423,27 @@ def _reference_count(p: MajsatPlan) -> int | None:
     return None
 
 
-def _amplified_target(p: MajsatPlan, s: int) -> sim.StateVector:
-    """Predicted post-amplification state: mixed register saturated at
-    all-ones, oracle carrying (N-s)|0> + s|1>, everything else parked."""
-    n = p.formula.original_vars
-    big_n = 1 << n
+def _amplification_fidelity(p: MajsatPlan, st: sim.StateVector, s: int) -> float:
+    """Fidelity of st against the predicted post-amplification state:
+    mixed register saturated at all-ones, oracle carrying
+    (N-s)|0> + s|1>, everything else parked. Those are the prediction's
+    only two nonzero amplitudes."""
+    big_n = 1 << p.formula.original_vars
     base = p.initial_bits
     for q in p.mixed_qubits:
         base |= 1 << q
-    amps = np.zeros(1 << p.qubit_count, dtype=np.float64)
-    amps[base] = float(big_n - s)
-    amps[base | (1 << p.layout.oracle)] = float(s)
-    return sim.state_from_amplitudes(amps, mode="real")
+    target = {base: float(big_n - s), base | (1 << p.layout.oracle): float(s)}
+    return sim.sparse_fidelity(st, target)
 
 
-def _readout_bhr_fidelity(p: MajsatPlan, post: sim.StateVector, s: int, i: int) -> float:
-    """Fidelity of the postselected BHR qubit's reduced state against the
-    closed form alpha(N-2s)|0> + beta N|1> with beta/alpha = 2^i."""
+def _readout_bhr_fidelity(p: MajsatPlan, rho: np.ndarray, s: int, i: int) -> float:
+    """Fidelity of the postselected BHR qubit's reduced matrix rho against
+    the closed form alpha(N-2s)|0> + beta N|1> with beta/alpha = 2^i."""
     big_n = 1 << p.formula.original_vars
-    return sim.qubit_state_fidelity(
-        post, p.layout.bhr, float(big_n - 2 * s), math.ldexp(float(big_n), i)
-    )
+    t0, t1 = float(big_n - 2 * s), math.ldexp(float(big_n), i)
+    num = t0 * t0 * rho[0, 0] + 2.0 * t0 * t1 * rho[0, 1] + t1 * t1 * rho[1, 1]
+    val = float(num / ((rho[0, 0] + rho[1, 1]) * (t0 * t0 + t1 * t1)))
+    return min(max(val, 0.0), 1.0)
 
 
 def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
@@ -407,14 +462,14 @@ def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
     if checkpoints:
         if s_ref is None:
             raise InputError("checkpoints need the brute-force count; formula too large")
-        checks = {"amplification": sim.fidelity(st, _amplified_target(p, s_ref))}
+        checks = {"amplification": _amplification_fidelity(p, st, s_ref)}
 
     fid_grid: dict[int, float] = {}
 
-    def visit(i: int, prob1: float, post: sim.StateVector) -> dict:
-        p_plus, p_minus = sim.probabilities_x(post, p.layout.bhr)
+    def visit(i: int, prob1: float, rho: np.ndarray) -> dict:
+        p_plus, p_minus = _x_probabilities(rho)
         if checks is not None:
-            fid_grid[i] = _readout_bhr_fidelity(p, post, s_ref, i)
+            fid_grid[i] = _readout_bhr_fidelity(p, rho, s_ref, i)
         return {
             "i": i,
             "beta_over_alpha": math.ldexp(1.0, i),
@@ -455,8 +510,8 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     if seed is None:
         seed = cfg.seed
 
-    def visit(i: int, prob1: float, post: sim.StateVector | None) -> dict:
-        prob_minus_cond = sim.probabilities_x(post, p.layout.bhr)[1] if prob1 > 0.0 else 0.0
+    def visit(i: int, prob1: float, rho: np.ndarray | None) -> dict:
+        prob_minus_cond = _x_probabilities(rho)[1] if prob1 > 0.0 else 0.0
         i_idx = i - cfg.i_min
         set_results: list[dict] = []
         discarded = 0
@@ -534,7 +589,6 @@ def amplification_fidelity_profile(
     if s_ref is None:
         raise InputError("fidelity profile needs the brute-force count")
     rounds = p.config.r if max_r is None else int(max_r)
-    target = _amplified_target(p, s_ref)
 
     st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
     sim.apply_circuit(st, p.superposition_circuit.gates)
@@ -545,7 +599,7 @@ def amplification_fidelity_profile(
     out: list[tuple[int, float]] = []
     for r in range(1, rounds + 1):
         sim.apply_circuit(st, gates[(r + 1) * width : (r + 2) * width])
-        out.append((r, sim.fidelity(st, target)))
+        out.append((r, _amplification_fidelity(p, st, s_ref)))
     return out
 
 
@@ -556,6 +610,6 @@ def readout_fidelity_grid(p: MajsatPlan) -> dict[int, float]:
     if s_ref is None:
         raise InputError("fidelity grid needs the brute-force count")
     pairs = _readout_sweep(
-        p, _amplified_state(p), lambda i, _, post: (i, _readout_bhr_fidelity(p, post, s_ref, i))
+        p, _amplified_state(p), lambda i, _, rho: (i, _readout_bhr_fidelity(p, rho, s_ref, i))
     )
     return dict(pairs)

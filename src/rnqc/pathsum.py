@@ -107,7 +107,8 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     total = sim.norm_sq_mantissa(state) * scale
     if projector.kind == "yn":
         return PathSumResult("direct", total, 0.0, _acceptance(total, 0.0), 0)
-    yes = sim._branch_masses(state, projector.yes_qubit)[1] * scale
+    _, yes, e = sim._branch_masses(state, projector.yes_qubit)
+    yes *= math.ldexp(1.0, 2 * e)
     no = max(total - yes, 0.0)
     return PathSumResult("direct", yes, no, _acceptance(yes, no), 0)
 

@@ -11,9 +11,10 @@ rescaling guard: whenever the largest mantissa magnitude leaves
 [2^-500, 2^+500] the array is scaled by an exact power of two and the
 exponent absorbs the difference. Gate parameters are capped at 2^±500
 (circuit.py) and a fused block is cut before its factors could leave
-that range, so one kernel can never overflow the mantissa array. Norm
-queries that cannot represent the true value in a double raise instead
-of returning Inf or 0.
+that range, so one kernel can never overflow the mantissa array. Sums
+of squared or multiplied mantissas run on a copy scaled by a power of
+two when they could overflow. Norm queries that cannot represent the
+true value in a double raise instead of returning Inf or 0.
 
 apply_circuit compiles a gate sequence once per (gate tuple, register
 width) into kernels. H and T run one gate at a time. Every other kind is
@@ -169,19 +170,18 @@ def _view(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(t, src, range(len(qubits)))
 
 
-def _rescale_guard(state: StateVector) -> None:
-    """Rescale by a power of two when max|amp| leaves [2^-500, 2^+500].
-
-    Reads the state without allocating a temporary of its size; a NaN
-    anywhere in the state propagates to the maximum.
-    """
-    amps = state.amps
-    if state.mode == "real":
+def _max_abs(amps: np.ndarray) -> float:
+    """max|amp| without a temporary of the array's size; a NaN propagates."""
+    if not np.iscomplexobj(amps):
         hi, lo = float(amps.max()), float(amps.min())
-        m = hi if hi >= -lo else -lo
-    else:
-        chunks = range(0, amps.size, _GUARD_CHUNK)
-        m = float(np.max([np.abs(amps[k : k + _GUARD_CHUNK]).max() for k in chunks]))
+        return hi if hi >= -lo else -lo
+    chunks = range(0, amps.size, _GUARD_CHUNK)
+    return float(np.max([np.abs(amps[k : k + _GUARD_CHUNK]).max() for k in chunks]))
+
+
+def _rescale_guard(state: StateVector) -> None:
+    """Rescale by a power of two when max|amp| leaves [2^-500, 2^+500]."""
+    m = _max_abs(state.amps)
     if m == 0.0:
         raise ZeroStateError("state vector collapsed to zero")
     if _GUARD_LO <= m <= _GUARD_HI:
@@ -295,23 +295,31 @@ def _merge_diagonal(stretch: list[Gate]) -> list[Gate]:
     A folded parameter stays within 2^±500 (a new gate starts instead),
     Z twice and a parameter product of exactly 1 drop out.
     """
-    out: list[Gate | None] = []
+    out: list = []  # [first gate, folded parameter], or None once cancelled
     slot: dict[tuple, int] = {}
     for g in stretch:
         key = (g.kind, g.qubits)
         j = slot.get(key)
         if j is not None:
-            p = 1.0 if g.kind == "Z" else out[j].param * g.param
+            p = 1.0 if g.kind == "Z" else out[j][1] * g.param
             if p == 1.0:
                 out[j] = None
                 del slot[key]
                 continue
             if abs(math.log2(p)) <= _LOG2_GUARD:
-                out[j] = Gate(g.kind, g.qubits, p)
+                out[j][1] = p
                 continue
         slot[key] = len(out)
-        out.append(g)
-    return [g for g in out if g is not None]
+        out.append([g, g.param])
+    return [g if p == g.param else Gate(g.kind, g.qubits, p) for g, p in filter(None, out)]
+
+
+def _fold(run: Sequence[Gate]) -> list[Gate]:
+    """A run of monomial gates with each diagonal stretch merged."""
+    items: list[Gate] = []
+    for diagonal, stretch in groupby(run, key=lambda g: g.kind in _DIAGONAL):
+        items += _merge_diagonal(list(stretch)) if diagonal else list(stretch)
+    return items
 
 
 def _split(qubits, n: int, dense: int) -> tuple[list[int], list[int]]:
@@ -320,25 +328,55 @@ def _split(qubits, n: int, dense: int) -> tuple[list[int], list[int]]:
     return [q for q in touched if q < dense], [q for q in touched if q >= dense] or [n - 1]
 
 
-def _trace_basis(gates: list[Gate], pos: dict[int, int]):
+def _trace_basis(gates: Sequence[Gate], pos: dict[int, int]):
     """Run every local basis state through the gates, one gate at a time.
 
-    Yields (dest, w) after each gate: local basis state x has moved to
-    dest[x] and picked up the factor w[x], multiplied in gate order.
+    Yields (dest, w, e) after each gate: local basis state x has moved to
+    dest[x] and picked up the factor w[x] * 2^e[x], multiplied in gate
+    order. w is renormalized to a mantissa after every G or CG, so a
+    product of any length stays finite, and the rounding is that of the
+    plain product wherever the plain product is a normal double.
     """
     dest = np.arange(1 << len(pos))
     w = np.ones(1 << len(pos))
+    e = np.zeros(1 << len(pos), dtype=np.int64)
     for g in gates:
-        bits = [(dest >> pos[q]) & 1 == 1 for q in g.qubits]
+        target = 1 << pos[g.target]
         if g.kind in _PERMUTATION:
-            on = np.logical_and.reduce(bits[:-1]) if len(bits) > 1 else True
-            dest = np.where(on, dest ^ (1 << pos[g.target]), dest)
+            on = sum(1 << pos[q] for q in g.controls)
+            dest = np.where(dest & on == on, dest ^ target, dest)
         elif g.kind == "Z":
-            w = w * np.where(bits[0], -1.0, 1.0)
+            w = np.where(dest & target, -w, w)
         else:
-            f = np.where(bits[-1], g.param, 1.0 / g.param)
-            w = w * (np.where(bits[0], f, 1.0) if g.kind == "CG" else f)
-        yield dest, w
+            f = np.where(dest & target, g.param, 1.0 / g.param)
+            if g.kind == "CG":
+                f = np.where(dest & (1 << pos[g.qubits[0]]), f, 1.0)
+            w, de = np.frexp(w * f)
+            e = e + de
+        yield dest, w, e
+
+
+def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How a nonempty run of monomial gates acts on the basis of the qubits
+    it touches.
+
+    Bit j of a local index is qubits[j]. Returns (dest, w, e): local basis
+    state x moves to dest[x] and picks up the factor w[x] * 2^e[x].
+    Diagonal stretches fold first, as in apply_circuit's blocks.
+    """
+    pos = {q: j for j, q in enumerate(qubits)}
+    for dest, w, e in _trace_basis(_fold(gates), pos):
+        pass  # keep the map after the last gate
+    return dest, w, e
+
+
+def _splits_rows(g: Gate, dense: int) -> bool:
+    """True for a permutation gate with a high target and a low control.
+
+    A run without one keeps rows whole after every gate, so it needs no
+    trace to find where a block may end.
+    """
+    return g.kind in _PERMUTATION and g.target >= dense and any(c < dense for c in g.controls)
 
 
 def _rows_stay_whole(dest: np.ndarray, kl: int) -> bool:
@@ -351,8 +389,9 @@ def _build_block(gates: list[Gate], n: int, dense: int) -> _Block:
     low, high = _split([q for g in gates for q in g.qubits], n, dense)
     kl = len(low)
     pos = {q: j for j, q in enumerate(low + high)}
-    for dest, w in _trace_basis(gates, pos):
+    for dest, w, e in _trace_basis(gates, pos):
         pass  # keep the state after the last gate
+    w = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
 
     # Spread the low part over the 2^dense tail positions of a row.
     tail = np.arange(1 << dense)
@@ -418,10 +457,7 @@ def _fuse_run(run: list[Gate], n: int) -> list:
     low control has split a high target's rows, but the whole CG is
     diagonal again, so blocks of whole CGs qualify.
     """
-    items: list[Gate] = []
-    for diagonal, stretch in groupby(run, key=lambda g: g.kind in _DIAGONAL):
-        items += _merge_diagonal(list(stretch)) if diagonal else list(stretch)
-
+    items = _fold(run)
     dense = min(_DENSE_QUBITS, n - 1)
     steps: list = []
     i = 0
@@ -439,10 +475,12 @@ def _fuse_run(run: list[Gate], n: int) -> list:
                 break
             touched, budget, j = joined, budget + cost, j + 1
         size = 0
-        if j - i > 1:
+        if not any(_splits_rows(g, dense) for g in items[i:j]):
+            size = j - i
+        elif j - i > 1:
             low, high = _split(touched, n, dense)
             pos = {q: k for k, q in enumerate(low + high)}
-            for k, (dest, _) in enumerate(_trace_basis(items[i:j], pos), 1):
+            for k, (dest, _, _) in enumerate(_trace_basis(items[i:j], pos), 1):
                 if _rows_stay_whole(dest, len(low)):
                     size = k
         if size > 1:
@@ -512,19 +550,64 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
     return state
 
 
+# ---------------------------------------------------------------------------
+# Sums of products. Mantissas may reach 2^500, so a sum of their squares
+# over a large register can overflow. Every sum below but gram's goes
+# through _summable: while max|amp|^2 * size stays at or below 2^500 it
+# hands back the state itself, so those results are bit-identical to
+# plain sums; past that it hands back a copy scaled by an exact power of
+# two. gram always scales its gathered blocks to max|amp| in [1, 2).
+# ---------------------------------------------------------------------------
+
+_SUM_LIMIT = 2.0**500  # max|amp|^2 * size above this could overflow a sum or its square
+_GRAM_CHUNK = 1 << 16  # amplitudes gathered per product in gram
+
+
+def _sum_shift(amps: np.ndarray, unit: bool = False) -> int:
+    """k such that sums of products of amps * 2^-k cannot overflow.
+
+    k = 0 while max|amp|^2 * size <= 2^500; otherwise, and always with
+    unit, k brings max|amp| into [1, 2).
+    """
+    m = _max_abs(amps)
+    if not unit and m * m * amps.size <= _SUM_LIMIT:
+        return 0
+    return math.frexp(m)[1] - 1
+
+
+def _summable(state: StateVector) -> StateVector:
+    """The same vector with mantissas whose sums of products cannot
+    overflow: the state itself, or a copy scaled by 2^-k whose exponent
+    is raised by k."""
+    k = _sum_shift(state.amps)
+    if k == 0:
+        return state
+    return StateVector(state.num_qubits, state.amps * math.ldexp(1.0, -k), state.mode, state.exponent + k)
+
+
+def _mass(amps: np.ndarray) -> float:
+    if np.iscomplexobj(amps):
+        return float(np.real(np.vdot(amps, amps)))
+    return float(np.dot(amps, amps))
+
+
 def norm_sq_mantissa(state: StateVector) -> float:
-    if state.mode == "real":
-        return float(np.dot(state.amps, state.amps))
-    return float(np.real(np.vdot(state.amps, state.amps)))
+    """Sum of the squared mantissas; raises NormOverflowError past a double."""
+    st = _summable(state)
+    try:
+        return math.ldexp(_mass(st.amps), 2 * (st.exponent - state.exponent))
+    except OverflowError as exc:
+        raise NormOverflowError("squared mantissa norm overflows double precision") from exc
 
 
 def norm_sq(state: StateVector) -> float:
     """True squared norm, exponent included. Raises if not representable."""
-    base = norm_sq_mantissa(state)
+    st = _summable(state)
+    base = _mass(st.amps)
     if base == 0.0:
         raise ZeroStateError("state vector has zero norm")
     try:
-        val = math.ldexp(base, 2 * state.exponent)
+        val = math.ldexp(base, 2 * st.exponent)
     except OverflowError as exc:
         raise NormOverflowError("squared norm overflows double precision") from exc
     if math.isinf(val):
@@ -536,27 +619,31 @@ def norm_sq(state: StateVector) -> float:
 
 def renormalize(state: StateVector) -> StateVector:
     """Scale to unit norm (exponent reset to 0)."""
-    base = norm_sq_mantissa(state)
+    st = _summable(state)
+    base = _mass(st.amps)
     if base == 0.0:
         raise ZeroStateError("cannot renormalize a zero state")
-    state.amps /= math.sqrt(base)
+    np.divide(st.amps, math.sqrt(base), out=state.amps)
     state.exponent = 0
     return state
 
 
-def _branch_masses(state: StateVector, qubit: int) -> tuple[float, float]:
-    v0, v1 = _halves(state, qubit)
-    if state.mode == "real":
+def _branch_masses(state: StateVector, qubit: int) -> tuple[float, float, int]:
+    """Squared masses m0, m1 of the qubit's 0 and 1 branches and the
+    exponent e they go with: the true masses are m * 4^e."""
+    st = _summable(state)
+    v0, v1 = _halves(st, qubit)
+    if st.mode == "real":
         m0 = float(np.sum(v0 * v0))
         m1 = float(np.sum(v1 * v1))
     else:
         m0 = float(np.sum((v0 * v0.conj()).real))
         m1 = float(np.sum((v1 * v1.conj()).real))
-    return m0, m1
+    return m0, m1, st.exponent
 
 
 def probabilities_z(state: StateVector, qubit: int) -> tuple[float, float]:
-    m0, m1 = _branch_masses(state, qubit)
+    m0, m1, _ = _branch_masses(state, qubit)
     tot = m0 + m1
     if tot == 0.0:
         raise ZeroStateError("state vector has zero norm")
@@ -565,10 +652,11 @@ def probabilities_z(state: StateVector, qubit: int) -> tuple[float, float]:
 
 def probabilities_x(state: StateVector, qubit: int) -> tuple[float, float]:
     """(P(+1), P(-1)) for an x-basis measurement of the qubit."""
-    v0, v1 = _halves(state, qubit)
+    st = _summable(state)
+    v0, v1 = _halves(st, qubit)
     plus = v0 + v1
     minus = v0 - v1
-    if state.mode == "real":
+    if st.mode == "real":
         mp = float(np.sum(plus * plus))
         mm = float(np.sum(minus * minus))
     else:
@@ -578,6 +666,52 @@ def probabilities_x(state: StateVector, qubit: int) -> tuple[float, float]:
     if tot == 0.0:
         raise ZeroStateError("state vector has zero norm")
     return mp / tot, mm / tot
+
+
+def gram(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Gram matrix of the state over a few local qubits, in one pass.
+
+    Returns (m, e). Bit j of a local index is qubits[j], and m[x, y] * 4^e
+    is the sum, over every assignment r of the other qubits, of
+    conj(psi(r, x)) * psi(r, y). The mantissas are scaled so that
+    max|amp| lies in [1, 2) before any product, so no entry overflows and
+    small ones keep their precision. The state is read as rows of the
+    2^min(qubits) amplitudes below the lowest local qubit; rows are
+    grouped by their spectator bits, and each block of at most 2^16
+    amplitudes is gathered as a (2^k, columns) matrix A and adds
+    conj(A) A^T. So the cost is about 2^k amplitude-passes and no
+    temporary is the size of the state.
+    """
+    qubits = [int(q) for q in qubits]
+    n = state.num_qubits
+    if not qubits or len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= n:
+        raise InputError(f"gram needs distinct qubits inside a {n}-qubit register, got {qubits}")
+    k, low = len(qubits), min(qubits)
+    width = 1 << low
+    rows = state.amps.reshape(-1, width)
+    local = [q - low for q in qubits]
+    spectator = [b for b in range(n - low) if b not in local]
+
+    def deposit(v: np.ndarray, bits: list[int]) -> np.ndarray:
+        out = np.zeros_like(v)
+        for j, b in enumerate(bits):
+            out |= ((v >> j) & 1) << b
+        return out
+
+    x_rows = deposit(np.arange(1 << k), local)
+    shift = _sum_shift(state.amps, unit=True)
+    scale = math.ldexp(1.0, -shift)
+    cols = min(width, max(1, _GRAM_CHUNK >> k))
+    per = max(1, _GRAM_CHUNK >> k >> low)  # spectator groups per block
+    groups = 1 << len(spectator)
+    m = np.zeros((1 << k, 1 << k), dtype=state.amps.dtype)
+    for g0 in range(0, groups, per):
+        ids = deposit(np.arange(g0, min(groups, g0 + per)), spectator)[:, None] | x_rows
+        for c0 in range(0, width, cols):
+            a = rows[ids, c0 : c0 + cols].transpose(1, 0, 2).reshape(1 << k, -1)
+            a *= scale  # a gathered copy, never the state
+            m += (a.conj() if state.mode == "complex" else a) @ a.T
+    return m, state.exponent + shift
 
 
 def measure_z(state: StateVector, qubit: int, rng) -> tuple[MeasurementOutcome, StateVector]:
@@ -609,7 +743,7 @@ def postselect(state: StateVector, qubit: int, bit: int) -> tuple[float, StateVe
     """Condition on qubit == bit. Returns (branch probability, conditioned state)."""
     if bit not in (0, 1):
         raise InputError(f"postselect bit must be 0 or 1, got {bit}")
-    m0, m1 = _branch_masses(state, qubit)
+    m0, m1, _ = _branch_masses(state, qubit)
     tot = m0 + m1
     if tot == 0.0:
         raise ZeroStateError("state vector has zero norm")
@@ -636,17 +770,31 @@ def prepare_superposed_qubit(state: StateVector, qubit: int, alpha: float, beta:
     return state
 
 
+def _fidelity(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """|<a|b>|^2 / (na * nb), clipped to [0, 1]."""
+    if na == 0.0 or nb == 0.0:
+        raise ZeroStateError("fidelity of a zero state is undefined")
+    ov = np.vdot(a, b)
+    val = float((ov * ov.conjugate()).real) / (na * nb)
+    return min(max(val, 0.0), 1.0)
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 / (norm_sq(a) * norm_sq(b)); shared exponents cancel exactly."""
     if a.num_qubits != b.num_qubits:
         raise InputError(f"fidelity needs equal registers, got {a.num_qubits} and {b.num_qubits}")
-    na = norm_sq_mantissa(a)
-    nb = norm_sq_mantissa(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroStateError("fidelity of a zero state is undefined")
-    ov = np.vdot(a.amps, b.amps)
-    val = float((ov * ov.conjugate()).real) / (na * nb)
-    return min(max(val, 0.0), 1.0)
+    a, b = _summable(a), _summable(b)
+    return _fidelity(a.amps, b.amps, _mass(a.amps), _mass(b.amps))
+
+
+def sparse_fidelity(state: StateVector, target: dict[int, float]) -> float:
+    """fidelity(state, b) for a target b whose only nonzero amplitudes are
+    target[j] at basis index j. Reads those amplitudes and the state's
+    norm; no target vector is built."""
+    st = _summable(state)
+    idx = list(target)
+    t = np.array([target[j] for j in idx], dtype=st.amps.dtype)
+    return _fidelity(st.amps[idx], t, _mass(st.amps), _mass(t))
 
 
 def qubit_state_fidelity(state: StateVector, qubit: int, c0, c1) -> float:
@@ -660,7 +808,8 @@ def qubit_state_fidelity(state: StateVector, qubit: int, c0, c1) -> float:
     target_norm = abs(c0) ** 2 + abs(c1) ** 2
     if target_norm == 0.0:
         raise ZeroStateError("target qubit state has zero norm")
-    base = norm_sq_mantissa(state)
+    state = _summable(state)
+    base = _mass(state.amps)
     if base == 0.0:
         raise ZeroStateError("state vector has zero norm")
     if state.mode == "complex":
@@ -672,4 +821,3 @@ def qubit_state_fidelity(state: StateVector, qubit: int, c0, c1) -> float:
     mass = float(np.real(np.vdot(combined, combined)))
     val = mass / (base * target_norm)
     return min(max(val, 0.0), 1.0)
-

@@ -373,6 +373,102 @@ def test_norm_overflow_raises_not_inf():
         sim.norm_sq(state)
 
 
+def test_mass_sums_do_not_overflow_at_24_qubits():
+    # 2^24 squares of 2^500 sum to 2^1024, one past the double range.
+    state = sim.state_from_amplitudes(np.full(1 << 24, 2.0**500))
+    assert sim.probabilities_z(state, 0) == (0.5, 0.5)
+    with pytest.raises(NormOverflowError):
+        sim.norm_sq_mantissa(state)
+    with pytest.raises(NormOverflowError):
+        sim.norm_sq(state)
+
+
+def test_sums_of_huge_mantissas_are_scaled():
+    # max|amp|^2 * size past 2^500: every sum runs on a copy scaled by a
+    # power of two, so the results equal those of the unscaled state.
+    small = sim.state_from_amplitudes([3.0, -1.0, 0.5, 2.0])
+    big = sim.state_from_amplitudes([3.0 * 2.0**490, -(2.0**490), 2.0**489, 2.0**491])
+    assert sim.norm_sq_mantissa(big) == sim.norm_sq_mantissa(small) * 2.0**980
+    assert sim.norm_sq(big) == sim.norm_sq(small) * 2.0**980
+    for q in (0, 1):
+        assert sim.probabilities_z(big, q) == sim.probabilities_z(small, q)
+        assert sim.probabilities_x(big, q) == sim.probabilities_x(small, q)
+        assert sim.qubit_state_fidelity(big, q, 1.0, 2.0) == sim.qubit_state_fidelity(small, q, 1.0, 2.0)
+    assert sim.fidelity(big, small) == sim.fidelity(small, small)
+    assert sim.sparse_fidelity(big, {0: 1.0, 3: 1.0}) == sim.sparse_fidelity(small, {0: 1.0, 3: 1.0})
+    assert sim.postselect(big, 1, 1)[0] == sim.postselect(small, 1, 1)[0]
+    assert np.array_equal(big.amps, small.amps) and big.exponent == 0
+
+
+def test_sparse_fidelity_matches_dense_target():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        state = _random_state(rng, 6)
+        idx = [int(j) for j in rng.choice(64, size=3, replace=False)]
+        vals = [float(v) for v in rng.integers(1, 100, size=3)]
+        dense = np.zeros(64)
+        dense[idx] = vals
+        want = sim.fidelity(state, sim.state_from_amplitudes(dense))
+        got = sim.sparse_fidelity(state, dict(zip(idx, vals)))
+        assert abs(got - want) <= 4 * np.finfo(np.float64).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    mode=st.sampled_from(("real", "complex")),
+    scale=st.integers(-450, 450),
+    chunk=st.integers(0, 10),
+    data=st.data(),
+)
+def test_gram_matches_dense_reference(n, mode, scale, chunk, data):
+    qubits = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.standard_normal(1 << n)
+    if mode == "complex":
+        vals = vals + 1j * rng.standard_normal(1 << n)
+    vals[rng.random(1 << n) < 0.25] = 0.0  # some local states carry no weight
+    vals[0] = 1.0
+    state = sim.state_from_amplitudes(vals * 2.0**scale, mode=mode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_GRAM_CHUNK", 1 << chunk)  # blocks of every shape
+        m, e = sim.gram(state, qubits)
+    # Axis order puts qubits[0] on the fastest-varying bit of the local index.
+    t = np.moveaxis(vals.reshape((2,) * n), [n - 1 - q for q in reversed(qubits)], range(len(qubits)))
+    a = t.reshape(1 << len(qubits), -1)
+    want = a.conj() @ a.T
+    got = m * 2.0 ** (2 * (e - scale))
+    assert 1.0 <= np.max(np.abs(np.diag(m))) <= 4.0 * (1 << n), "scaled to max|amp| in [1, 2)"
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_gram_rejects_bad_qubits():
+    for qubits in ([], [0, 0], [3], [-1]):
+        with pytest.raises(InputError):
+            sim.gram(sim.new_state(3), qubits)
+
+
+def test_monomial_map_matches_gate_loop_on_basis_states():
+    # Four qubits, local qubits (2, 0, 3): qubit 1 is a spectator at 0.
+    gates = [
+        Gate("CNOT", (2, 0)),
+        Gate("CG", (0, 3), 2.0**300),
+        Gate("CG", (0, 3), 2.0**300),
+        Gate("G", (2,), 3.0),
+        Gate("CCNOT", (0, 3, 2)),
+        Gate("Z", (3,)),
+    ]
+    qubits = (2, 0, 3)
+    dest, w, e = sim.monomial_map(gates, qubits)
+    spread = lambda x: sum(((x >> j) & 1) << q for j, q in enumerate(qubits))
+    for x in range(8):
+        state = sim.new_state(4, spread(x))
+        _gate_loop(state, gates)
+        idx = int(np.flatnonzero(state.amps)[0])
+        assert idx == spread(int(dest[x]))
+        assert math.ldexp(float(w[x]), int(e[x]) - state.exponent) == pytest.approx(state.amps[idx], rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # z measurements and postselection
 # ---------------------------------------------------------------------------
