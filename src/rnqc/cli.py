@@ -232,7 +232,7 @@ def cmd_simulate(args) -> int:
         "mode": mode,
         "input_basis": basis,
         "probabilities": [[p0, p1] for p0, p1 in probs],
-        "norm_sq": sim.norm_sq_mantissa(state) * math.ldexp(1.0, 2 * state.exponent),
+        "norm_sq": sim.norm_sq(state),
     }
     if args.amplitudes:
         if circuit.qubit_count > AMPLITUDE_PRINT_CAP:

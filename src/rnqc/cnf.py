@@ -155,23 +155,17 @@ def eval_formula(formula: CnfFormula, assignment: int) -> bool:
     return all(eval_clause(c, assignment) for c in formula.clauses)
 
 
-def count_models(formula: CnfFormula) -> int:
-    """Exact model count by bit-parallel enumeration.
-
-    One big integer holds the whole truth table: bit x of a variable
-    mask says whether variable v is true in assignment x. Clause masks
-    are OR-combined literal masks; conjunction is integer AND; popcount
-    finishes the job. Far faster than a per-assignment loop and still an
-    exhaustive, assumption-free reference.
-    """
-    n = formula.num_vars
+def truth_tables(n: int) -> tuple[int, list[int]]:
+    """(full, tables) over all 2^n assignments: full has all 2^n bits set,
+    and bit x of tables[v] is variable v+1 in assignment x. One 2^n-bit
+    integer each, 2 MiB at COUNT_VAR_LIMIT, the package's one limit on
+    exhaustive evaluation."""
     if n > COUNT_VAR_LIMIT:
         raise CountLimitError(
-            f"model counting is capped at {COUNT_VAR_LIMIT} variables, got {n}"
+            f"exhaustive evaluation is capped at {COUNT_VAR_LIMIT} variables, got {n}"
         )
     total = 1 << n
-    full = (1 << total) - 1
-    var_mask: list[int] = []
+    tables: list[int] = []
     for v in range(n):
         block = 1 << v
         m = ((1 << block) - 1) << block  # ones where bit v of the index is set
@@ -179,14 +173,27 @@ def count_models(formula: CnfFormula) -> int:
         while span < total:
             m |= m << span
             span <<= 1
-        var_mask.append(m)
+        tables.append(m)
+    return (1 << total) - 1, tables
+
+
+def clause_table(clause: tuple[int, ...], full: int, tables: list[int]) -> int:
+    """Truth table of a clause: the OR of its literals' tables."""
+    t = 0
+    for lit in clause:
+        vt = tables[abs(lit) - 1]
+        t |= vt if lit > 0 else full & ~vt
+    return t
+
+
+def count_models(formula: CnfFormula) -> int:
+    """Exact model count: the popcount of the AND of the clause truth
+    tables. Far faster than a per-assignment loop and still an
+    exhaustive, assumption-free reference."""
+    full, tables = truth_tables(formula.num_vars)
     sat = full
     for clause in formula.clauses:
-        cm = 0
-        for lit in clause:
-            vm = var_mask[abs(lit) - 1]
-            cm |= vm if lit > 0 else (full & ~vm)
-        sat &= cm
+        sat &= clause_table(clause, full, tables)
     return sat.bit_count()
 
 

@@ -18,14 +18,14 @@ callers that need them clean must uncompute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
+
+import numpy as np
 
 from .circuit import Circuit, Gate, RegisterLayout
-from .circuit import propagate_basis
-from .cnf import CnfFormula, ThreeCnf, eval_clause, eval_formula, extend_assignment, to_3cnf
-from .errors import InputError, RegisterCapError
-from .sim import max_qubits
-
-EXHAUSTIVE_VAR_LIMIT = 24
+from .cnf import CnfFormula, ThreeCnf, clause_table, to_3cnf, truth_tables
+from .errors import CircuitError, InputError
 
 
 @dataclass(frozen=True)
@@ -159,27 +159,31 @@ def build_oracle(f3: ThreeCnf, polarity_fix: bool = True) -> OracleArtifact:
     )
 
 
+def _set_bits(table: int, n: int) -> tuple[int, ...]:
+    """Indices of the set bits of a 2^n-bit table, ascending."""
+    if not table:
+        return ()
+    raw = np.frombuffer(table.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+
+
 def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckReport:
     """Exhaustively check an oracle circuit against direct clause evaluation.
 
-    Propagates every work-basis input through the gate list (the circuit
-    is a basis-state permutation, so integer bit propagation is exact)
-    and compares the oracle bit with eval_formula. Scratch registers are
-    checked too: work bits preserved, defined variables and clause flags
-    holding their predicted values, chain ancillas back at 0, constant
-    qubits still 1. Works on lowered artifacts as well since lowering
-    X/CCNOT/NCNOT stays within permutation gates.
+    The circuit is a basis-state permutation, so it runs once on bitset
+    truth tables (cnf.truth_tables): bit x of a qubit's table is its value
+    on work input x, and a gate XORs the AND of its controls' tables into
+    its target's. The oracle qubit must end holding the formula's table,
+    and the scratch registers their predicted ones: work bits preserved,
+    defined variables and clause flags holding their values, chain
+    ancillas back at 0, constant qubits still 1. Lowered artifacts stay
+    within permutation gates; any other gate raises CircuitError. Memory
+    is one table per qubit, 2 MiB at the cap of n = 24 variables; the
+    register width has no cap.
     """
     f3 = to_3cnf(formula)
     n = f3.original_vars
-    if n > EXHAUSTIVE_VAR_LIMIT:
-        raise RegisterCapError(
-            f"exhaustive oracle check is capped at {EXHAUSTIVE_VAR_LIMIT} variables, got {n}"
-        )
-    if artifact.circuit.qubit_count > max_qubits():
-        raise RegisterCapError(
-            f"oracle circuit needs {artifact.circuit.qubit_count} qubits, cap is {max_qubits()}"
-        )
+    full, tables = truth_tables(n)
     layout = artifact.layout
     clauses = reduced_clauses(f3)
     if (
@@ -190,44 +194,33 @@ def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckR
     ):
         raise InputError("artifact layout does not match the formula's register needs")
 
+    for _, la, lb in f3.mapping:  # y = la OR lb, in dependency order
+        tables.append(clause_table((la, lb), full, tables))
     ones = layout.initial_one_bits()
-    mismatches: list[int] = []
-    scratch: list[int] = []
-    satisfying = 0
-    for x in range(1 << n):
-        start = ones
-        for v in range(n):
-            if (x >> v) & 1:
-                start |= 1 << layout.work[v]
-        final = propagate_basis(artifact.circuit.gates, start)
+    state = [full if (ones >> q) & 1 else 0 for q in range(artifact.circuit.qubit_count)]
+    for q, t in zip(layout.work, tables):
+        state[q] = t
+    expected = list(state)
+    for q, t in zip(layout.aux, tables[n:]):
+        expected[q] = t
+    for q, clause in zip(layout.clause, clauses):
+        t = clause_table(clause, full, tables)
+        expected[q] = t if artifact.polarity_fix else full & ~t
+    o = layout.oracle
+    expected[o] = reduce(and_, (clause_table(c, full, tables) for c in formula.clauses), full)
 
-        fx = eval_formula(formula, x)
-        satisfying += (final >> layout.oracle) & 1
+    for g in artifact.circuit.gates:
+        if g.kind not in ("X", "CNOT", "CCNOT", "NCNOT"):
+            raise CircuitError(f"{g.kind} is not a basis-permutation gate")
+        state[g.target] ^= reduce(and_, (state[c] for c in g.controls), full)
 
-        expected = ones
-        full = extend_assignment(f3, x)
-        for v in range(n):
-            if (x >> v) & 1:
-                expected |= 1 << layout.work[v]
-        for j in range(f3.aux_vars):
-            if (full >> (n + j)) & 1:
-                expected |= 1 << layout.aux[j]
-        for m, clause in enumerate(clauses):
-            truth = eval_clause(clause, full)
-            if truth == artifact.polarity_fix:
-                expected |= 1 << layout.clause[m]
-        oracle_mask = 1 << layout.oracle
-
-        if bool((final >> layout.oracle) & 1) != fx:
-            mismatches.append(x)
-        if (final & ~oracle_mask) != (expected & ~oracle_mask):
-            scratch.append(x)
-
-    ok = not mismatches and not scratch
+    mismatches = _set_bits(state[o] ^ expected[o], n)
+    scratch = reduce(or_, (a ^ b for q, (a, b) in enumerate(zip(state, expected)) if q != o), 0)
+    violations = _set_bits(scratch, n)
     return OracleCheckReport(
-        ok=ok,
+        ok=not mismatches and not violations,
         inputs_checked=1 << n,
-        mismatches=tuple(mismatches),
-        scratch_violations=tuple(scratch),
-        satisfying_inputs=satisfying,
+        mismatches=mismatches,
+        scratch_violations=violations,
+        satisfying_inputs=state[o].bit_count(),
     )

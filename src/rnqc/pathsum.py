@@ -103,12 +103,11 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     mode = "complex" if any(g.kind == "T" for g in circuit.gates) else "real"
     state = sim.new_state(circuit.qubit_count, basis_index=input_basis, mode=mode)
     state = sim.apply_circuit(state, circuit)
-    scale = math.ldexp(1.0, 2 * state.exponent)
-    total = sim.norm_sq_mantissa(state) * scale
+    total = sim.norm_sq(state)
     if projector.kind == "yn":
         return PathSumResult("direct", total, 0.0, _acceptance(total, 0.0), 0)
     _, yes, e = sim._branch_masses(state, projector.yes_qubit)
-    yes *= math.ldexp(1.0, 2 * e)
+    yes = math.ldexp(yes, 2 * e)
     no = max(total - yes, 0.0)
     return PathSumResult("direct", yes, no, _acceptance(yes, no), 0)
 
@@ -161,10 +160,12 @@ def _successors(gate: Gate, z: int):
 def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     """DFS over contributing forward paths.
 
-    Returns an ordered mapping endpoint -> list of (path, value).  The
-    worst case pairs up every forward path with every other at a single
-    endpoint, so enumeration aborts once the forward count could make the
-    pair count exceed the budget.
+    Returns a mapping endpoint -> list of path values, endpoints
+    ascending. Successors are pushed in reverse, so each H's 0-branch is
+    visited first and every list is in lexicographic order of the paths'
+    basis-state trails. The worst case pairs up every forward path with
+    every other at a single endpoint, so enumeration aborts once the
+    forward count could make the pair count exceed the budget.
     """
     for g in circuit.gates:
         if g.kind not in _SUPPORTED:
@@ -172,10 +173,10 @@ def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     fwd_cap = max(1, math.isqrt(budget))
     endpoints: dict = {}
     materialized = 0
-    stack = [(0, input_basis, 1.0 + 0.0j, (input_basis,))]
+    stack = [(0, input_basis, 1.0 + 0.0j)]
     gates = circuit.gates
     while stack:
-        depth, z, value, trail = stack.pop()
+        depth, z, value = stack.pop()
         if depth == len(gates):
             materialized += 1
             if materialized > fwd_cap:
@@ -183,18 +184,13 @@ def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
                     f"forward path count exceeds budget {budget} "
                     f"(more than {fwd_cap} contributing forward paths)"
                 )
-            endpoints.setdefault(z, []).append((trail, value))
+            endpoints.setdefault(z, []).append(value)
             continue
-        for nz, factor in _successors(gates[depth], z):
+        for nz, factor in reversed(list(_successors(gates[depth], z))):
             nv = value * factor
             if nv != 0:
-                stack.append((depth + 1, nz, nv, trail + (nz,)))
-    # DFS with a stack visits the 1-branch first; re-sort path lists so the
-    # reported order is independent of that traversal detail
-    ordered = {}
-    for z in sorted(endpoints):
-        ordered[z] = sorted(endpoints[z], key=lambda pv: pv[0])
-    return ordered
+                stack.append((depth + 1, nz, nv))
+    return {z: endpoints[z] for z in sorted(endpoints)}
 
 
 def path_sum_amplitude(
@@ -217,7 +213,7 @@ def path_sum_amplitude(
     yes = no = 0.0 + 0.0j
     path_count = 0
     for z, paths in endpoints.items():
-        amp = sum(v for _, v in paths)
+        amp = sum(paths)
         mass = amp * amp.conjugate()
         path_count += len(paths) ** 2
         if projector.kind == "yn" or z & bit:
@@ -245,24 +241,22 @@ def _grid_count(magnitude: float, nc: int) -> int:
     return min(count, (1 << (2 * nc)) + 1)
 
 
-def _count_bucket(path_lists, nc: int):
-    """Accumulate threshold counts over all path pairs of one endpoint group.
+def _count_bucket(values, nc: int):
+    """Accumulate threshold counts over all path pairs of one endpoint.
 
     Returns (positive_count, negative_count, imaginary_residue).
     """
     pos = neg = 0
     im = 0.0
-    for paths in path_lists:
-        values = [v for _, v in paths]
-        for a in values:
-            for b in values:
-                prod = a * b.conjugate()
-                re = prod.real
-                if re > 0:
-                    pos += _grid_count(re, nc)
-                elif re < 0:
-                    neg += _grid_count(-re, nc)
-                im += prod.imag
+    for a in values:
+        for b in values:
+            prod = a * b.conjugate()
+            re = prod.real
+            if re > 0:
+                pos += _grid_count(re, nc)
+            elif re < 0:
+                neg += _grid_count(-re, nc)
+            im += prod.imag
     return pos, neg, im
 
 
@@ -291,7 +285,7 @@ def counting_estimate(
     if precision_c is None:
         largest = 0.0
         for _, paths in groups:
-            peak = max(abs(v) for _, v in paths)
+            peak = max(abs(v) for v in paths)
             largest = max(largest, peak * peak)
         c = 1
         while True:
@@ -317,7 +311,7 @@ def counting_estimate(
     yes_pos = yes_neg = tot_pos = tot_neg = 0
     yes_im = tot_im = 0.0
     for z, paths in groups:
-        pos, neg, im = _count_bucket([paths], nc)
+        pos, neg, im = _count_bucket(paths, nc)
         tot_pos += pos
         tot_neg += neg
         tot_im += im

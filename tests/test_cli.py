@@ -7,7 +7,7 @@ import json
 import jsonschema
 import pytest
 
-from rnqc import cli
+from rnqc import cli, cnf
 
 YES_CNF = "p cnf 3 1\n1 2 0\n"
 NO_CNF = "p cnf 3 2\n1 0\n2 0\n"
@@ -17,6 +17,20 @@ HGH_JSON = {
     "gates": [{"g": "H", "q": [0]}, {"g": "G", "q": [0], "param": 2.0}, {"g": "H", "q": [0]}],
 }
 T_JSON = {"qubits": 1, "gates": [{"g": "T", "q": [0]}]}
+# twelve clauses: 19 qubits as built, 31 once lowered (10 chain ancillas)
+WIDE_ORACLE_CNF = (
+    "p cnf 6 12\n1 2 3 0\n-1 4 5 0\n2 -4 6 0\n-2 -3 5 0\n3 -5 -6 0\n1 -2 6 0\n"
+    "-1 3 -4 0\n4 5 -6 0\n-3 4 6 0\n2 -5 6 0\n-1 -2 -6 0\n1 3 5 0\n"
+)
+# X, then seven G(1e150) or G(1e-150): squared norm 1e+-2100, past a double
+NORM_OVERFLOW_JSON = {
+    "qubits": 1,
+    "gates": [{"g": "X", "q": [0]}] + [{"g": "G", "q": [0], "param": 1e150}] * 7,
+}
+NORM_UNDERFLOW_JSON = {
+    "qubits": 1,
+    "gates": [{"g": "X", "q": [0]}] + [{"g": "G", "q": [0], "param": 1e-150}] * 7,
+}
 CG_JSON = {"qubits": 2, "gates": [{"g": "CG", "q": [0, 1], "param": 4.0}]}
 
 
@@ -28,6 +42,9 @@ def files(tmp_path_factory):
         ("yes.cnf", YES_CNF),
         ("no.cnf", NO_CNF),
         ("wide.cnf", WIDE_CNF),
+        ("wide_oracle.cnf", WIDE_ORACLE_CNF),
+        ("norm_overflow.json", json.dumps(NORM_OVERFLOW_JSON)),
+        ("norm_underflow.json", json.dumps(NORM_UNDERFLOW_JSON)),
         ("hgh.json", json.dumps(HGH_JSON)),
         ("tgate.json", json.dumps(T_JSON)),
         ("cg.json", json.dumps(CG_JSON)),
@@ -161,6 +178,13 @@ def test_oracle_check_primitive_lowering(files, capsys):
     assert "oracle check passed" in capsys.readouterr().out
 
 
+def test_oracle_check_past_the_simulator_cap(files, capsys):
+    # the lowered oracle has 31 qubits; the check has no register cap
+    assert cli.main(["oracle-check", files["wide_oracle.cnf"], "--lowering", "primitive"]) == 0
+    s = cnf.count_models(cnf.parse_dimacs(WIDE_ORACLE_CNF))
+    assert f"oracle check passed: 64 inputs, {s} satisfying" in capsys.readouterr().out
+
+
 def test_oracle_check_broken_polarity_reports_mismatches(files, capsys):
     code = cli.main(["oracle-check", files["no.cnf"], "--no-polarity-fix"])
     out = capsys.readouterr().out
@@ -236,6 +260,12 @@ def test_simulate_t_real_mode_rejected(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["norm_overflow.json", "norm_underflow.json"])
+def test_simulate_unrepresentable_norm_is_invariant_exit(files, name, capsys):
+    assert cli.main(["simulate", files[name]]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # pathsum
 # ---------------------------------------------------------------------------
@@ -252,6 +282,12 @@ def test_pathsum_table_three_methods(files, tmp_path, capsys):
     yes_values = [r["c_yes_sq"] for r in payload["results"]]
     assert max(yes_values) - min(yes_values) < 1e-4
     jsonschema.validate(payload, _schema("pathsum_report.schema.json"))
+
+
+@pytest.mark.parametrize("name", ["norm_overflow.json", "norm_underflow.json"])
+def test_pathsum_direct_unrepresentable_norm_is_invariant_exit(files, name, capsys):
+    assert cli.main(["pathsum", files[name], "--methods", "direct"]) == 4
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_pathsum_rejects_unknown_method(files, capsys):

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from rnqc import cnf, oracle, sim
-from rnqc.circuit import Gate, gate_census, lower_to_primitive, propagate_basis
-from rnqc.errors import InputError, RegisterCapError
+from rnqc.circuit import Circuit, Gate, gate_census, lower_to_primitive, propagate_basis
+from rnqc.errors import CircuitError, InputError, ResourceError
 
 
 def _artifact(num_vars, clauses, polarity_fix=True):
@@ -149,11 +150,98 @@ def test_verify_oracle_report_json_shape():
 
 
 def test_verify_oracle_register_cap():
+    # 50 qubits, past the dense simulator's cap: the truth-table check has
+    # no register cap, only the variable cap it shares with count_models
     clauses = [[v, -(v % 20 + 1)] for v in range(1, 21)] + [[v] for v in range(1, 10)]
     formula = cnf.CnfFormula(num_vars=20, clauses=tuple(tuple(c) for c in clauses))
     art = oracle.build_oracle(cnf.to_3cnf(formula))
-    with pytest.raises(RegisterCapError):
-        oracle.verify_oracle(art, formula)
+    assert art.circuit.qubit_count > sim.max_qubits()
+    report = oracle.verify_oracle(art, formula)
+    assert report.ok
+    assert report.satisfying_inputs == cnf.count_models(formula)
+
+    wide = cnf.CnfFormula(num_vars=cnf.COUNT_VAR_LIMIT + 1, clauses=((1,),))
+    with pytest.raises(ResourceError):
+        oracle.verify_oracle(oracle.build_oracle(cnf.to_3cnf(wide)), wide)
+
+
+def test_verify_oracle_rejects_non_permutation_gate():
+    formula, art = _artifact(2, [[1, 2]])
+    c = art.circuit
+    with_h = Circuit(c.qubit_count, (Gate("H", (0,)), *c.gates), layout=c.layout)
+    with pytest.raises(CircuitError):
+        oracle.verify_oracle(dataclasses.replace(art, circuit=with_h), formula)
+
+
+def _reference_report(artifact, formula):
+    """The per-input check verify_oracle replaced: one propagate_basis
+    run and one evaluation of every clause per work input."""
+    f3 = cnf.to_3cnf(formula)
+    n = f3.original_vars
+    layout = artifact.layout
+    clauses = oracle.reduced_clauses(f3)
+    ones = layout.initial_one_bits()
+    oracle_mask = 1 << layout.oracle
+    mismatches, scratch, satisfying = [], [], 0
+    for x in range(1 << n):
+        start = ones
+        for v in range(n):
+            if (x >> v) & 1:
+                start |= 1 << layout.work[v]
+        final = propagate_basis(artifact.circuit.gates, start)
+        satisfying += (final >> layout.oracle) & 1
+
+        expected = start
+        full = cnf.extend_assignment(f3, x)
+        for j in range(f3.aux_vars):
+            if (full >> (n + j)) & 1:
+                expected |= 1 << layout.aux[j]
+        for m, clause in enumerate(clauses):
+            if cnf.eval_clause(clause, full) == artifact.polarity_fix:
+                expected |= 1 << layout.clause[m]
+        if bool(final & oracle_mask) != cnf.eval_formula(formula, x):
+            mismatches.append(x)
+        if (final & ~oracle_mask) != (expected & ~oracle_mask):
+            scratch.append(x)
+    return oracle.OracleCheckReport(
+        ok=not mismatches and not scratch,
+        inputs_checked=1 << n,
+        mismatches=tuple(mismatches),
+        scratch_violations=tuple(scratch),
+        satisfying_inputs=satisfying,
+    )
+
+
+def _random_formula(rnd):
+    n = rnd.randint(1, 6)
+    clauses = []
+    for _ in range(rnd.randint(0, 5)):
+        picked = rnd.sample(range(1, n + 1), rnd.randint(1, n))
+        clauses.append(tuple(v if rnd.random() < 0.5 else -v for v in picked))
+    return cnf.CnfFormula(num_vars=n, clauses=tuple(clauses))
+
+
+def test_verify_oracle_matches_per_input_reference():
+    rnd = random.Random(2026)
+    failing = 0
+    for _ in range(40):
+        formula = _random_formula(rnd)
+        for polarity_fix in (True, False):
+            art = oracle.build_oracle(cnf.to_3cnf(formula), polarity_fix=polarity_fix)
+            lowered = lower_to_primitive(art.circuit)
+            variants = [art, dataclasses.replace(art, circuit=lowered, layout=lowered.layout)]
+            # a stray permutation gate breaks scratch hygiene on some inputs
+            gates = list(art.circuit.gates)
+            qubits = rnd.sample(range(art.circuit.qubit_count), min(3, art.circuit.qubit_count))
+            kind = {1: "X", 2: "CNOT", 3: "CCNOT"}[len(qubits)]
+            gates.insert(rnd.randint(0, len(gates)), Gate(kind, tuple(qubits)))
+            stray = Circuit(art.circuit.qubit_count, tuple(gates), layout=art.layout)
+            variants.append(dataclasses.replace(art, circuit=stray))
+            for variant in variants:
+                report = oracle.verify_oracle(variant, formula)
+                assert report == _reference_report(variant, formula), formula
+                failing += not report.ok
+    assert failing > 40
 
 
 def test_build_oracle_gates_checks_layout():

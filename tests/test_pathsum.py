@@ -122,6 +122,25 @@ def test_pathsum_diagonal_circuit_single_path():
     assert abs(res.c_yes_sq - 36.0) < 1e-12
 
 
+def test_forward_paths_come_in_trail_order():
+    # the 0-branch-first DFS lists each endpoint's path values in the
+    # sorted order of the paths' basis-state trails
+    circ = Circuit(
+        2, (H0, Gate("H", (1,)), Gate("CNOT", (0, 1)), H0, Gate("G", (1,), 3.0), Gate("H", (1,)))
+    )
+    trails = [((0,), 1.0 + 0.0j)]
+    for g in circ.gates:
+        trails = [
+            (t + (nz,), v * f) for t, v in trails for nz, f in pathsum._successors(g, t[-1]) if v * f != 0
+        ]
+    expected: dict = {}
+    for t, v in sorted(trails, key=lambda tv: tv[0]):
+        expected.setdefault(t[-1], []).append(v)
+    got = pathsum._forward_paths(circ, 0, 10**6)
+    assert list(got) == sorted(expected)
+    assert got == expected
+
+
 def test_pathsum_budget_guard():
     circ = Circuit(1, (H0,) * 20)
     with pytest.raises(PathBudgetError):
@@ -149,10 +168,11 @@ def test_pathsum_complex_circuit_with_t():
 
 def test_count_bucket_all_positive_has_empty_negative_side():
     endpoints = pathsum._forward_paths(Circuit(1, (H0,)), 0, 10**6)
-    pos, neg, im = pathsum._count_bucket(endpoints.values(), 20)
-    assert neg == 0
-    assert pos > 0
-    assert abs(im) < 1e-15
+    for values in endpoints.values():
+        pos, neg, im = pathsum._count_bucket(values, 20)
+        assert neg == 0
+        assert pos > 0
+        assert abs(im) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +220,7 @@ def _counting_two_pass(circuit, input_basis, projector, precision_c):
     bit = 1 << projector.yes_qubit
 
     def tally(group_list):
-        parts = [pathsum._count_bucket([p], nc) for p in group_list]
+        parts = [pathsum._count_bucket(p, nc) for p in group_list]
         return sum(p for p, _, _ in parts), sum(q for _, q, _ in parts)
 
     yes_pos, yes_neg = tally([p for z, p in groups if projector.kind == "yn" or z & bit])
