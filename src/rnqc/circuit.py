@@ -25,10 +25,11 @@ Lowering compiles everything to the primitive set {H, CCNOT, G}:
 
 T has no real-mode decomposition and is rejected by lower_to_primitive.
 
-Ancilla rest values: chain ancillas live in |0>, const_one (and the
-helper_one qubit used by the decision pipeline) in |1>. Circuits do not
-prepare these; whoever simulates a lowered circuit must initialize them,
-which is what `initial_one_bits` reports.
+primitive_register is the one place that lays out a lowered register: it
+appends the chain ancillas, then the two const_one qubits, after the
+qubits a circuit already has. Chain ancillas rest in |0>, const_one in
+|1>. Circuits do not prepare these; whoever simulates a lowered circuit
+must initialize them, which is what `initial_one_bits` reports.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Gate:
 
 
 _LAYOUT_LIST_ROLES = ("work", "aux", "clause", "chain_ancilla", "const_one")
-_LAYOUT_SINGLE_ROLES = ("helper_one", "oracle", "non_hermitian", "bhr")
+_LAYOUT_SINGLE_ROLES = ("oracle", "non_hermitian", "bhr")
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,11 @@ class RegisterLayout:
                computed, never superposed
     clause   : one qubit per clause, 1 = clause satisfied
     chain_ancilla : scratch pool for multi-control chains, rest |0>
-    const_one     : two qubits held at |1> for X lowering
-    helper_one    : |1> qubit used to realize the readout CNOT as CCNOT
+    const_one     : two qubits held at |1>: both control a lowered X,
+                    the first completes a lowered CNOT or 1-control NCNOT
     oracle / non_hermitian / bhr : the three special single qubits
+
+    primitive_register fills chain_ancilla and const_one.
     """
 
     work: tuple[int, ...] = ()
@@ -117,7 +120,6 @@ class RegisterLayout:
     clause: tuple[int, ...] = ()
     chain_ancilla: tuple[int, ...] = ()
     const_one: tuple[int, ...] = ()
-    helper_one: int | None = None
     oracle: int | None = None
     non_hermitian: int | None = None
     bhr: int | None = None
@@ -167,8 +169,6 @@ class RegisterLayout:
         bits = 0
         for q in self.const_one:
             bits |= 1 << q
-        if self.helper_one is not None:
-            bits |= 1 << self.helper_one
         return bits
 
 
@@ -288,8 +288,8 @@ def load_circuit(path: str) -> Circuit:
 
 # ---------------------------------------------------------------------------
 # Lowering passes. Each pass is a pure Circuit -> Circuit function; ancillas
-# must already exist in the layout. lower_to_primitive grows the register as
-# needed and runs the passes in dependency order.
+# must already exist in the layout. lower_to_primitive grows the register
+# through primitive_register and runs the passes in dependency order.
 # ---------------------------------------------------------------------------
 
 
@@ -404,20 +404,13 @@ def _ancilla_requirements(gates: Iterable[Gate]) -> tuple[int, bool]:
     return chain, const
 
 
-def lower_to_primitive(circuit: Circuit) -> Circuit:
-    """Compile to the primitive set {H, CCNOT, G}, growing the register if needed.
+def primitive_register(circuit: Circuit) -> Circuit:
+    """The same gates on a register grown by the ancillas lowering needs.
 
-    Already-primitive circuits come back unchanged. New ancillas are
-    appended after the existing qubits: chain pool first, then the two
-    const_one qubits. The caller must start const_one qubits in |1>
-    (see RegisterLayout.initial_one_bits).
+    New ancillas are appended after the existing qubits: the chain pool
+    first, then the two const_one qubits. Roles the layout already holds
+    in sufficient number are reused, so growing a grown circuit is a no-op.
     """
-    for g in circuit.gates:
-        if g.kind == "T":
-            raise RealModeError("T gate has no decomposition over the real primitive set {H, CCNOT, G}")
-    if validate_primitive(circuit):
-        return circuit
-
     chain_need, const_need = _ancilla_requirements(circuit.gates)
     layout = circuit.layout
     if layout is None:
@@ -431,9 +424,22 @@ def lower_to_primitive(circuit: Circuit) -> Circuit:
         extra = tuple(range(next_q, next_q + 2 - len(layout.const_one)))
         layout = replace(layout, const_one=layout.const_one + extra)
         next_q += len(extra)
+    return Circuit(qubit_count=next_q, gates=circuit.gates, layout=layout)
 
-    lowered = Circuit(qubit_count=next_q, gates=circuit.gates, layout=layout)
-    lowered = lower_cg(lowered)
+
+def lower_to_primitive(circuit: Circuit) -> Circuit:
+    """Compile to the primitive set {H, CCNOT, G}, growing the register if needed.
+
+    Already-primitive circuits come back unchanged. Others run on
+    primitive_register's register. The caller must start const_one
+    qubits in |1> (see RegisterLayout.initial_one_bits).
+    """
+    for g in circuit.gates:
+        if g.kind == "T":
+            raise RealModeError("T gate has no decomposition over the real primitive set {H, CCNOT, G}")
+    if validate_primitive(circuit):
+        return circuit
+    lowered = lower_cg(primitive_register(circuit))
     lowered = lower_z(lowered)
     lowered = lower_ncnot(lowered)
     lowered = lower_x(lowered)

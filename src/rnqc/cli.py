@@ -177,7 +177,7 @@ def cmd_lower(args) -> int:
     lowered = lower_to_primitive(circuit)
     census = gate_census(lowered)
     payload = {
-        "manifest": _manifest("lower", args.file, {"to": args.to}, None, args.timestamp),
+        "manifest": _manifest("lower", args.file, {"to": "primitive"}, None, args.timestamp),
         "circuit": circuit_to_json(lowered),
         "census": {"counts": dict(sorted(census.counts.items())), "is_primitive": census.is_primitive},
     }
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower", help="decompose a circuit to the primitive gate set")
     p.add_argument("file")
-    p.add_argument("--to", choices=("primitive",), default="primitive")
     _add_common(p)
     p.set_defaults(func=cmd_lower)
 

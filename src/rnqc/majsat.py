@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    Gate,
-    RegisterLayout,
-    _ancilla_requirements,
-    lower_to_primitive,
-)
+from .circuit import Circuit, Gate, RegisterLayout, lower_to_primitive, primitive_register
 from .cnf import COUNT_VAR_LIMIT, CnfFormula, ThreeCnf, count_models, to_3cnf
 from .errors import InputError, PostselectError, RegisterCapError
 from .oracle import OracleArtifact, build_oracle_gates, reduced_clauses
@@ -116,7 +110,6 @@ def default_config(
     i_max: int | None = None,
     sets: int | None = None,
     runs_per_set: int | None = None,
-    runs_factor: int = 8,
     seed: int = 0,
     mode: str = "exact",
     lowering: str = "semantic",
@@ -133,7 +126,7 @@ def default_config(
         i_min=-n if i_min is None else int(i_min),
         i_max=n if i_max is None else int(i_max),
         sets=n if sets is None else int(sets),
-        runs_per_set=runs_factor * n if runs_per_set is None else int(runs_per_set),
+        runs_per_set=8 * n if runs_per_set is None else int(runs_per_set),
         seed=int(seed),
         mode=mode,
         lowering=lowering,
@@ -204,29 +197,22 @@ def _amplification_gates(
     return tuple(gates + _gain_rounds(mixed, nh, g, r))
 
 
-def _readout_gates(
-    layout: RegisterLayout, g: float, r_prime: int, primitive: bool
-) -> tuple[Gate, ...]:
+def _readout_gates(layout: RegisterLayout, g: float, r_prime: int) -> tuple[Gate, ...]:
     o, nh, bhr = layout.oracle, layout.non_hermitian, layout.bhr
-    gates = [Gate("H", (o,))]
-    if primitive:
-        # CNOT realized as CCNOT against the dedicated always-one qubit.
-        gates.append(Gate("CCNOT", (bhr, layout.helper_one, o)))
-    else:
-        gates.append(Gate("CNOT", (bhr, o)))
-    gates += _gain_rounds((o,), nh, g, r_prime)
-    return tuple(gates)
+    return (Gate("H", (o,)), Gate("CNOT", (bhr, o))) + tuple(_gain_rounds((o,), nh, g, r_prime))
 
 
 def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     """Lay out the full register and assemble the stage circuits.
 
     Register order: work, defined variables, clause flags, oracle,
-    non-Hermitian, BHR, then (primitive mode only) chain ancillas, two
-    const-one qubits and the helper-one qubit. The non-Hermitian qubit
-    starts in |1> under the default boost orientation so an active
-    controlled scaling multiplies by g rather than 1/g; the literal
-    orientation keeps it at |0> for comparison experiments.
+    non-Hermitian, BHR, then (primitive mode only) the chain ancillas and
+    two const-one qubits that circuit.primitive_register appends for all
+    four stages at once. Each stage is built over that register and, in
+    primitive mode, lowered. The non-Hermitian qubit starts in |1> under
+    the default boost orientation so an active controlled scaling
+    multiplies by g rather than 1/g; the literal orientation keeps it at
+    |0> for comparison experiments.
     """
     f3 = to_3cnf(formula)
     n, a = f3.original_vars, f3.aux_vars
@@ -234,64 +220,28 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     if n < 1:
         raise InputError("majority decision needs at least one variable")
 
-    work = tuple(range(n))
-    aux = tuple(range(n, n + a))
-    clause = tuple(range(n + a, n + a + p))
-    mixed = work + aux + clause
-    oracle_q = n + a + p
-    nh = oracle_q + 1
-    bhr = oracle_q + 2
-    base_count = bhr + 1
-
-    sem_layout = RegisterLayout(
-        work=work, aux=aux, clause=clause, oracle=oracle_q, non_hermitian=nh, bhr=bhr
+    mixed = tuple(range(n + a + p))  # work, defined variables, clause flags
+    oracle_q, nh, bhr = n + a + p, n + a + p + 1, n + a + p + 2
+    layout = RegisterLayout(
+        work=mixed[:n], aux=mixed[n : n + a], clause=mixed[n + a :],
+        oracle=oracle_q, non_hermitian=nh, bhr=bhr,
     )
-    oracle_gates = build_oracle_gates(f3, sem_layout)
-    sup_gates = tuple(Gate("H", (q,)) for q in work)
-    amp_gates = _amplification_gates(mixed, nh, config.g, config.r)
-
-    if config.lowering == "semantic":
-        layout = sem_layout
-        qubit_count = base_count
-        if qubit_count > sim.max_qubits():
-            raise RegisterCapError(
-                f"plan needs {qubit_count} qubits, cap is {sim.max_qubits()}"
-            )
-        read_gates = _readout_gates(layout, config.g, config.r_prime, primitive=False)
-        oracle_circuit = Circuit(qubit_count, oracle_gates, layout)
-        sup_circuit = Circuit(qubit_count, sup_gates, layout)
-        amp_circuit = Circuit(qubit_count, amp_gates, layout)
-        read_circuit = Circuit(qubit_count, read_gates, layout)
-    else:
-        chain_need, _ = _ancilla_requirements(oracle_gates + amp_gates)
-        nq = base_count
-        chain = tuple(range(nq, nq + chain_need))
-        nq += chain_need
-        const = (nq, nq + 1)
-        nq += 2
-        helper = nq
-        nq += 1
-        layout = RegisterLayout(
-            work=work,
-            aux=aux,
-            clause=clause,
-            chain_ancilla=chain,
-            const_one=const,
-            helper_one=helper,
-            oracle=oracle_q,
-            non_hermitian=nh,
-            bhr=bhr,
-        )
-        qubit_count = nq
-        if qubit_count > sim.max_qubits():
-            raise RegisterCapError(
-                f"lowered plan needs {qubit_count} qubits, cap is {sim.max_qubits()}"
-            )
-        read_gates = _readout_gates(layout, config.g, config.r_prime, primitive=True)
-        oracle_circuit = lower_to_primitive(Circuit(qubit_count, oracle_gates, layout))
-        sup_circuit = Circuit(qubit_count, sup_gates, layout)
-        amp_circuit = lower_to_primitive(Circuit(qubit_count, amp_gates, layout))
-        read_circuit = lower_to_primitive(Circuit(qubit_count, read_gates, layout))
+    stages = (
+        tuple(Gate("H", (q,)) for q in layout.work),
+        build_oracle_gates(f3, layout),
+        _amplification_gates(mixed, nh, config.g, config.r),
+        _readout_gates(layout, config.g, config.r_prime),
+    )
+    qubit_count = bhr + 1
+    if config.lowering == "primitive":
+        grown = primitive_register(Circuit(qubit_count, sum(stages, ()), layout))
+        qubit_count, layout = grown.qubit_count, grown.layout
+    if qubit_count > sim.max_qubits():
+        raise RegisterCapError(f"plan needs {qubit_count} qubits, cap is {sim.max_qubits()}")
+    circuits = [Circuit(qubit_count, gates, layout) for gates in stages]
+    if config.lowering == "primitive":
+        circuits = [lower_to_primitive(c) for c in circuits]
+    sup_circuit, oracle_circuit, amp_circuit, read_circuit = circuits
 
     initial_bits = layout.initial_one_bits()
     if config.g_orientation == "boost":

@@ -28,6 +28,11 @@ the blocks against. With power-of-two parameters the two agree bit for
 bit; otherwise a block rounds its product of factors once where the gate
 loop rounds after every gate.
 
+Data moves (the swaps of X, CNOT, CCNOT and NCNOT, a block's gathers
+and row cycles) copy at most _MOVE_CHUNK amplitudes at a time, so none
+allocates a temporary the size of the state. A swap is a row cycle of
+length two: both run through _rotate.
+
 Real mode stores float64 and never allocates an imaginary component;
 realness of the restricted gate set is a property of the storage, not a
 tolerance. T requires complex mode and is rejected otherwise.
@@ -63,7 +68,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _T_PHASE = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
 _GUARD_HI = 2.0**500
 _GUARD_LO = 2.0**-500
-_GUARD_CHUNK = 1 << 16  # complex amplitudes per |x| temporary in the guard
+_MOVE_CHUNK = 1 << 16  # most amplitudes one piece of a data move or |x| temporary holds
 
 
 def max_qubits() -> int:
@@ -163,13 +168,40 @@ def _view(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(t, src, range(len(qubits)))
 
 
+def _pieces(shape: tuple[int, ...], keep: int = 0):
+    """Indices that tile an array of this shape into pieces of at most
+    _MOVE_CHUNK elements, never splitting its last ``keep`` axes (a piece
+    then holds at least those axes whole)."""
+    axis, inner = len(shape), 1
+    while axis > 0 and (axis > len(shape) - keep or inner * shape[axis - 1] <= _MOVE_CHUNK):
+        axis -= 1
+        inner *= shape[axis]
+    if axis == 0:
+        yield ...
+        return
+    step = max(1, _MOVE_CHUNK // inner)
+    for outer in np.ndindex(*shape[: axis - 1]):
+        for j in range(0, shape[axis - 1], step):
+            yield outer + (slice(j, j + step),)
+
+
+def _rotate(views: Sequence[np.ndarray]) -> None:
+    """Move the data of views[j] to views[j + 1] and the last one's to the
+    first, so two views swap. The views are disjoint and of one shape;
+    they move piece by piece, so no temporary exceeds _MOVE_CHUNK amplitudes."""
+    for p in _pieces(views[0].shape):
+        tmp = views[-1][p].copy()
+        for dst, src in zip(views[:0:-1], views[-2::-1]):
+            dst[p] = src[p]
+        views[0][p] = tmp
+
+
 def _max_abs(amps: np.ndarray) -> float:
     """max|amp| without a temporary of the array's size; a NaN propagates."""
     if not np.iscomplexobj(amps):
         hi, lo = float(amps.max()), float(amps.min())
         return hi if hi >= -lo else -lo
-    chunks = range(0, amps.size, _GUARD_CHUNK)
-    return float(np.max([np.abs(amps[k : k + _GUARD_CHUNK]).max() for k in chunks]))
+    return float(np.max([np.abs(amps[p]).max() for p in _pieces(amps.shape)]))
 
 
 def _rescale_guard(state: StateVector) -> None:
@@ -202,10 +234,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         v1 *= _INV_SQRT2
         v0[...] = plus
     elif kind == "X":
-        v0, v1 = _halves(state, gate.qubits[0])
-        tmp = v0.copy()
-        v0[...] = v1
-        v1[...] = tmp
+        _rotate(_halves(state, gate.qubits[0]))
     elif kind == "Z":
         _, v1 = _halves(state, gate.qubits[0])
         v1 *= -1.0
@@ -226,24 +255,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         v[1, 0] *= 1.0 / g
         v[1, 1] *= g
         _rescale_guard(state)
-    elif kind == "CNOT":
+    else:  # CNOT, CCNOT, NCNOT
         v = _view(state, gate.qubits)
-        tmp = v[1, 0].copy()
-        v[1, 0] = v[1, 1]
-        v[1, 1] = tmp
-    elif kind == "CCNOT":
-        v = _view(state, gate.qubits)
-        tmp = v[1, 1, 0].copy()
-        v[1, 1, 0] = v[1, 1, 1]
-        v[1, 1, 1] = tmp
-    else:  # NCNOT
-        v = _view(state, gate.qubits)
-        k = len(gate.controls)
-        off = (1,) * k + (0,)
-        on = (1,) * k + (1,)
-        tmp = v[off].copy()
-        v[off] = v[on]
-        v[on] = tmp
+        on = (1,) * len(gate.controls)
+        _rotate((v[on + (0, ...)], v[on + (1, ...)]))
     return state
 
 
@@ -273,7 +288,6 @@ _LOG2_GUARD = 500  # log2 of _GUARD_HI: the widest factor range one block may ap
 @dataclass(frozen=True)
 class _Block:
     shape: tuple[int, ...]  # reshape of the state: (gap, 2, gap, 2, ..., gap, tail)
-    row_shape: tuple[int, ...]  # the shape of one row: shape without its 2-axes
     local: np.ndarray  # tail position -> index over the block's low qubits
     scales: tuple  # (row index, one factor, or factors over the low qubits)
     gathers: tuple  # (row index, source position of each tail entry)
@@ -432,7 +446,6 @@ def _build_block(gates: list[Gate], n: int, dense: int) -> _Block:
         cycles.append(tuple(row(c) for c in cycle))
     return _Block(
         shape=tuple(shape),
-        row_shape=tuple(shape[0:-2:2]) + tuple(shape[-2:]),
         local=local,
         scales=tuple(scales),
         gathers=tuple(gathers),
@@ -511,15 +524,12 @@ def _apply_block(state: StateVector, block: _Block) -> None:
     for idx, f in block.scales:
         r = v[idx]
         np.multiply(r, f if isinstance(f, float) else f[block.local], out=r)
-    tmp = np.empty(block.row_shape, dtype=state.amps.dtype) if block.gathers or block.cycles else None
     for idx, src in block.gathers:
-        np.take(v[idx], src, axis=-1, out=tmp, mode="clip")
-        v[idx] = tmp
+        r = v[idx]
+        for p in _pieces(r.shape, keep=1):
+            r[p] = np.take(r[p], src, axis=-1, mode="clip")
     for cycle in block.cycles:
-        tmp[...] = v[cycle[-1]]
-        for dst, src in zip(cycle[:0:-1], cycle[-2::-1]):
-            v[dst] = v[src]
-        v[cycle[0]] = tmp
+        _rotate([v[idx] for idx in cycle])
     if block.guard:
         _rescale_guard(state)
 

@@ -22,6 +22,7 @@ from rnqc.circuit import (
     lower_to_primitive,
     lower_x,
     lower_z,
+    primitive_register,
     propagate_basis,
     validate_primitive,
 )
@@ -93,8 +94,8 @@ def test_layout_must_cover_register():
 
 
 def test_layout_initial_one_bits():
-    layout = RegisterLayout(work=(0,), const_one=(1, 2), helper_one=3)
-    assert layout.initial_one_bits() == 0b1110
+    layout = RegisterLayout(work=(0, 3), const_one=(1, 2))
+    assert layout.initial_one_bits() == 0b0110
     assert layout.role_map()["const_one"] == (1, 2)
 
 
@@ -368,6 +369,18 @@ def test_lowering_soundness_random_circuits():
         _assert_lowering_equivalent(original, lowered)
 
 
+def test_primitive_register_appends_chain_then_const_once():
+    layout = RegisterLayout(work=tuple(range(5)))
+    circ = Circuit(5, (Gate("NCNOT", (0, 1, 2, 3, 4)), Gate("X", (0,))), layout=layout)
+    grown = primitive_register(circ)
+    assert grown.qubit_count == 9  # 4 controls: k - 2 = 2 chain ancillas
+    assert grown.gates == circ.gates
+    assert grown.layout.chain_ancilla == (5, 6)
+    assert grown.layout.const_one == (7, 8)
+    assert primitive_register(grown) == grown
+    assert lower_to_primitive(circ).qubit_count == grown.qubit_count
+
+
 def test_lowering_grows_register_for_ancillas():
     lowered = lower_to_primitive(Circuit(1, (Gate("X", (0,)),)))
     assert lowered.qubit_count == 3  # two const-one qubits appended
@@ -441,3 +454,5 @@ def test_circuit_from_json_rejects_garbage():
         circuit_from_json({"qubits": 1})
     with pytest.raises(CircuitError):
         circuit_from_json({"qubits": 1, "gates": [{"g": "Q", "q": [0]}]})
+    with pytest.raises(CircuitError, match="unknown layout role 'helper_one'"):
+        circuit_from_json({"qubits": 2, "layout": {"work": [0], "helper_one": [1]}, "gates": []})

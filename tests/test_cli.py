@@ -221,6 +221,15 @@ def test_lower_prints_circuit_without_json_flag(files, capsys):
     assert all(g["g"] in {"X", "CNOT", "G", "H", "CCNOT"} for g in parsed["gates"])
 
 
+def test_lower_takes_no_target_flag(files, tmp_path):
+    # primitive is the only target, so there is no --to; the manifest still records it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lower", files["cg.json"], "--to", "primitive"])
+    assert exc.value.code == 2
+    _, payload = _run_json(["lower", files["cg.json"]], tmp_path)
+    assert payload["manifest"]["config"] == {"to": "primitive"}
+
+
 def test_lower_t_gate_fails_cleanly(files, capsys):
     assert cli.main(["lower", files["tgate.json"]]) == 2
     assert "real primitive set" in capsys.readouterr().err

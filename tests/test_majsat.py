@@ -115,6 +115,37 @@ def test_plan_primitive_census():
     assert set(gate_census(p.superposition_circuit).counts) == {"H"}
 
 
+@pytest.mark.parametrize(
+    "clauses, qubits, chain",
+    [([[1, 2], [-1, 3]], 11, ()), ([[1, 2, 3, 4]], 12, (9,))],
+    ids=["two-clauses", "one-wide-clause"],
+)
+@pytest.mark.parametrize("orientation", majsat.ORIENTATIONS)
+def test_plan_primitive_register(clauses, qubits, chain, orientation):
+    # work, aux, clause, oracle, non-Hermitian, BHR, then the ancillas that
+    # circuit.primitive_register appends: chain pool first, then two const-ones
+    p = _plan(_formula(4, clauses), lowering="primitive", g_orientation=orientation)
+    lay = p.layout
+    assert p.qubit_count == qubits
+    assert lay.bhr == qubits - 3 - len(chain)
+    assert lay.chain_ancilla == chain
+    assert lay.const_one == (qubits - 2, qubits - 1)
+    const = (1 << lay.const_one[0]) | (1 << lay.const_one[1])
+    boost = 1 << lay.non_hermitian if orientation == "boost" else 0
+    assert p.initial_bits == const | boost
+    for circuit in (p.superposition_circuit, p.oracle.circuit, p.amplification_circuit, p.readout_circuit):
+        assert circuit.qubit_count == qubits and circuit.layout == lay
+
+
+def test_plan_primitive_register_cap(monkeypatch):
+    formula = _formula(4, [[1, 2], [-1, 3]])
+    monkeypatch.setenv("RNQC_MAX_QUBITS", "10")
+    with pytest.raises(RegisterCapError, match="plan needs 11 qubits"):
+        _plan(formula, lowering="primitive")
+    monkeypatch.setenv("RNQC_MAX_QUBITS", "11")
+    assert _plan(formula, lowering="primitive").qubit_count == 11
+
+
 def test_plan_register_cap():
     formula = _formula(25, [[1]])
     with pytest.raises(RegisterCapError):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,7 +210,8 @@ _ANY_PARAMS = st.one_of(
 @st.composite
 def _random_circuit(draw, params):
     """A state of up to 8 qubits, up to 40 gates of every kind, and the
-    fusion's tail and block widths to compile them with."""
+    fusion's tail and block widths and the data-move piece size to run
+    them with."""
     n = draw(st.integers(1, 8))
     mode = draw(st.sampled_from(("real", "complex")))
     kinds = ["H", "X", "Z", "G", "CG", "CNOT", "CCNOT", "NCNOT"] + (["T"] if mode == "complex" else [])
@@ -225,7 +227,7 @@ def _random_circuit(draw, params):
         qubits = draw(st.permutations(range(n)))[:arity]
         gates.append(Gate(kind, qubits, draw(params) if kind in ("G", "CG") else None))
     seed = draw(st.integers(0, 2**32 - 1))
-    widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)))
+    widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)), 1 << draw(st.integers(0, 10)))
     return _random_state(np.random.default_rng(seed), n, mode), gates, widths
 
 
@@ -242,10 +244,12 @@ def _fused_and_reference(state, gates, widths):
 
     The fused path compiles with the drawn tail and block widths, so that
     registers of at most 8 qubits still get blocks of many rows that are
-    cut by every cap. Discards the case (hypothesis.assume) when the gate
-    loop lost an amplitude to underflow: a factor of 2^-400 and later
-    2^+400 on one branch leaves the loop with a zero where the fused
-    factor of 1 keeps the value, so the loop is no reference there.
+    cut by every cap, and moves data in pieces of the drawn size, so that
+    swaps, gathers and row cycles take their multi-piece paths. Discards
+    the case (hypothesis.assume) when the gate loop lost an amplitude to
+    underflow: a factor of 2^-400 and later 2^+400 on one branch leaves
+    the loop with a zero where the fused factor of 1 keeps the value, so
+    the loop is no reference there.
     """
     ref = state.copy()
     for gate in gates:
@@ -258,6 +262,7 @@ def _fused_and_reference(state, gates, widths):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "_DENSE_QUBITS", widths[0])
             patch.setattr(sim, "_BLOCK_QUBITS", widths[1])
+            patch.setattr(sim, "_MOVE_CHUNK", widths[2])
             fused = sim.apply_circuit(state.copy(), gates)
     finally:
         sim._compile.cache_clear()
@@ -326,6 +331,37 @@ def test_fused_exact_runs_match_gate_loop_on_corpus(corpus, monkeypatch, lowerin
             assert got["all_sets_success"] == want["all_sets_success"], name
             for key in ("exact_p_minus", "exact_p_plus", "discarded_mass"):
                 assert abs(got[key] - want[key]) <= tol, (name, got["i"], key)
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        [Gate("X", (19,))],
+        [Gate("X", (0,))],
+        [Gate("CCNOT", (4, 17, 9))],
+        # one fused block: gathers on the rows of high qubit 12, a row cycle on 15
+        [Gate("CCNOT", (12, 0, 1)), Gate("CNOT", (2, 4)), Gate("CNOT", (12, 15))],
+    ],
+    ids=["x-top", "x-low", "ccnot", "block"],
+)
+def test_data_moves_allocate_no_state_sized_temporary(gates):
+    # A 20-qubit state is 8 MiB; each move copies pieces of at most 2^16
+    # amplitudes (512 KiB), plus numpy's copy of an overlapping source.
+    state = _random_state(np.random.default_rng(3), 20)
+    (step,) = sim._compile(tuple(gates), 20)  # compiled outside the measurement
+    if len(gates) > 1:
+        assert step.gathers and step.cycles
+    ref = state.copy()
+    for gate in gates:
+        sim.apply_gate(ref, gate)
+    tracemalloc.start()
+    try:
+        sim.apply_circuit(state, gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"peak {peak} bytes"
+    assert np.array_equal(state.amps, ref.amps)
 
 
 def test_apply_circuit_register_mismatch():
