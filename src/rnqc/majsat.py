@@ -44,8 +44,10 @@ ORIENTATIONS = ("boost", "literal")
 
 def default_r(n: int, g: float, scale: float = 1.0) -> int:
     """Rounds of controlled scaling so g^r covers the 2^n work branches."""
-    if g <= 1.0:
-        raise InputError(f"scaling base must exceed 1, got {g}")
+    if not (math.isfinite(g) and g > 1.0):
+        raise InputError(f"scaling base must be finite and exceed 1, got {g}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InputError(f"r scale must be finite and positive, got {scale}")
     return max(1, math.ceil(scale * n * math.log(2.0) / math.log(g)))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import sim
@@ -26,8 +25,6 @@ DEFAULT_PATH_BUDGET = 10**8
 
 # maximum float64 bound on the imaginary residue of a pair-sum bucket
 IM_TOLERANCE = 1e-9
-
-_SUPPORTED = frozenset({"H", "X", "Z", "T", "CNOT", "CCNOT", "NCNOT", "G", "CG"})
 
 
 @dataclass(frozen=True)
@@ -167,9 +164,6 @@ def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     every other at a single endpoint, so enumeration aborts once the
     forward count could make the pair count exceed the budget.
     """
-    for g in circuit.gates:
-        if g.kind not in _SUPPORTED:
-            raise CircuitError(f"gate {g.kind} is not supported by the path enumerator")
     fwd_cap = max(1, math.isqrt(budget))
     endpoints: dict = {}
     materialized = 0
@@ -233,12 +227,13 @@ def path_sum_amplitude(
 def _grid_count(magnitude: float, nc: int) -> int:
     """Number of grid thresholds a term of this |Re| accepts, exactly.
 
-    Equals floor(|Re| / spacing), clamped to the grid's point count.  The
-    float is converted to an exact rational first so boundary values land
-    on the mathematically correct side.
+    Equals floor(|Re| / spacing), clamped to the grid's point count.  A
+    float is num / den with den a power of two, so integer division gives
+    the exact floor and boundary values land on the mathematically
+    correct side.
     """
-    count = math.floor(Fraction(magnitude) * (1 << nc))
-    return min(count, (1 << (2 * nc)) + 1)
+    num, den = magnitude.as_integer_ratio()
+    return min((num << nc) // den, (1 << (2 * nc)) + 1)
 
 
 def _count_bucket(values, nc: int):

@@ -28,10 +28,12 @@ the blocks against. With power-of-two parameters the two agree bit for
 bit; otherwise a block rounds its product of factors once where the gate
 loop rounds after every gate.
 
-Data moves (the swaps of X, CNOT, CCNOT and NCNOT, a block's gathers
-and row cycles) copy at most _MOVE_CHUNK amplitudes at a time, so none
-allocates a temporary the size of the state. A swap is a row cycle of
-length two: both run through _rotate.
+Gates, block rows and gram find the amplitudes where some qubits hold
+given bits through one reshape, _gaps. Data moves (H's sums, the swaps
+of X, CNOT, CCNOT and NCNOT, a block's gathers and row cycles, gram's
+gathers) run through _pieces, at most _MOVE_CHUNK amplitudes at a time,
+so none allocates a temporary the size of the state. A swap is a row
+cycle of length two: both run through _rotate.
 
 Real mode stores float64 and never allocates an imaginary component;
 realness of the restricted gate set is a property of the storage, not a
@@ -146,40 +148,62 @@ def state_from_amplitudes(values: Sequence, mode: str = "real", exponent: int = 
     return state
 
 
-def _halves(state: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The qubit=0 and qubit=1 halves of the state as 2-D views.
-
-    A contiguous (left, 2, right) reshape, so the inner axis runs over
-    the 2^qubit amplitudes below the qubit. Writes go through to the state.
-    """
-    v = state.amps.reshape(1 << (state.num_qubits - 1 - qubit), 2, 1 << qubit)
-    return v[:, 0], v[:, 1]
-
-
-def _view(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
-    """Reshaped view with the given qubits moved to the leading axes.
-
-    Axis j of the result indexes qubits[j]; remaining axes hold the
-    spectator qubits. Writes go through to the state.
-    """
-    n = state.num_qubits
-    t = state.amps.reshape((2,) * n)
-    src = [n - 1 - q for q in qubits]
-    return np.moveaxis(t, src, range(len(qubits)))
+@lru_cache(maxsize=256)  # apply_gate asks on every gate; a small state feels the cost
+def _gaps(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A reshape of a 2^n state giving each of the qubits its own length-2
+    axis, and the axis of each. Each run of the other qubits is one axis,
+    most significant first; an empty run gets none, so at most n + 1 axes."""
+    shape, axis, prev = [], {}, n
+    for q in sorted(qubits, reverse=True):
+        if prev - q > 1:
+            shape.append(1 << (prev - q - 1))
+        axis[q] = len(shape)
+        shape.append(2)
+        prev = q
+    if prev:
+        shape.append(1 << prev)
+    return tuple(shape), tuple(axis[q] for q in qubits)
 
 
-def _pieces(shape: tuple[int, ...], keep: int = 0):
+@lru_cache(maxsize=1024)
+def _index(axes: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
+    """Index that fixes each of the axes to its bit and keeps the rest; the
+    trailing Ellipsis keeps it a view even when every axis is fixed."""
+    idx: list = [slice(None)] * (max(axes, default=-1) + 1)
+    for a, b in zip(axes, bits):
+        idx[a] = b
+    return (*idx, ...)
+
+
+def _sub(state: StateVector, fixed: dict[int, int]) -> np.ndarray:
+    """View of the amplitudes where each qubit q reads fixed[q]; its axes are
+    the runs of the other qubits. Writes go through to the state."""
+    shape, axes = _gaps(state.num_qubits, tuple(fixed))
+    return state.amps.reshape(shape)[_index(axes, tuple(fixed.values()))]
+
+
+def _halves(state: StateVector, target: int, controls: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The target's 0 and 1 halves inside the subspace where every control
+    reads 1, as views of the state."""
+    shape, axes = _gaps(state.num_qubits, (*controls, target))
+    v = state.amps.reshape(shape)
+    on = (1,) * len(controls)
+    return v[_index(axes, on + (0,))], v[_index(axes, on + (1,))]
+
+
+def _pieces(shape: tuple[int, ...], keep: int = 0, limit: int | None = None):
     """Indices that tile an array of this shape into pieces of at most
-    _MOVE_CHUNK elements, never splitting its last ``keep`` axes (a piece
-    then holds at least those axes whole)."""
+    limit (default _MOVE_CHUNK) elements, never splitting its last ``keep``
+    axes (a piece then holds at least those axes whole)."""
+    limit = _MOVE_CHUNK if limit is None else limit
     axis, inner = len(shape), 1
-    while axis > 0 and (axis > len(shape) - keep or inner * shape[axis - 1] <= _MOVE_CHUNK):
+    while axis > 0 and (axis > len(shape) - keep or inner * shape[axis - 1] <= limit):
         axis -= 1
         inner *= shape[axis]
     if axis == 0:
         yield ...
         return
-    step = max(1, _MOVE_CHUNK // inner)
+    step = max(1, limit // inner)
     for outer in np.ndindex(*shape[: axis - 1]):
         for j in range(0, shape[axis - 1], step):
             yield outer + (slice(j, j + step),)
@@ -226,39 +250,28 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if max(gate.qubits) >= state.num_qubits:
         raise CircuitError(f"gate {gate.kind}{gate.qubits} exceeds register of {state.num_qubits} qubits")
     kind = gate.kind
+    if kind == "T" and state.mode != "complex":
+        raise RealModeError("T gate requires complex mode")
+    v0, v1 = _halves(state, gate.target, gate.controls)
     if kind == "H":
-        v0, v1 = _halves(state, gate.qubits[0])
-        plus = v0 + v1
-        plus *= _INV_SQRT2
-        np.subtract(v0, v1, out=v1)
-        v1 *= _INV_SQRT2
-        v0[...] = plus
-    elif kind == "X":
-        _rotate(_halves(state, gate.qubits[0]))
+        for p in _pieces(v0.shape):
+            a, b = v0[p], v1[p]
+            plus = a + b
+            plus *= _INV_SQRT2
+            np.subtract(a, b, out=b)
+            b *= _INV_SQRT2
+            a[...] = plus
+    elif kind in _PERMUTATION:
+        _rotate((v0, v1))
     elif kind == "Z":
-        _, v1 = _halves(state, gate.qubits[0])
         v1 *= -1.0
     elif kind == "T":
-        if state.mode != "complex":
-            raise RealModeError("T gate requires complex mode")
-        _, v1 = _halves(state, gate.qubits[0])
         v1 *= _T_PHASE
-    elif kind == "G":
-        v0, v1 = _halves(state, gate.qubits[0])
+    else:  # G, CG
         g = gate.param
         v0 *= 1.0 / g
         v1 *= g
         _rescale_guard(state)
-    elif kind == "CG":
-        v = _view(state, gate.qubits)
-        g = gate.param
-        v[1, 0] *= 1.0 / g
-        v[1, 1] *= g
-        _rescale_guard(state)
-    else:  # CNOT, CCNOT, NCNOT
-        v = _view(state, gate.qubits)
-        on = (1,) * len(gate.controls)
-        _rotate((v[on + (0, ...)], v[on + (1, ...)]))
     return state
 
 
@@ -267,8 +280,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 # CNOT, CCNOT, NCNOT) or a diagonal (Z, G, CG). apply_circuit compiles each
 # maximal run of monomial gates into blocks and applies a block in one pass.
 # A block's qubits T split at _DENSE_QUBITS: the low ones index positions
-# inside a row's contiguous tail, the high ones pick the row (if T has no
-# high qubit, the top qubit of the register stands in). The block then
+# inside a row's contiguous tail, the high ones pick the row (a block with
+# no high qubit has one row, the whole state). The block then
 # scales rows by factor vectors over the tail, permutes the tail of a row
 # with one gather, and moves whole rows along the cycles of the row
 # permutation. So a block must keep rows whole: a gate with a high target
@@ -287,7 +300,7 @@ _LOG2_GUARD = 500  # log2 of _GUARD_HI: the widest factor range one block may ap
 
 @dataclass(frozen=True)
 class _Block:
-    shape: tuple[int, ...]  # reshape of the state: (gap, 2, gap, 2, ..., gap, tail)
+    shape: tuple[int, ...]  # reshape of the state: _gaps over the high qubits, then (rest, tail)
     local: np.ndarray  # tail position -> index over the block's low qubits
     scales: tuple  # (row index, one factor, or factors over the low qubits)
     gathers: tuple  # (row index, source position of each tail entry)
@@ -329,10 +342,10 @@ def _fold(run: Sequence[Gate]) -> list[Gate]:
     return items
 
 
-def _split(qubits, n: int, dense: int) -> tuple[list[int], list[int]]:
-    """A block's low and high qubits; the top qubit stands in for an empty high set."""
+def _split(qubits, dense: int) -> tuple[list[int], list[int]]:
+    """A block's low and high qubits."""
     touched = sorted(set(qubits))
-    return [q for q in touched if q < dense], [q for q in touched if q >= dense] or [n - 1]
+    return [q for q in touched if q < dense], [q for q in touched if q >= dense]
 
 
 def _trace_basis(gates: Sequence[Gate], pos: dict[int, int]):
@@ -393,7 +406,7 @@ def _rows_stay_whole(dest: np.ndarray, kl: int) -> bool:
 
 
 def _build_block(gates: list[Gate], n: int, dense: int) -> _Block:
-    low, high = _split([q for g in gates for q in g.qubits], n, dense)
+    low, high = _split([q for g in gates for q in g.qubits], dense)
     kl = len(low)
     pos = {q: j for j, q in enumerate(low + high)}
     for dest, w, e in _trace_basis(gates, pos):
@@ -409,18 +422,14 @@ def _build_block(gates: list[Gate], n: int, dense: int) -> _Block:
         spread |= ((np.arange(1 << kl) >> j) & 1) << q
     rest = tail & ~int(spread[-1])
 
-    shape: list[int] = []
-    prev = n
-    for q in reversed(high):
-        shape += [1 << (prev - q - 1), 2]
-        prev = q
-    shape += [1 << (prev - dense), 1 << dense]
+    # Rows are _gaps views over the high qubits, with the run below the
+    # lowest one (if any) split into (rest, tail).
+    shape, axes = _gaps(n, tuple(high))
+    below = min(high, default=n)
+    shape = (*(shape[:-1] if below else shape), 1 << (below - dense), 1 << dense)
 
     def row(h: int) -> tuple:
-        idx: list = []
-        for q in reversed(high):
-            idx += [slice(None), (h >> (pos[q] - kl)) & 1]
-        return tuple(idx)
+        return _index(axes, tuple((h >> j) & 1 for j in range(len(high))))
 
     scales, gathers, to_row = [], [], {}
     for h in range(1 << len(high)):
@@ -444,14 +453,8 @@ def _build_block(gates: list[Gate], n: int, dense: int) -> _Block:
             cycle.append(to_row[cycle[-1]])
         seen.update(cycle)
         cycles.append(tuple(row(c) for c in cycle))
-    return _Block(
-        shape=tuple(shape),
-        local=local,
-        scales=tuple(scales),
-        gathers=tuple(gathers),
-        cycles=tuple(cycles),
-        guard=any(g.kind in ("G", "CG") for g in gates),
-    )
+    guard = any(g.kind in ("G", "CG") for g in gates)
+    return _Block(shape, local, tuple(scales), tuple(gathers), tuple(cycles), guard)
 
 
 def _fuse_run(run: list[Gate], n: int) -> list:
@@ -484,7 +487,7 @@ def _fuse_run(run: list[Gate], n: int) -> list:
         if not any(_splits_rows(g, dense) for g in items[i:j]):
             size = j - i
         elif j - i > 1:
-            low, high = _split(touched, n, dense)
+            low, high = _split(touched, dense)
             pos = {q: k for k, q in enumerate(low + high)}
             for k, (dest, _, _) in enumerate(_trace_basis(items[i:j], pos), 1):
                 if _rows_stay_whole(dest, len(low)):
@@ -562,11 +565,10 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
 # through _summable: while max|amp|^2 * size stays at or below 2^500 it
 # hands back the state itself, so those results are bit-identical to
 # plain sums; past that it hands back a copy scaled by an exact power of
-# two. gram always scales its gathered blocks to max|amp| in [1, 2).
+# two. gram always scales its gathered pieces to max|amp| in [1, 2).
 # ---------------------------------------------------------------------------
 
 _SUM_LIMIT = 2.0**500  # max|amp|^2 * size above this could overflow a sum or its square
-_GRAM_CHUNK = 1 << 16  # amplitudes gathered per product in gram
 
 
 def _sum_shift(amps: np.ndarray, unit: bool = False) -> int:
@@ -672,42 +674,25 @@ def gram(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, int]:
     is the sum, over every assignment r of the other qubits, of
     conj(psi(r, x)) * psi(r, y). The mantissas are scaled so that
     max|amp| lies in [1, 2) before any product, so no entry overflows and
-    small ones keep their precision. The state is read as rows of the
-    2^min(qubits) amplitudes below the lowest local qubit; rows are
-    grouped by their spectator bits, and each block of at most 2^16
-    amplitudes is gathered as a (2^k, columns) matrix A and adds
-    conj(A) A^T. So the cost is about 2^k amplitude-passes and no
-    temporary is the size of the state.
+    small ones keep their precision. Each local basis state x has one
+    _sub view; the views are tiled alike into pieces of _MOVE_CHUNK / 2^k
+    amplitudes, and the 2^k pieces at one place are stacked into a
+    (2^k, columns) matrix A that adds conj(A) A^T. So the cost is about
+    2^k amplitude-passes and no temporary is the size of the state.
     """
     qubits = [int(q) for q in qubits]
     n = state.num_qubits
     if not qubits or len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= n:
         raise InputError(f"gram needs distinct qubits inside a {n}-qubit register, got {qubits}")
-    k, low = len(qubits), min(qubits)
-    width = 1 << low
-    rows = state.amps.reshape(-1, width)
-    local = [q - low for q in qubits]
-    spectator = [b for b in range(n - low) if b not in local]
-
-    def deposit(v: np.ndarray, bits: list[int]) -> np.ndarray:
-        out = np.zeros_like(v)
-        for j, b in enumerate(bits):
-            out |= ((v >> j) & 1) << b
-        return out
-
-    x_rows = deposit(np.arange(1 << k), local)
+    k = len(qubits)
+    views = [_sub(state, {q: (x >> j) & 1 for j, q in enumerate(qubits)}) for x in range(1 << k)]
     shift = _sum_shift(state.amps, unit=True)
     scale = math.ldexp(1.0, -shift)
-    cols = min(width, max(1, _GRAM_CHUNK >> k))
-    per = max(1, _GRAM_CHUNK >> k >> low)  # spectator groups per block
-    groups = 1 << len(spectator)
     m = np.zeros((1 << k, 1 << k), dtype=state.amps.dtype)
-    for g0 in range(0, groups, per):
-        ids = deposit(np.arange(g0, min(groups, g0 + per)), spectator)[:, None] | x_rows
-        for c0 in range(0, width, cols):
-            a = rows[ids, c0 : c0 + cols].transpose(1, 0, 2).reshape(1 << k, -1)
-            a *= scale  # a gathered copy, never the state
-            m += (a.conj() if state.mode == "complex" else a) @ a.T
+    for p in _pieces(views[0].shape, limit=_MOVE_CHUNK >> k):
+        a = np.stack([v[p] for v in views]).reshape(1 << k, -1)
+        a *= scale  # a gathered copy, never the state
+        m += (a.conj() if state.mode == "complex" else a) @ a.T
     return m, state.exponent + shift
 
 

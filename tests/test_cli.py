@@ -131,8 +131,22 @@ def test_solve_sampled_report_schema(files, tmp_path):
     assert {"set_results", "discarded_shots"} <= set(entry)
 
 
-def test_solve_rejects_bad_gain(files, capsys):
-    assert cli.main(["solve", files["yes.cnf"], "--g", "1.0"]) == 2
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--g", "1.0"],
+        ["--g", "nan"],
+        ["--g", "inf"],
+        ["--r-scale", "nan"],
+        ["--r-scale", "inf"],
+        ["--r-scale", "0"],
+        ["--r-scale", "-3"],
+    ],
+    ids=lambda flags: "=".join(flags).lstrip("-"),
+)
+def test_solve_rejects_bad_gain(files, capsys, flags):
+    # Bad input exits 2, not with an unexpected error or a silent r = 1.
+    assert cli.main(["solve", files["yes.cnf"], *flags]) == 2
     assert "error:" in capsys.readouterr().err
 
 

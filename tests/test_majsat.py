@@ -59,6 +59,12 @@ def test_default_config_defaults():
         {"mode": "guess"},
         {"lowering": "none"},
         {"g_orientation": "sideways"},
+        {"g": math.nan},
+        {"g": math.inf},
+        {"r_scale": math.nan},
+        {"r_scale": math.inf},
+        {"r_scale": 0.0},
+        {"r_scale": -3.0},
     ],
 )
 def test_config_validation(bad):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +174,26 @@ def test_count_bucket_all_positive_has_empty_negative_side():
         assert neg == 0
         assert pos > 0
         assert abs(im) < 1e-15
+
+
+def _grid_count_reference(magnitude, nc):
+    return min(math.floor(Fraction(magnitude) * (1 << nc)), (1 << (2 * nc)) + 1)
+
+
+def test_grid_count_matches_rational_floor():
+    rng = np.random.default_rng(17)
+    tiny = 5e-324  # smallest subnormal
+    values = [1.0, 0.5, 2.0**-20, 2.0**-1074, tiny * 3, 2.2250738585072014e-308, 1.0 - 2.0**-53]
+    values += [float(v) for v in rng.random(200)]
+    values += [float(math.ldexp(m, int(e))) for m, e in zip(rng.random(200), rng.integers(-1080, 4, 200))]
+    for nc in (1, 2, 20, 52, 53, 64, 200, 1024):
+        edges = [2.0**-nc, 3 * 2.0**-nc, (1 - 2.0**-53) * 2.0**-nc]
+        if 2 * nc < 1000:  # at and past the clamp
+            edges += [2.0**nc, 4.0**nc, 4.0**nc + 2.0**-nc, 4.0**nc * 3]
+        for v in values + edges:
+            assert pathsum._grid_count(v, nc) == _grid_count_reference(v, nc), (v, nc)
+    assert pathsum._grid_count(8.0, 1) == 5, "clamped to the grid's point count"
+    assert pathsum._grid_count(2.0**-1074, 1024) == 0
 
 
 # ---------------------------------------------------------------------------

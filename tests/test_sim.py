@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rnqc import majsat, sim
+from rnqc import cnf, majsat, sim
 from rnqc.circuit import Circuit, Gate
 from rnqc.errors import (
     CircuitError,
@@ -172,6 +172,42 @@ def test_t_rejected_in_real_mode():
 def test_gate_beyond_register_rejected():
     with pytest.raises(CircuitError):
         sim.apply_gate(sim.new_state(2), Gate("H", (2,)))
+
+
+@st.composite
+def _fixed_qubits(draw):
+    """A register width and {qubit: bit} over a random subset, a run of
+    adjacent qubits, or every qubit, in random order."""
+    n = draw(st.integers(1, 10))
+    pick = draw(st.sampled_from(("subset", "run", "all")))
+    if pick == "subset":
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    elif pick == "run":
+        lo = draw(st.integers(0, n - 1))
+        qubits = draw(st.permutations(range(lo, draw(st.integers(lo + 1, n)))))
+    else:
+        qubits = draw(st.permutations(range(n)))
+    return n, {q: draw(st.integers(0, 1)) for q in qubits}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fixed_qubits())
+def test_sub_views_the_amplitudes_with_fixed_bits(case):
+    n, fixed = case
+    state = sim.state_from_amplitudes(np.arange(1.0, (1 << n) + 1))
+    view = sim._sub(state, fixed)
+    idx = np.arange(1 << n)
+    mask = np.ones(1 << n, dtype=bool)
+    for q, bit in fixed.items():
+        mask &= (idx >> q) & 1 == bit
+    assert np.shares_memory(view, state.amps)
+    assert len(sim._gaps(n, tuple(fixed))[0]) <= n + 1
+    assert np.array_equal(view.ravel(), state.amps[mask])
+    *controls, target = fixed
+    v0, v1 = sim._halves(state, target, tuple(controls))
+    for v, bit in ((v0, 0), (v1, 1)):
+        assert np.shares_memory(v, state.amps)
+        assert np.array_equal(v, sim._sub(state, {**dict.fromkeys(controls, 1), target: bit}))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +377,16 @@ def test_fused_exact_runs_match_gate_loop_on_corpus(corpus, monkeypatch, lowerin
         [Gate("CCNOT", (4, 17, 9))],
         # one fused block: gathers on the rows of high qubit 12, a row cycle on 15
         [Gate("CCNOT", (12, 0, 1)), Gate("CNOT", (2, 4)), Gate("CNOT", (12, 15))],
+        [Gate("H", (0,))],
+        [Gate("H", (19,))],
+        [Gate("CG", (3, 17), 2.0)],
     ],
-    ids=["x-top", "x-low", "ccnot", "block"],
+    ids=["x-top", "x-low", "ccnot", "block", "h-low", "h-top", "cg"],
 )
 def test_data_moves_allocate_no_state_sized_temporary(gates):
     # A 20-qubit state is 8 MiB; each move copies pieces of at most 2^16
     # amplitudes (512 KiB), plus numpy's copy of an overlapping source.
+    # H's sums and differences and CG's scaling stay within pieces too.
     state = _random_state(np.random.default_rng(3), 20)
     (step,) = sim._compile(tuple(gates), 20)  # compiled outside the measurement
     if len(gates) > 1:
@@ -362,6 +402,25 @@ def test_data_moves_allocate_no_state_sized_temporary(gates):
         tracemalloc.stop()
     assert peak < 2 << 20, f"peak {peak} bytes"
     assert np.array_equal(state.amps, ref.amps)
+
+
+def test_exact_solve_peaks_near_one_state():
+    # Semantic registers have n + m + 3 qubits: 20 here, an 8 MiB state.
+    # Every kernel works in place or piece by piece, so an exact solve
+    # holds little beyond the state itself.
+    n, m = 7, 10
+    clauses = [(1 + j % n, -(1 + (j + 2) % n), 1 + (j + 4) % n) for j in range(m)]
+    formula = cnf.parse_dimacs(f"p cnf {n} {m}\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses))
+    plan = majsat.plan(formula, majsat.default_config(n))
+    assert plan.qubit_count == 20
+    sim._compile.cache_clear()  # compile tables count too
+    tracemalloc.start()
+    try:
+        majsat.run_exact(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (8 << 20), f"peak {peak / (8 << 20):.3f} states"
 
 
 def test_apply_circuit_register_mismatch():
@@ -464,7 +523,7 @@ def test_gram_matches_dense_reference(n, mode, scale, chunk, data):
     vals[0] = 1.0
     state = sim.state_from_amplitudes(vals * 2.0**scale, mode=mode)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_GRAM_CHUNK", 1 << chunk)  # blocks of every shape
+        patch.setattr(sim, "_MOVE_CHUNK", 1 << chunk)  # pieces of every shape
         m, e = sim.gram(state, qubits)
     # Axis order puts qubits[0] on the fastest-varying bit of the local index.
     t = np.moveaxis(vals.reshape((2,) * n), [n - 1 - q for q in reversed(qubits)], range(len(qubits)))
