@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 from . import __version__, cnf, majsat, oracle, pathsum, rng, sim
 from .circuit import Circuit, circuit_to_json, gate_census, load_circuit, lower_to_primitive
-from .errors import InputError, InvariantError, ResourceError, RnqcError
+from .errors import InputError, ResourceError, RnqcError
 
 AMPLITUDE_PRINT_CAP = 12
 
@@ -210,6 +210,8 @@ def _parse_input_basis(args, qubit_count: int) -> int:
 
 def cmd_simulate(args) -> int:
     circuit = load_circuit(args.file)
+    if args.amplitudes and circuit.qubit_count > AMPLITUDE_PRINT_CAP:
+        raise InputError(f"--amplitudes is limited to registers of {AMPLITUDE_PRINT_CAP} qubits")
     basis = _parse_input_basis(args, circuit.qubit_count)
     mode = args.mode
     if mode is None:
@@ -235,10 +237,6 @@ def cmd_simulate(args) -> int:
         "norm_sq": sim.norm_sq(state),
     }
     if args.amplitudes:
-        if circuit.qubit_count > AMPLITUDE_PRINT_CAP:
-            raise InputError(
-                f"--amplitudes is limited to registers of {AMPLITUDE_PRINT_CAP} qubits"
-            )
         scale = math.ldexp(1.0, state.exponent)
         flat = state.amps.reshape(-1)
         rows = []
@@ -393,8 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projector", choices=("yes", "yn"), default="yes")
     p.add_argument("--yes-qubit", dest="yes_qubit", type=int, default=0)
     p.add_argument("--methods", default="direct,pathsum,counting")
-    p.add_argument("--precision-c", dest="precision_c", type=int, default=None)
-    p.add_argument("--path-budget", dest="path_budget", type=int, default=pathsum.DEFAULT_PATH_BUDGET)
+    p.add_argument("--precision-c", dest="precision_c", type=_positive_int, default=None)
+    p.add_argument(
+        "--path-budget", dest="path_budget", type=_positive_int, default=pathsum.DEFAULT_PATH_BUDGET
+    )
     _add_jobs(p)
     _add_common(p)
     p.set_defaults(func=cmd_pathsum)
@@ -413,9 +413,6 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except RnqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

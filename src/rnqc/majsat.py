@@ -285,9 +285,6 @@ def _readout_split(p: MajsatPlan) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     return gates, ()
 
 
-_TINY = float(np.finfo(np.float64).tiny)  # smallest normal double
-
-
 def _readout_sweep(p: MajsatPlan, st: sim.StateVector, visit, zero_mass_ok: bool = False) -> list:
     """Run the readout for each i in the sweep; returns visit's results in i order.
 
@@ -306,8 +303,8 @@ def _readout_sweep(p: MajsatPlan, st: sim.StateVector, visit, zero_mass_ok: bool
 
     Every term is scaled by a power of two against the largest one
     before it is summed, so weights like g^r' cannot overflow. A kept
-    branch below the smallest normal double on that scale counts as zero
-    mass, as the underflow in a state-vector run would: it raises
+    branch below sim.ZERO_MASS on that scale counts as zero mass, the
+    rule sim.postselect applies to a state vector: it raises
     PostselectError, or visits (i, 0.0, None) when zero_mass_ok is set.
     """
     cfg = p.config
@@ -346,22 +343,13 @@ def _readout_sweep(p: MajsatPlan, st: sim.StateVector, visit, zero_mass_ok: bool
         off = float(np.sum(cx[u] * cx[v] * cross))
         rho = np.array([[float(np.sum(sq[u])), off], [off, float(np.sum(sq[v]))]])
         kept_mass = rho[0, 0] + rho[1, 1]
-        if kept_mass < _TINY:
+        if kept_mass < sim.ZERO_MASS:
             if not zero_mass_ok:
                 raise PostselectError(f"postselected branch qubit{lay.oracle}=1 has zero mass")
             out.append(visit(i, 0.0, None))
             continue
         out.append(visit(i, float(kept_mass / np.sum(sq)), rho))
     return out
-
-
-def _x_probabilities(rho: np.ndarray) -> tuple[float, float]:
-    """(P(+1), P(-1)) of an x-basis readout of a qubit with reduced matrix rho."""
-    kept = rho[0, 0] + rho[1, 1]
-    mp = max(float(kept + 2.0 * rho[0, 1]), 0.0)
-    mm = max(float(kept - 2.0 * rho[0, 1]), 0.0)
-    tot = mp + mm
-    return mp / tot, mm / tot
 
 
 def _verdict(per_i) -> str:
@@ -392,10 +380,7 @@ def _readout_bhr_fidelity(p: MajsatPlan, rho: np.ndarray, s: int, i: int) -> flo
     """Fidelity of the postselected BHR qubit's reduced matrix rho against
     the closed form alpha(N-2s)|0> + beta N|1> with beta/alpha = 2^i."""
     big_n = 1 << p.formula.original_vars
-    t0, t1 = float(big_n - 2 * s), math.ldexp(float(big_n), i)
-    num = t0 * t0 * rho[0, 0] + 2.0 * t0 * t1 * rho[0, 1] + t1 * t1 * rho[1, 1]
-    val = float(num / ((rho[0, 0] + rho[1, 1]) * (t0 * t0 + t1 * t1)))
-    return min(max(val, 0.0), 1.0)
+    return sim.pure_fidelity(rho, float(big_n - 2 * s), math.ldexp(float(big_n), i))
 
 
 def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
@@ -419,7 +404,7 @@ def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
     fid_grid: dict[int, float] = {}
 
     def visit(i: int, prob1: float, rho: np.ndarray) -> dict:
-        p_plus, p_minus = _x_probabilities(rho)
+        p_plus, p_minus = sim.x_probabilities(rho)
         if checks is not None:
             fid_grid[i] = _readout_bhr_fidelity(p, rho, s_ref, i)
         return {
@@ -463,7 +448,7 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
         seed = cfg.seed
 
     def visit(i: int, prob1: float, rho: np.ndarray | None) -> dict:
-        prob_minus_cond = _x_probabilities(rho)[1] if prob1 > 0.0 else 0.0
+        prob_minus_cond = sim.x_probabilities(rho)[1] if prob1 > 0.0 else 0.0
         i_idx = i - cfg.i_min
         set_results: list[dict] = []
         discarded = 0

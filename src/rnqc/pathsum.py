@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import sim
 from .circuit import Circuit, Gate
-from .errors import CircuitError, GridSpacingError, InvariantError, PathBudgetError
+from .errors import CircuitError, GridSpacingError, InputError, InvariantError, PathBudgetError
 
 DEFAULT_PATH_BUDGET = 10**8
 
@@ -164,7 +164,9 @@ def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     every other at a single endpoint, so enumeration aborts once the
     forward count could make the pair count exceed the budget.
     """
-    fwd_cap = max(1, math.isqrt(budget))
+    if budget < 1:
+        raise InputError(f"path budget must be at least 1, got {budget}")
+    fwd_cap = math.isqrt(budget)
     endpoints: dict = {}
     materialized = 0
     stack = [(0, input_basis, 1.0 + 0.0j)]

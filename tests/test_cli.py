@@ -283,6 +283,15 @@ def test_simulate_t_real_mode_rejected(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_amplitudes_cap_fails_before_simulating(tmp_path, capsys):
+    path = tmp_path / "h13.json"
+    path.write_text(json.dumps({"qubits": 13, "gates": [{"g": "H", "q": [q]} for q in range(13)]}))
+    assert cli.main(["simulate", str(path), "--amplitudes"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --amplitudes is limited")
+
+
 @pytest.mark.parametrize("name", ["norm_overflow.json", "norm_underflow.json"])
 def test_simulate_unrepresentable_norm_is_invariant_exit(files, name, capsys):
     assert cli.main(["simulate", files[name]]) == 4
@@ -311,6 +320,17 @@ def test_pathsum_table_three_methods(files, tmp_path, capsys):
 def test_pathsum_direct_unrepresentable_norm_is_invariant_exit(files, name, capsys):
     assert cli.main(["pathsum", files[name], "--methods", "direct"]) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--path-budget", "-1"], ["--path-budget", "0"], ["--precision-c", "0"]],
+    ids=["budget-negative", "budget-zero", "precision-zero"],
+)
+def test_pathsum_rejects_nonpositive_budget_and_precision(files, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pathsum", files["hgh.json"], *flags])
+    assert exc.value.code == 2
 
 
 def test_pathsum_rejects_unknown_method(files, capsys):

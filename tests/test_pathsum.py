@@ -9,7 +9,7 @@ import pytest
 
 from rnqc import cnf, majsat, pathsum, sim
 from rnqc.circuit import Circuit, Gate
-from rnqc.errors import CircuitError, GridSpacingError, PathBudgetError
+from rnqc.errors import CircuitError, GridSpacingError, InputError, PathBudgetError
 from rnqc.pathsum import Projector
 
 H0 = Gate("H", (0,))
@@ -146,6 +146,12 @@ def test_pathsum_budget_guard():
     circ = Circuit(1, (H0,) * 20)
     with pytest.raises(PathBudgetError):
         pathsum.path_sum_amplitude(circ, 0, YES0, budget=16)
+
+
+@pytest.mark.parametrize("budget", [-1, 0])
+def test_pathsum_budget_below_one_is_input_error(budget):
+    with pytest.raises(InputError):
+        pathsum.path_sum_amplitude(Circuit(1, (H0,)), 0, YES0, budget=budget)
 
 
 def test_pathsum_unitary_total_is_one():

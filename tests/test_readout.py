@@ -45,6 +45,16 @@ def _reference_sweep(p, st, visit, zero_mass_ok=False):
     return out
 
 
+def _reference_rho_sweep(p, st, visit, zero_mass_ok=False):
+    """The state-vector readout that hands visit the BHR's one-qubit Gram
+    matrix of the postselected state as rho."""
+
+    def read(i, prob1, post):
+        return visit(i, prob1, None if post is None else sim.gram(post, [p.layout.bhr])[0])
+
+    return _reference_sweep(p, st, read, zero_mass_ok)
+
+
 def _gram_entries(p, st, s):
     """(i, kept probability, P(+1), P(-1), BHR fidelity) from the Gram readout."""
     return majsat._readout_sweep(
@@ -53,7 +63,7 @@ def _gram_entries(p, st, s):
         lambda i, prob1, rho: (
             i,
             prob1,
-            *majsat._x_probabilities(rho),
+            *sim.x_probabilities(rho),
             majsat._readout_bhr_fidelity(p, rho, s, i),
         ),
     )
@@ -146,8 +156,7 @@ def test_sampled_reports_identical_under_reference_readout(corpus_small, monkeyp
             patch.setattr(majsat, "_amplified_state", lambda _: st.copy())
             patch.setattr(majsat, "make_stream", streams)
             got = json.dumps(majsat.run_sampled(p).to_json_dict())
-            patch.setattr(majsat, "_readout_sweep", _reference_sweep)
-            patch.setattr(majsat, "_x_probabilities", lambda post: sim.probabilities_x(post, p.layout.bhr))
+            patch.setattr(majsat, "_readout_sweep", _reference_rho_sweep)
             want = json.dumps(majsat.run_sampled(p).to_json_dict())
         assert got == want, name
 
@@ -159,11 +168,8 @@ EDGE_FORMULAS = {
     "xor": _formula(4, [[1, 2], [-1, -2]]),  # s = 8 of 16, tie with a residue
 }
 # Under literal orientation r' rounds scale the kept branch by 2^-r'
-# against the discarded one. At r' = 525 its mass sits near 2^-1050 of
-# the total, below the smallest normal double: the Gram readout counts
-# it as zero mass and raises, while the state-vector readout still reads
-# a verdict from subnormal sums. From r' = 550 on both raise.
-EDGE_ERROR_NOT_VERDICT = {("and", "literal", 525), ("or", "literal", 525)}
+# against the discarded one. From r' = 525 on its mass sits below
+# sim.ZERO_MASS of the total, so both readouts raise PostselectError.
 
 
 def _outcome(entries, p, st):
@@ -192,7 +198,4 @@ def test_gram_readout_matches_reference_at_the_starvation_edge(lowering):
                     st = majsat._amplified_state(p)
                 got = _outcome(_gram_entries, p, st.copy())
                 want = _outcome(_reference_entries, p, st.copy())
-                if (key, orientation, r_prime) in EDGE_ERROR_NOT_VERDICT:
-                    assert (got, want) in {("PostselectError", "YES"), ("PostselectError", "NO")}
-                else:
-                    assert got == want, (key, orientation, r_prime)
+                assert got == want, (key, orientation, r_prime)

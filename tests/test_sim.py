@@ -423,6 +423,38 @@ def test_exact_solve_peaks_near_one_state():
     assert peak < 1.25 * (8 << 20), f"peak {peak / (8 << 20):.3f} states"
 
 
+REDUCTIONS = {
+    "norm_sq": lambda s, other: sim.norm_sq(s),
+    "probabilities_z": lambda s, other: sim.probabilities_z(s, 3),
+    "probabilities_x": lambda s, other: sim.probabilities_x(s, 3),
+    "qubit_state_fidelity": lambda s, other: sim.qubit_state_fidelity(s, 3, 1.0, 2.0),
+    "sparse_fidelity": lambda s, other: sim.sparse_fidelity(s, {0: 1.0, 5: 2.0}),
+    "fidelity": lambda s, other: sim.fidelity(s, other),
+    "postselect": lambda s, other: sim.postselect(s, 3, 1),
+    "renormalize": lambda s, other: sim.renormalize(s),
+    "prepare_superposed_qubit": lambda s, other: sim.prepare_superposed_qubit(s, 3, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("log2_scale", [0, 400], ids=["near-1", "near-2^400"])
+@pytest.mark.parametrize("name", list(REDUCTIONS))
+def test_reductions_allocate_no_state_sized_temporary(name, log2_scale):
+    # A 20-qubit state is 8 MiB. Every mass, probability and fidelity
+    # reads gram's pieces of at most 2^16 amplitudes, whatever the scale.
+    rng = np.random.default_rng(5)
+    state = sim.state_from_amplitudes(rng.standard_normal(1 << 20) * 2.0**log2_scale)
+    other = sim.state_from_amplitudes(rng.standard_normal(1 << 20))
+    if name == "prepare_superposed_qubit":
+        sim._halves(state, 3)[1][...] = 0.0
+    tracemalloc.start()
+    try:
+        REDUCTIONS[name](state, other)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"peak {peak / (8 << 20):.3f} states"
+
+
 def test_apply_circuit_register_mismatch():
     circuit = Circuit(2, (Gate("H", (0,)),))
     with pytest.raises(CircuitError):
@@ -477,8 +509,9 @@ def test_mass_sums_do_not_overflow_at_24_qubits():
 
 
 def test_sums_of_huge_mantissas_are_scaled():
-    # max|amp|^2 * size past 2^500: every sum runs on a copy scaled by a
-    # power of two, so the results equal those of the unscaled state.
+    # Mantissas near 2^490: every sum reads pieces scaled by a power of
+    # two to max|amp| in [1, 2), so the results equal those of the
+    # unscaled state.
     small = sim.state_from_amplitudes([3.0, -1.0, 0.5, 2.0])
     big = sim.state_from_amplitudes([3.0 * 2.0**490, -(2.0**490), 2.0**489, 2.0**491])
     assert sim.norm_sq(big) == sim.norm_sq(small) * 2.0**980
