@@ -1,7 +1,7 @@
 """Real-amplitude non-Hermitian circuit toolkit.
 
 Dense state-vector simulation over a real (or complex) gate set with
-non-unitary scaling gates, a small circuit IR with lowering passes,
+non-unitary scaling gates, a small circuit IR with lowering rules,
 CNF oracles, a majority-SAT decision pipeline, and path-sum acceptance
 estimators.
 """

@@ -1,4 +1,4 @@
-"""Gate-level intermediate representation and lowering passes.
+"""Gate-level intermediate representation and lowering rules.
 
 Supported gate kinds: H, X, Z, T, CNOT, CCNOT, NCNOT, G, CG. Operands
 are ordered controls-first, target-last. G carries a parameter g > 0,
@@ -8,7 +8,8 @@ only. NCNOT is a NOT with any number of controls >= 1 and is kept as a
 first-class kind so circuits can run either semantically (direct
 multi-control kernel, no ancillas) or fully lowered.
 
-Lowering compiles everything to the primitive set {H, CCNOT, G}:
+Lowering compiles everything to the primitive set {H, CCNOT, G}, one
+rewrite rule per kind, applied until only primitive kinds remain:
 
   * CG(c, t, g) -> X(c), CNOT(c,t), G(t, sqrt(g)), CNOT(c,t), X(c),
     G(t, sqrt(g)). Every input branch passes through G twice, which is
@@ -21,6 +22,7 @@ Lowering compiles everything to the primitive set {H, CCNOT, G}:
     ancillas would retain input-dependent values and spoil any later
     interference across the work register. 2 controls -> CCNOT directly;
     1 control -> CCNOT with a constant-|1> ancilla as the second control.
+  * CNOT(c, t) -> CCNOT(c, one_a, t), as a one-control NCNOT.
   * X(t) -> CCNOT(one_a, one_b, t) over two constant-|1> ancillas.
 
 T has no real-mode decomposition and is rejected by lower_to_primitive.
@@ -205,10 +207,6 @@ def gate_census(circuit: Circuit) -> GateCensus:
     return GateCensus(counts=counts, is_primitive=primitive)
 
 
-def validate_primitive(circuit: Circuit) -> bool:
-    return gate_census(circuit).is_primitive
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange.
 # Circuit object: {"qubits": int, "layout": {role: [indices]}?, "gates": [...]}
@@ -231,6 +229,11 @@ def circuit_to_json(circuit: Circuit) -> dict:
     return obj
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not one in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _layout_from_json(obj: Mapping) -> RegisterLayout:
     if not isinstance(obj, Mapping):
         raise CircuitError("circuit layout must be an object mapping roles to index arrays")
@@ -238,7 +241,7 @@ def _layout_from_json(obj: Mapping) -> RegisterLayout:
     for role, idxs in obj.items():
         if role not in _LAYOUT_LIST_ROLES and role not in _LAYOUT_SINGLE_ROLES:
             raise CircuitError(f"unknown layout role {role!r}")
-        if not isinstance(idxs, list) or not all(isinstance(i, int) for i in idxs):
+        if not isinstance(idxs, list) or not all(_is_int(i) for i in idxs):
             raise CircuitError(f"layout role {role!r} must be an array of integers")
         if role in _LAYOUT_SINGLE_ROLES:
             if len(idxs) != 1:
@@ -252,7 +255,7 @@ def _layout_from_json(obj: Mapping) -> RegisterLayout:
 def circuit_from_json(obj) -> Circuit:
     if not isinstance(obj, Mapping):
         raise CircuitError("circuit JSON must be an object")
-    if "qubits" not in obj or not isinstance(obj["qubits"], int):
+    if not _is_int(obj.get("qubits")):
         raise CircuitError("circuit JSON needs an integer 'qubits' field")
     raw_gates = obj.get("gates")
     if not isinstance(raw_gates, list):
@@ -263,10 +266,10 @@ def circuit_from_json(obj) -> Circuit:
             raise CircuitError(f"bad gate entry: {entry!r}")
         kind = entry["g"]
         qubits = entry["q"]
-        if not isinstance(qubits, list) or not all(isinstance(q, int) for q in qubits):
+        if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
             raise CircuitError(f"gate operands must be an integer array: {entry!r}")
         param = entry.get("param")
-        if param is not None and not isinstance(param, (int, float)):
+        if param is not None and (isinstance(param, bool) or not isinstance(param, (int, float))):
             raise CircuitError(f"gate param must be a number: {entry!r}")
         gates.append(Gate(kind=kind, qubits=tuple(qubits), param=param))
     layout = None
@@ -287,76 +290,16 @@ def load_circuit(path: str) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Lowering passes. Each pass is a pure Circuit -> Circuit function; ancillas
-# must already exist in the layout. lower_to_primitive grows the register
-# through primitive_register and runs the passes in dependency order.
+# Lowering. _rule holds one rewrite step per non-primitive kind, written
+# against a layout that already has its ancillas; lower_to_primitive grows
+# the register through primitive_register and applies the rules until only
+# H, CCNOT and G remain.
 # ---------------------------------------------------------------------------
-
-
-def _need_const_one(layout: RegisterLayout | None, how_many: int, pass_name: str) -> tuple[int, ...]:
-    if layout is None or len(layout.const_one) < how_many:
-        raise CircuitError(
-            f"{pass_name} requires {how_many} const_one ancilla(s) in the layout"
-        )
-    return layout.const_one[:how_many]
-
-
-def lower_x(circuit: Circuit) -> Circuit:
-    """Replace each X(t) by CCNOT(one_a, one_b, t)."""
-    if not any(g.kind == "X" for g in circuit.gates):
-        return circuit
-    one_a, one_b = _need_const_one(circuit.layout, 2, "lower_x")
-    out = []
-    for g in circuit.gates:
-        if g.kind == "X":
-            out.append(Gate("CCNOT", (one_a, one_b, g.qubits[0])))
-        else:
-            out.append(g)
-    return replace(circuit, gates=tuple(out))
-
-
-def lower_z(circuit: Circuit) -> Circuit:
-    """Replace each Z(q) by H(q), X(q), H(q)."""
-    out = []
-    for g in circuit.gates:
-        if g.kind == "Z":
-            q = g.qubits[0]
-            out.extend([Gate("H", (q,)), Gate("X", (q,)), Gate("H", (q,))])
-        else:
-            out.append(g)
-    return replace(circuit, gates=tuple(out))
-
-
-def lower_cg(circuit: Circuit) -> Circuit:
-    """Expand each CG into X, CNOT and two G(sqrt(g)) applications."""
-    out = []
-    for g in circuit.gates:
-        if g.kind == "CG":
-            c, t = g.qubits
-            root = math.sqrt(g.param)
-            out.extend(
-                [
-                    Gate("X", (c,)),
-                    Gate("CNOT", (c, t)),
-                    Gate("G", (t,), root),
-                    Gate("CNOT", (c, t)),
-                    Gate("X", (c,)),
-                    Gate("G", (t,), root),
-                ]
-            )
-        else:
-            out.append(g)
-    return replace(circuit, gates=tuple(out))
 
 
 def _chain_gates(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) -> list[Gate]:
     """Multi-control NOT via a mirrored CCNOT chain; 2k-3 gates, k-2 ancillas."""
     k = len(controls)
-    need = k - 2
-    if len(pool) < need:
-        raise CircuitError(
-            f"NCNOT with {k} controls needs {need} chain ancillas, pool has {len(pool)}"
-        )
     forward = [Gate("CCNOT", (controls[0], controls[1], pool[0]))]
     for j in range(2, k - 1):
         forward.append(Gate("CCNOT", (controls[j], pool[j - 2], pool[j - 1])))
@@ -364,44 +307,46 @@ def _chain_gates(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) 
     return forward + [hit] + list(reversed(forward))
 
 
-def lower_ncnot(circuit: Circuit) -> Circuit:
-    """Compile NCNOT and CNOT gates down to CCNOT form."""
-    out = []
+def _rule(gate: Gate, layout: RegisterLayout) -> list[Gate]:
+    """One rewrite step of a non-primitive, non-T gate (see the module docstring)."""
+    kind, qs = gate.kind, gate.qubits
+    if kind == "CG":
+        c, t = qs
+        root = math.sqrt(gate.param)
+        return [
+            Gate("X", (c,)),
+            Gate("CNOT", (c, t)),
+            Gate("G", (t,), root),
+            Gate("CNOT", (c, t)),
+            Gate("X", (c,)),
+            Gate("G", (t,), root),
+        ]
+    if kind == "Z":
+        return [Gate("H", qs), Gate("X", qs), Gate("H", qs)]
+    if kind == "X":
+        return [Gate("CCNOT", (*layout.const_one[:2], qs[0]))]
+    if len(qs) == 2:  # CNOT, or NCNOT with one control
+        return [Gate("CCNOT", (qs[0], layout.const_one[0], qs[1]))]
+    if len(qs) == 3:
+        return [Gate("CCNOT", qs)]
+    return _chain_gates(gate.controls, gate.target, layout.chain_ancilla)
+
+
+def _expand(gate: Gate, layout: RegisterLayout) -> list[Gate]:
+    """gate rewritten by _rule until only primitive kinds remain."""
+    if gate.kind in PRIMITIVE_KINDS:
+        return [gate]
+    if gate.kind == "T":
+        raise RealModeError("T gate has no decomposition over the real primitive set {H, CCNOT, G}")
+    return [h for step in _rule(gate, layout) for h in _expand(step, layout)]
+
+
+def lower_cg(circuit: Circuit) -> Circuit:
+    """Expand each CG into X, CNOT and two G(sqrt(g)) applications."""
+    gates: list[Gate] = []
     for g in circuit.gates:
-        if g.kind == "NCNOT":
-            controls, target = g.controls, g.target
-            k = len(controls)
-            if k == 1:
-                (one_a,) = _need_const_one(circuit.layout, 1, "lower_ncnot")
-                out.append(Gate("CCNOT", (controls[0], one_a, target)))
-            elif k == 2:
-                out.append(Gate("CCNOT", (controls[0], controls[1], target)))
-            else:
-                pool = circuit.layout.chain_ancilla if circuit.layout else ()
-                out.extend(_chain_gates(controls, target, pool))
-        elif g.kind == "CNOT":
-            (one_a,) = _need_const_one(circuit.layout, 1, "lower_ncnot")
-            out.append(Gate("CCNOT", (g.qubits[0], one_a, g.qubits[1])))
-        else:
-            out.append(g)
-    return replace(circuit, gates=tuple(out))
-
-
-def _ancilla_requirements(gates: Iterable[Gate]) -> tuple[int, bool]:
-    """(chain pool size, whether const_one qubits are needed) after expansion."""
-    chain = 0
-    const = False
-    for g in gates:
-        if g.kind == "NCNOT":
-            k = len(g.controls)
-            if k >= 3:
-                chain = max(chain, k - 2)
-            elif k == 1:
-                const = True
-        if g.kind in ("X", "Z", "CG", "CNOT"):
-            # Z expands through X; CG expands through X and CNOT.
-            const = True
-    return chain, const
+        gates.extend(_rule(g, circuit.layout) if g.kind == "CG" else [g])
+    return replace(circuit, gates=tuple(gates))
 
 
 def primitive_register(circuit: Circuit) -> Circuit:
@@ -411,7 +356,13 @@ def primitive_register(circuit: Circuit) -> Circuit:
     first, then the two const_one qubits. Roles the layout already holds
     in sufficient number are reused, so growing a grown circuit is a no-op.
     """
-    chain_need, const_need = _ancilla_requirements(circuit.gates)
+    # NCNOT with k >= 3 controls chains through k - 2 ancillas; X, Z, CG,
+    # CNOT and one-control NCNOT reach CCNOT through the const_one qubits.
+    chain_need = max((len(g.controls) - 2 for g in circuit.gates if g.kind == "NCNOT"), default=0)
+    const_need = any(
+        g.kind in ("X", "Z", "CG", "CNOT") or (g.kind == "NCNOT" and len(g.qubits) == 2)
+        for g in circuit.gates
+    )
     layout = circuit.layout
     if layout is None:
         layout = RegisterLayout(work=tuple(range(circuit.qubit_count)))
@@ -432,21 +383,19 @@ def lower_to_primitive(circuit: Circuit) -> Circuit:
 
     Already-primitive circuits come back unchanged. Others run on
     primitive_register's register. The caller must start const_one
-    qubits in |1> (see RegisterLayout.initial_one_bits).
+    qubits in |1> (see RegisterLayout.initial_one_bits). Each distinct
+    gate is expanded once: the gain rounds repeat the same CG r times.
     """
-    for g in circuit.gates:
-        if g.kind == "T":
-            raise RealModeError("T gate has no decomposition over the real primitive set {H, CCNOT, G}")
-    if validate_primitive(circuit):
+    if gate_census(circuit).is_primitive:
         return circuit
-    lowered = lower_cg(primitive_register(circuit))
-    lowered = lower_z(lowered)
-    lowered = lower_ncnot(lowered)
-    lowered = lower_x(lowered)
-    census = gate_census(lowered)
-    if not census.is_primitive:
-        raise CircuitError(f"lowering left non-primitive kinds: {sorted(census.counts)}")
-    return lowered
+    grown = primitive_register(circuit)
+    expanded: dict[Gate, list[Gate]] = {}
+    gates: list[Gate] = []
+    for g in grown.gates:
+        if g not in expanded:
+            expanded[g] = _expand(g, grown.layout)
+        gates.extend(expanded[g])
+    return replace(grown, gates=tuple(gates))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -65,24 +66,9 @@ def _read_text(path: str) -> str:
 
 
 def _config_from_args(n: int, args) -> majsat.MajsatConfig:
-    overrides = {}
-    for flag, name in (
-        ("g", "g"),
-        ("r", "r"),
-        ("rp", "r_prime"),
-        ("r_scale", "r_scale"),
-        ("i_min", "i_min"),
-        ("i_max", "i_max"),
-        ("sets", "sets"),
-        ("runs", "runs_per_set"),
-        ("seed", "seed"),
-        ("mode", "mode"),
-        ("lowering", "lowering"),
-        ("g_orientation", "g_orientation"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[name] = value
+    # solve's config flags have dests named after default_config's keywords
+    names = inspect.signature(majsat.default_config).parameters
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
     return majsat.default_config(n, **overrides)
 
 
@@ -144,8 +130,7 @@ def cmd_oracle_check(args) -> int:
     three = cnf.to_3cnf(formula)
     artifact = oracle.build_oracle(three, polarity_fix=not args.no_polarity_fix)
     if args.lowering == "primitive":
-        lowered = lower_to_primitive(artifact.circuit)
-        artifact = dataclasses.replace(artifact, circuit=lowered, layout=lowered.layout)
+        artifact = dataclasses.replace(artifact, circuit=lower_to_primitive(artifact.circuit))
     report = oracle.verify_oracle(artifact, formula)
     if report.ok:
         print(
@@ -341,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--g", type=float, default=None)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--rp", type=int, default=None)
+    p.add_argument("--rp", dest="r_prime", type=int, default=None)
     p.add_argument("--r-scale", dest="r_scale", type=float, default=None)
     p.add_argument("--i-min", dest="i_min", type=int, default=None)
     p.add_argument("--i-max", dest="i_max", type=int, default=None)
     p.add_argument("--sets", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--runs", dest="runs_per_set", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lowering", choices=("semantic", "primitive"), default=None)
     p.add_argument("--g-orientation", dest="g_orientation", choices=("boost", "literal"), default=None)

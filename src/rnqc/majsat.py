@@ -26,7 +26,7 @@ report bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,6 +72,8 @@ class MajsatConfig:
             raise InputError("r and r_prime must be >= 1")
         if self.i_min > self.i_max:
             raise InputError(f"empty i range [{self.i_min}, {self.i_max}]")
+        if self.i_max > 1023:
+            raise InputError(f"i_max must be at most 1023 (2^1024 overflows a double), got {self.i_max}")
         if self.sets < 1 or self.runs_per_set < 1:
             raise InputError("sets and runs_per_set must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -86,19 +88,7 @@ class MajsatConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "r": self.r,
-            "r_prime": self.r_prime,
-            "i_min": self.i_min,
-            "i_max": self.i_max,
-            "sets": self.sets,
-            "runs_per_set": self.runs_per_set,
-            "seed": self.seed,
-            "mode": self.mode,
-            "lowering": self.lowering,
-            "g_orientation": self.g_orientation,
-        }
+        return asdict(self)
 
 
 def default_config(
@@ -249,7 +239,7 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     if config.g_orientation == "boost":
         initial_bits |= 1 << nh
 
-    artifact = OracleArtifact(circuit=oracle_circuit, layout=layout, clause_count=p)
+    artifact = OracleArtifact(circuit=oracle_circuit)
     return MajsatPlan(
         formula=f3,
         source=formula,

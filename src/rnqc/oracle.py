@@ -30,9 +30,7 @@ from .errors import CircuitError, InputError
 
 @dataclass(frozen=True)
 class OracleArtifact:
-    circuit: Circuit
-    layout: RegisterLayout
-    clause_count: int
+    circuit: Circuit  # its layout names the work, aux, clause and oracle qubits
     polarity_fix: bool = True
 
 
@@ -154,9 +152,7 @@ def build_oracle(f3: ThreeCnf, polarity_fix: bool = True) -> OracleArtifact:
     )
     gates = build_oracle_gates(f3, layout, polarity_fix=polarity_fix)
     circuit = Circuit(qubit_count=n + a + p + 1, gates=gates, layout=layout)
-    return OracleArtifact(
-        circuit=circuit, layout=layout, clause_count=p, polarity_fix=polarity_fix
-    )
+    return OracleArtifact(circuit=circuit, polarity_fix=polarity_fix)
 
 
 def _set_bits(table: int, n: int) -> tuple[int, ...]:
@@ -184,10 +180,11 @@ def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckR
     f3 = to_3cnf(formula)
     n = f3.original_vars
     full, tables = truth_tables(n)
-    layout = artifact.layout
+    layout = artifact.circuit.layout
     clauses = reduced_clauses(f3)
     if (
-        len(layout.work) != n
+        layout is None
+        or len(layout.work) != n
         or len(layout.aux) != f3.aux_vars
         or len(layout.clause) != len(clauses)
         or layout.oracle is None

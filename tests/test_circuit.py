@@ -1,6 +1,7 @@
-"""Circuit IR: validation, lowering passes, census, JSON round-trips."""
+"""Circuit IR: validation, the lowering rules, census, JSON round-trips."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from rnqc import sim
+from rnqc import cnf, majsat, oracle, sim
 from rnqc.circuit import (
     Circuit,
     Gate,
@@ -18,13 +19,9 @@ from rnqc.circuit import (
     gate_census,
     load_circuit,
     lower_cg,
-    lower_ncnot,
     lower_to_primitive,
-    lower_x,
-    lower_z,
     primitive_register,
     propagate_basis,
-    validate_primitive,
 )
 from rnqc.errors import CircuitError, InputError, RealModeError
 
@@ -109,13 +106,11 @@ def test_census_primitive_set():
     census = gate_census(circ)
     assert census.is_primitive
     assert census.counts == {"H": 1, "CCNOT": 1, "G": 1}
-    assert validate_primitive(circ)
 
 
 def test_census_flags_nonprimitive():
     circ = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
     assert not gate_census(circ).is_primitive
-    assert not validate_primitive(circ)
 
 
 def test_census_counts_sum_to_length():
@@ -129,31 +124,18 @@ def test_census_counts_sum_to_length():
 # ---------------------------------------------------------------------------
 
 
-def _x_layout(n_work: int, const: tuple[int, int]) -> RegisterLayout:
-    return RegisterLayout(work=tuple(range(n_work)), const_one=const)
-
-
 def test_lower_x_uses_const_one_pair():
     layout = RegisterLayout(work=tuple(range(7)), const_one=(7, 8))
     circ = Circuit(9, (Gate("X", (3,)),), layout=layout)
-    lowered = lower_x(circ)
+    lowered = lower_to_primitive(circ)
     assert lowered.gates == (Gate("CCNOT", (7, 8, 3)),)
-
-
-def test_lower_x_no_x_is_identity():
-    circ = Circuit(2, (Gate("H", (0,)),))
-    assert lower_x(circ) is circ
-
-
-def test_lower_x_requires_const_one():
-    with pytest.raises(CircuitError):
-        lower_x(Circuit(1, (Gate("X", (0,)),)))
 
 
 def test_lower_x_exhaustive_equivalence():
     gates = (Gate("X", (0,)), Gate("X", (2,)), Gate("X", (3,)))
     original = Circuit(4, gates)
-    lowered = lower_x(Circuit(6, gates, layout=_x_layout(4, (4, 5))))
+    lowered = lower_to_primitive(original)
+    assert lowered.layout.const_one == (4, 5)
     ones = 0b11 << 4
     for x in range(16):
         ref = propagate_basis(original.gates, x)
@@ -167,8 +149,9 @@ def test_lower_x_exhaustive_equivalence():
 
 
 def test_lower_z_expands_to_hxh():
-    lowered = lower_z(Circuit(1, (Gate("Z", (0,)),)))
-    assert [g.kind for g in lowered.gates] == ["H", "X", "H"]
+    lowered = lower_to_primitive(Circuit(1, (Gate("Z", (0,)),)))
+    # X(0) between the Hs runs through the const_one qubits 1 and 2
+    assert lowered.gates == (Gate("H", (0,)), Gate("CCNOT", (1, 2, 0)), Gate("H", (0,)))
 
 
 def test_hxh_matrix_is_diag_1_minus1():
@@ -196,39 +179,34 @@ def test_z_action_on_basis():
 def test_lower_ncnot_three_controls_gate_count():
     layout = RegisterLayout(work=tuple(range(4)), chain_ancilla=(4,))
     circ = Circuit(5, (Gate("NCNOT", (0, 1, 2, 3)),), layout=layout)
-    lowered = lower_ncnot(circ)
+    lowered = lower_to_primitive(circ)
+    assert lowered.qubit_count == 5
     assert len(lowered.gates) == 3
     assert all(g.kind == "CCNOT" for g in lowered.gates)
 
 
 def test_lower_ncnot_two_controls_is_ccnot():
-    lowered = lower_ncnot(Circuit(3, (Gate("NCNOT", (0, 1, 2)),)))
+    lowered = lower_to_primitive(Circuit(3, (Gate("NCNOT", (0, 1, 2)),)))
     assert lowered.gates == (Gate("CCNOT", (0, 1, 2)),)
+    assert lowered.qubit_count == 3
 
 
 def test_lower_ncnot_single_control_uses_const_one():
-    layout = RegisterLayout(work=(0, 1), const_one=(2,))
-    lowered = lower_ncnot(Circuit(3, (Gate("NCNOT", (0, 1)),), layout=layout))
+    lowered = lower_to_primitive(Circuit(2, (Gate("NCNOT", (0, 1)),)))
+    assert lowered.layout.const_one == (2, 3)
     assert lowered.gates == (Gate("CCNOT", (0, 2, 1)),)
 
 
 def test_lower_ncnot_lowers_cnot_too():
-    layout = RegisterLayout(work=(0, 1), const_one=(2,))
-    lowered = lower_ncnot(Circuit(3, (Gate("CNOT", (0, 1)),), layout=layout))
+    lowered = lower_to_primitive(Circuit(2, (Gate("CNOT", (0, 1)),)))
+    assert lowered.layout.const_one == (2, 3)
     assert lowered.gates == (Gate("CCNOT", (0, 2, 1)),)
-
-
-def test_lower_ncnot_insufficient_pool():
-    layout = RegisterLayout(work=tuple(range(5)))
-    circ = Circuit(5, (Gate("NCNOT", (0, 1, 2, 3, 4)),), layout=layout)
-    with pytest.raises(CircuitError):
-        lower_ncnot(circ)
 
 
 def test_lower_ncnot_all_ones_flips_target():
     layout = RegisterLayout(work=tuple(range(5)), chain_ancilla=(5, 6))
     circ = Circuit(7, (Gate("NCNOT", (0, 1, 2, 3, 4)),), layout=layout)
-    lowered = lower_ncnot(circ)
+    lowered = lower_to_primitive(circ)
     out = propagate_basis(lowered.gates, 0b01111)
     assert out == 0b11111, "target must flip and ancillas return to 0"
 
@@ -239,9 +217,10 @@ def test_lower_ncnot_exhaustive_four_controls():
     target = k
     pool = tuple(range(k + 1, k + 1 + (k - 2)))
     layout = RegisterLayout(work=tuple(range(k + 1)), chain_ancilla=pool)
-    lowered = lower_ncnot(
+    lowered = lower_to_primitive(
         Circuit(k + 1 + len(pool), (Gate("NCNOT", (*controls, target)),), layout=layout)
     )
+    assert lowered.qubit_count == k + 1 + len(pool)
     for pattern in range(1 << k):
         for tbit in (0, 1):
             start = pattern | (tbit << target)
@@ -367,6 +346,24 @@ def test_lowering_soundness_random_circuits():
         lowered = lower_to_primitive(original)
         assert gate_census(lowered).is_primitive
         _assert_lowering_equivalent(original, lowered)
+
+
+# sha256 of every corpus formula's lowered oracle and primitive plan stages.
+# It pins the gate order that `rnqc lower` reports and that primitive-mode
+# rounding depends on, so a new value changes primitive solve reports.
+LOWERED_CORPUS_SHA256 = "2f30551ca5b883ad3433c4f109157e31eeabf701f00fd78b44c127e0c458e341"
+
+
+def test_lowering_identity_on_corpus(corpus):
+    digest = hashlib.sha256()
+    for _, formula in corpus:
+        circuits = [lower_to_primitive(oracle.build_oracle(cnf.to_3cnf(formula)).circuit)]
+        config = majsat.default_config(formula.num_vars, r=2, r_prime=2, lowering="primitive")
+        p = majsat.plan(formula, config)
+        circuits += [p.superposition_circuit, p.oracle.circuit, p.amplification_circuit, p.readout_circuit]
+        for c in circuits:
+            digest.update(json.dumps(circuit_to_json(c), sort_keys=True).encode())
+    assert digest.hexdigest() == LOWERED_CORPUS_SHA256
 
 
 def test_primitive_register_appends_chain_then_const_once():

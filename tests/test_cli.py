@@ -150,6 +150,29 @@ def test_solve_rejects_bad_gain(files, capsys, flags):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_solve_i_max_past_a_double_is_input_error(files, mode, capsys):
+    # 2^1024 overflows a double; 2^1023 is the last beta/alpha the sweep can form
+    base = ["solve", files["yes.cnf"], "--mode", mode, "--seed", "1", "--i-min", "1020"]
+    assert cli.main(base + ["--i-max", "1024"]) == 2
+    assert "i_max must be at most 1023" in capsys.readouterr().err
+    assert cli.main(base + ["--i-max", "1023"]) in (0, 1)
+    assert "verdict " in capsys.readouterr().out
+
+
+def test_solve_flags_reach_the_config(files, tmp_path):
+    argv = ["solve", files["yes.cnf"], "--mode", "exact", "--seed", "3", "--g", "3", "--r", "2"]
+    argv += ["--rp", "5", "--i-min", "-1", "--i-max", "2", "--sets", "2", "--runs", "4"]
+    argv += ["--lowering", "primitive", "--g-orientation", "literal"]
+    _, payload = _run_json(argv, tmp_path)
+    assert payload["manifest"]["config"] == {
+        "g": 3.0, "r": 2, "r_prime": 5, "i_min": -1, "i_max": 2, "sets": 2,
+        "runs_per_set": 4, "seed": 3, "mode": "exact", "lowering": "primitive",
+        "g_orientation": "literal",
+    }
+    assert payload["report"]["config"] == payload["manifest"]["config"]
+
+
 def test_solve_missing_file(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "absent.cnf")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -247,6 +270,27 @@ def test_lower_takes_no_target_flag(files, tmp_path):
 def test_lower_t_gate_fails_cleanly(files, capsys):
     assert cli.main(["lower", files["tgate.json"]]) == 2
     assert "real primitive set" in capsys.readouterr().err
+
+
+# JSON booleans are not integers, although Python's bool is an int subclass
+@pytest.mark.parametrize(
+    "command, circuit",
+    [
+        ("simulate", {"qubits": True, "gates": [{"g": "X", "q": [0]}]}),
+        ("simulate", {"qubits": 1, "gates": [{"g": "X", "q": [False]}]}),
+        ("simulate", {"qubits": 1, "gates": [{"g": "G", "q": [0], "param": True}]}),
+        ("lower", {"qubits": 2, "layout": {"work": [True, 0]}, "gates": [{"g": "X", "q": [0]}]}),
+        ("lower", {"qubits": 2, "layout": {"work": [0], "oracle": [True]}, "gates": []}),
+    ],
+    ids=["qubits", "operand", "param", "list-role", "single-role"],
+)
+def test_circuit_json_rejects_booleans(tmp_path, capsys, command, circuit):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(circuit))
+    assert cli.main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def _artifact(num_vars, clauses, polarity_fix=True):
 
 
 def _oracle_bit(artifact, x):
-    layout = artifact.layout
+    layout = artifact.circuit.layout
     start = layout.initial_one_bits()
     for v, q in enumerate(layout.work):
         if (x >> v) & 1:
@@ -37,20 +37,19 @@ def test_oracle_structure_single_mixed_clause():
     gates = art.circuit.gates
     flip = next(g for g in gates if g.kind == "NCNOT" and len(g.controls) == 3)
     assert flip.controls == (0, 1, 2)
-    assert flip.target == art.layout.clause[0]
+    assert flip.target == art.circuit.layout.clause[0]
     pos = gates.index(flip)
     before = {g.qubits[0] for g in gates[:pos] if g.kind == "X"}
     assert before == {1, 2}, "conjugation hits the non-negated variables"
-    assert gates[pos + 3] == Gate("X", (art.layout.clause[0],)), "polarity fix"
+    assert gates[pos + 3] == Gate("X", (art.circuit.layout.clause[0],)), "polarity fix"
 
 
 def test_oracle_register_roles():
     formula, art = _artifact(3, [[1, 2], [-2, 3]])
-    lay = art.layout
+    lay = art.circuit.layout
     assert len(lay.work) == 3
     assert len(lay.clause) == 2
     assert lay.oracle == art.circuit.qubit_count - 1
-    assert art.clause_count == 2
     # work qubits are controls only, never targets
     for g in art.circuit.gates:
         if g.kind in ("CCNOT", "NCNOT", "CNOT"):
@@ -59,7 +58,7 @@ def test_oracle_register_roles():
 
 def test_oracle_wide_clause_goes_through_conversion():
     formula, art = _artifact(4, [[1, 2, 3, 4]])
-    assert len(art.layout.aux) == 1
+    assert len(art.circuit.layout.aux) == 1
     report = oracle.verify_oracle(art, formula)
     assert report.ok
 
@@ -94,7 +93,7 @@ def test_oracle_simulated_agrees_with_propagation():
         state = sim.new_state(art.circuit.qubit_count, x)
         sim.apply_circuit(state, art.circuit)
         final = int(state.amps.argmax())
-        assert (final >> art.layout.oracle) & 1 == cnf.eval_formula(formula, x)
+        assert (final >> art.circuit.layout.oracle) & 1 == cnf.eval_formula(formula, x)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def test_verify_oracle_accepts_lowered_artifact():
     formula, art = _artifact(3, [[1, 2], [-1, 3]])
     lowered = lower_to_primitive(art.circuit)
     assert gate_census(lowered).is_primitive
-    relabeled = dataclasses.replace(art, circuit=lowered, layout=lowered.layout)
+    relabeled = dataclasses.replace(art, circuit=lowered)
     report = oracle.verify_oracle(relabeled, formula)
     assert report.ok, f"mismatches {report.mismatches}, scratch {report.scratch_violations}"
 
@@ -178,7 +177,7 @@ def _reference_report(artifact, formula):
     run and one evaluation of every clause per work input."""
     f3 = cnf.to_3cnf(formula)
     n = f3.original_vars
-    layout = artifact.layout
+    layout = artifact.circuit.layout
     clauses = oracle.reduced_clauses(f3)
     ones = layout.initial_one_bits()
     oracle_mask = 1 << layout.oracle
@@ -229,13 +228,13 @@ def test_verify_oracle_matches_per_input_reference():
         for polarity_fix in (True, False):
             art = oracle.build_oracle(cnf.to_3cnf(formula), polarity_fix=polarity_fix)
             lowered = lower_to_primitive(art.circuit)
-            variants = [art, dataclasses.replace(art, circuit=lowered, layout=lowered.layout)]
+            variants = [art, dataclasses.replace(art, circuit=lowered)]
             # a stray permutation gate breaks scratch hygiene on some inputs
             gates = list(art.circuit.gates)
             qubits = rnd.sample(range(art.circuit.qubit_count), min(3, art.circuit.qubit_count))
             kind = {1: "X", 2: "CNOT", 3: "CCNOT"}[len(qubits)]
             gates.insert(rnd.randint(0, len(gates)), Gate(kind, tuple(qubits)))
-            stray = Circuit(art.circuit.qubit_count, tuple(gates), layout=art.layout)
+            stray = Circuit(art.circuit.qubit_count, tuple(gates), layout=art.circuit.layout)
             variants.append(dataclasses.replace(art, circuit=stray))
             for variant in variants:
                 report = oracle.verify_oracle(variant, formula)
@@ -263,7 +262,7 @@ def test_double_application_restores_scratch():
     # Clause toggles cancel: work unchanged, clause flags and ancillas back
     # at rest, the oracle bit left holding f(x) from the first pass.
     formula, art = _artifact(3, [[1, 2], [-2, 3]])
-    lay = art.layout
+    lay = art.circuit.layout
     clause_mask = sum(1 << q for q in lay.clause)
     for x in range(8):
         start = 0
