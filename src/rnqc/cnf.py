@@ -20,23 +20,36 @@ from .errors import CountLimitError, DimacsError, InputError
 COUNT_VAR_LIMIT = 24
 
 
-def _normalize_clause(raw, num_vars: int) -> tuple[int, ...]:
-    lits: list[int] = []
+def _tautology(lits: list[int]) -> int | None:
+    """The first literal whose negation comes earlier in the clause, if any."""
     seen: set[int] = set()
-    for lit in raw:
-        lit = int(lit)
+    for lit in lits:
+        if -lit in seen:
+            return lit
+        seen.add(lit)
+    return None
+
+
+def _literals(raw, num_vars: int) -> list[int]:
+    """A clause's literals, every one checked to be nonzero and in range."""
+    lits = [int(lit) for lit in raw]
+    for lit in lits:
         if lit == 0:
             raise InputError("clause literals must be nonzero")
         if abs(lit) > num_vars:
             raise InputError(f"literal {lit} out of range for {num_vars} variables")
-        if -lit in seen:
-            raise InputError(f"tautological clause: contains both {lit} and {-lit}")
-        if lit not in seen:
-            seen.add(lit)
-            lits.append(lit)
     if not lits:
         raise InputError("empty clause")
-    return tuple(lits)
+    return lits
+
+
+def _normalize_clause(raw, num_vars: int) -> tuple[int, ...]:
+    """Checked literals with repeats dropped; a tautology is rejected."""
+    lits = _literals(raw, num_vars)
+    lit = _tautology(lits)
+    if lit is not None:
+        raise InputError(f"tautological clause: contains both {lit} and {-lit}")
+    return tuple(dict.fromkeys(lits))
 
 
 @dataclass(frozen=True)
@@ -113,14 +126,11 @@ def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
             if lit == 0:
                 body_count += 1
                 try:
-                    clause = _normalize_clause(pending, num_vars)
+                    lits = _literals(pending, num_vars)
+                    if not (keep_tautologies and _tautology(lits) is not None):
+                        clauses.append(_normalize_clause(lits, num_vars))
                 except InputError as exc:
-                    if "tautological" in str(exc) and keep_tautologies:
-                        clause = None
-                    else:
-                        raise DimacsError(f"line {lineno}: {exc}") from exc
-                if clause is not None:
-                    clauses.append(clause)
+                    raise DimacsError(f"line {lineno}: {exc}") from exc
                 pending = []
             else:
                 pending.append(lit)

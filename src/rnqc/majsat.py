@@ -26,14 +26,14 @@ report bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .circuit import Circuit, Gate, RegisterLayout, lower_to_primitive, primitive_register
 from .cnf import COUNT_VAR_LIMIT, CnfFormula, ThreeCnf, count_models, to_3cnf
 from .errors import InputError, PostselectError, RegisterCapError
-from .oracle import OracleArtifact, build_oracle_gates, reduced_clauses
+from .oracle import OracleArtifact, build_oracle
 from .rng import make_stream
 from . import sim
 
@@ -128,21 +128,38 @@ def default_config(
 
 @dataclass(frozen=True)
 class MajsatPlan:
+    """The four stage circuits on one register; the oracle circuit's
+    layout is the plan's only record of that register."""
+
     formula: ThreeCnf
     source: CnfFormula
-    layout: RegisterLayout
     oracle: OracleArtifact
     superposition_circuit: Circuit
     amplification_circuit: Circuit
     readout_circuit: Circuit
     config: MajsatConfig
-    initial_bits: int
-    # every x-dependent qubit: work, defined variables, clause flags
-    mixed_qubits: tuple[int, ...]
+
+    @property
+    def layout(self) -> RegisterLayout:
+        return self.oracle.circuit.layout
 
     @property
     def qubit_count(self) -> int:
         return self.oracle.circuit.qubit_count
+
+    @property
+    def mixed_qubits(self) -> tuple[int, ...]:
+        """Every x-dependent qubit: work, defined variables, clause flags."""
+        return tuple(range(self.layout.oracle))
+
+    @property
+    def initial_bits(self) -> int:
+        """The basis state every stage starts from: const-one qubits at |1>,
+        and the non-Hermitian qubit too under the boost orientation."""
+        bits = self.layout.initial_one_bits()
+        if self.config.g_orientation == "boost":
+            bits |= 1 << self.layout.non_hermitian
+        return bits
 
 
 @dataclass(frozen=True)
@@ -153,7 +170,6 @@ class MajsatReport:
     per_i: tuple[dict, ...]
     verdict: str
     reference_s: int | None
-    checkpoints: dict[str, float] | None
     discarded_mass: float
     low_confidence: bool = False
 
@@ -168,7 +184,7 @@ class MajsatReport:
             "per_i": list(self.per_i),
             "verdict": self.verdict,
             "reference_s": self.reference_s,
-            "checkpoints": self.checkpoints,
+            "checkpoints": None,  # solve_report.schema.json requires the key
             "discarded_mass": self.discarded_mass,
             "low_confidence": self.low_confidence,
         }
@@ -195,36 +211,31 @@ def _readout_gates(layout: RegisterLayout, g: float, r_prime: int) -> tuple[Gate
 
 
 def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
-    """Lay out the full register and assemble the stage circuits.
+    """Extend the oracle's register and assemble the stage circuits.
 
-    Register order: work, defined variables, clause flags, oracle,
-    non-Hermitian, BHR, then (primitive mode only) the chain ancillas and
-    two const-one qubits that circuit.primitive_register appends for all
-    four stages at once. Each stage is built over that register and, in
-    primitive mode, lowered. The non-Hermitian qubit starts in |1> under
-    the default boost orientation so an active controlled scaling
-    multiplies by g rather than 1/g; the literal orientation keeps it at
-    |0> for comparison experiments.
+    oracle.build_oracle lays out work, defined variables, clause flags
+    and the oracle qubit; the non-Hermitian qubit and the BHR follow it,
+    then (primitive mode only) the chain ancillas and two const-one
+    qubits that circuit.primitive_register appends for all four stages
+    at once. Each stage is built over that register and, in primitive
+    mode, lowered. The non-Hermitian qubit starts in |1> under the
+    default boost orientation so an active controlled scaling multiplies
+    by g rather than 1/g; the literal orientation keeps it at |0> for
+    comparison experiments (MajsatPlan.initial_bits).
     """
     f3 = to_3cnf(formula)
-    n, a = f3.original_vars, f3.aux_vars
-    p = len(reduced_clauses(f3))
-    if n < 1:
+    if f3.original_vars < 1:
         raise InputError("majority decision needs at least one variable")
-
-    mixed = tuple(range(n + a + p))  # work, defined variables, clause flags
-    oracle_q, nh, bhr = n + a + p, n + a + p + 1, n + a + p + 2
-    layout = RegisterLayout(
-        work=mixed[:n], aux=mixed[n : n + a], clause=mixed[n + a :],
-        oracle=oracle_q, non_hermitian=nh, bhr=bhr,
-    )
+    oracle_circuit = build_oracle(f3).circuit
+    o = oracle_circuit.layout.oracle
+    layout = replace(oracle_circuit.layout, non_hermitian=o + 1, bhr=o + 2)
     stages = (
         tuple(Gate("H", (q,)) for q in layout.work),
-        build_oracle_gates(f3, layout),
-        _amplification_gates(mixed, nh, config.g, config.r),
+        oracle_circuit.gates,
+        _amplification_gates(tuple(range(o)), layout.non_hermitian, config.g, config.r),
         _readout_gates(layout, config.g, config.r_prime),
     )
-    qubit_count = bhr + 1
+    qubit_count = o + 3
     if config.lowering == "primitive":
         grown = primitive_register(Circuit(qubit_count, sum(stages, ()), layout))
         qubit_count, layout = grown.qubit_count, grown.layout
@@ -234,32 +245,26 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     if config.lowering == "primitive":
         circuits = [lower_to_primitive(c) for c in circuits]
     sup_circuit, oracle_circuit, amp_circuit, read_circuit = circuits
-
-    initial_bits = layout.initial_one_bits()
-    if config.g_orientation == "boost":
-        initial_bits |= 1 << nh
-
-    artifact = OracleArtifact(circuit=oracle_circuit)
     return MajsatPlan(
         formula=f3,
         source=formula,
-        layout=layout,
-        oracle=artifact,
+        oracle=OracleArtifact(circuit=oracle_circuit),
         superposition_circuit=sup_circuit,
         amplification_circuit=amp_circuit,
         readout_circuit=read_circuit,
         config=config,
-        initial_bits=initial_bits,
-        mixed_qubits=mixed,
     )
 
 
-def _amplified_state(p: MajsatPlan) -> sim.StateVector:
+def _oracle_state(p: MajsatPlan) -> sim.StateVector:
+    """The plan's start state through the superposition and oracle stages."""
     st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
     sim.apply_circuit(st, p.superposition_circuit.gates)
-    sim.apply_circuit(st, p.oracle.circuit.gates)
-    sim.apply_circuit(st, p.amplification_circuit.gates)
-    return st
+    return sim.apply_circuit(st, p.oracle.circuit.gates)
+
+
+def _amplified_state(p: MajsatPlan) -> sim.StateVector:
+    return sim.apply_circuit(_oracle_state(p), p.amplification_circuit.gates)
 
 
 def _readout_split(p: MajsatPlan) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
@@ -368,12 +373,17 @@ def _amplification_fidelity(p: MajsatPlan, st: sim.StateVector, s: int) -> float
 
 def _readout_bhr_fidelity(p: MajsatPlan, rho: np.ndarray, s: int, i: int) -> float:
     """Fidelity of the postselected BHR qubit's reduced matrix rho against
-    the closed form alpha(N-2s)|0> + beta N|1> with beta/alpha = 2^i."""
+    the closed form alpha(N-2s)|0> + beta N|1> with beta/alpha = 2^i.
+
+    The target is scaled by 2^-max(i, 0), so neither component
+    overflows at large i; powers of two scale exactly."""
     big_n = 1 << p.formula.original_vars
-    return sim.pure_fidelity(rho, float(big_n - 2 * s), math.ldexp(float(big_n), i))
+    return sim.pure_fidelity(
+        rho, math.ldexp(big_n - 2 * s, -max(i, 0)), math.ldexp(big_n, min(i, 0))
+    )
 
 
-def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
+def run_exact(p: MajsatPlan) -> MajsatReport:
     """Sweep i over [i_min, i_max] with exactly computed probabilities.
 
     The oracle qubit is postselected on |1> (the discarded mass is
@@ -382,21 +392,9 @@ def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
     amplification stage and the BHR-independent readout prefix is
     simulated once and reused across the sweep.
     """
-    cfg = p.config
-    s_ref = _reference_count(p)
-    checks: dict[str, float] | None = None
-    st = _amplified_state(p)
-    if checkpoints:
-        if s_ref is None:
-            raise InputError("checkpoints need the brute-force count; formula too large")
-        checks = {"amplification": _amplification_fidelity(p, st, s_ref)}
-
-    fid_grid: dict[int, float] = {}
 
     def visit(i: int, prob1: float, rho: np.ndarray) -> dict:
         p_plus, p_minus = sim.x_probabilities(rho)
-        if checks is not None:
-            fid_grid[i] = _readout_bhr_fidelity(p, rho, s_ref, i)
         return {
             "i": i,
             "beta_over_alpha": math.ldexp(1.0, i),
@@ -406,20 +404,14 @@ def run_exact(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
             "all_sets_success": p_minus > p_plus,
         }
 
-    per_i = _readout_sweep(p, st, visit)
-    if checks is not None:
-        checks["readout_min_over_i"] = min(fid_grid.values())
-        if cfg.i_min <= 0 <= cfg.i_max:
-            checks["readout_at_alpha_eq_beta"] = fid_grid[0]
-
+    per_i = _readout_sweep(p, _amplified_state(p), visit)
     return MajsatReport(
         source=p.source,
         n=p.formula.original_vars,
-        config=cfg,
+        config=p.config,
         per_i=tuple(per_i),
         verdict=_verdict(per_i),
-        reference_s=s_ref,
-        checkpoints=checks,
+        reference_s=_reference_count(p),
         discarded_mass=max(e["discarded_mass"] for e in per_i),
     )
 
@@ -489,43 +481,35 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
         per_i=tuple(records),
         verdict=_verdict(records),
         reference_s=_reference_count(p),
-        checkpoints=None,
         discarded_mass=total_discarded / total_shots,
         low_confidence=low_confidence,
     )
 
 
-def run(p: MajsatPlan, checkpoints: bool = False) -> MajsatReport:
+def run(p: MajsatPlan) -> MajsatReport:
     if p.config.mode == "exact":
-        return run_exact(p, checkpoints=checkpoints)
+        return run_exact(p)
     return run_sampled(p)
 
 
-def amplification_fidelity_profile(
-    p: MajsatPlan, max_r: int | None = None
-) -> list[tuple[int, float]]:
+def amplification_fidelity_profile(p: MajsatPlan) -> list[tuple[int, float]]:
     """Fidelity of the amplified state against its prediction, per round.
 
-    Applies the controlled-scaling blocks one round at a time on top of
-    the mixed register, recording the fidelity after each, so the whole
-    profile costs one simulation. Uses the semantic block structure
-    regardless of the plan's lowering mode (the lowered blocks produce
-    identical amplitudes).
+    Runs the plan's own amplification circuit one round at a time,
+    recording the fidelity after each, so the whole profile costs one
+    simulation. The circuit is the mixing layer, 2 gates per mixed qubit
+    in either lowering, then r gain rounds of equal length.
     """
     s_ref = _reference_count(p)
     if s_ref is None:
         raise InputError("fidelity profile needs the brute-force count")
-    rounds = p.config.r if max_r is None else int(max_r)
-
-    st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
-    sim.apply_circuit(st, p.superposition_circuit.gates)
-    sim.apply_circuit(st, p.oracle.circuit.gates)
-    gates = _amplification_gates(p.mixed_qubits, p.layout.non_hermitian, p.config.g, rounds)
-    width = len(p.mixed_qubits)
-    sim.apply_circuit(st, gates[: 2 * width])
+    gates = p.amplification_circuit.gates
+    head = 2 * len(p.mixed_qubits)
+    width = (len(gates) - head) // p.config.r
+    st = sim.apply_circuit(_oracle_state(p), gates[:head])
     out: list[tuple[int, float]] = []
-    for r in range(1, rounds + 1):
-        sim.apply_circuit(st, gates[(r + 1) * width : (r + 2) * width])
+    for r in range(1, p.config.r + 1):
+        sim.apply_circuit(st, gates[head + (r - 1) * width : head + r * width])
         out.append((r, _amplification_fidelity(p, st, s_ref)))
     return out
 

@@ -8,6 +8,11 @@ under that pattern, undo the conjugation, then flip the clause qubit
 once more so it reads 1 = satisfied. A final NCNOT over all clause
 qubits lands the conjunction on the oracle qubit.
 
+Variable v sits on qubit v - 1, so the work register holds the input
+variables in order and the defined variables follow; then come one
+flag qubit per reduced clause and the oracle qubit. build_oracle is the
+one place that lays this register out; majsat.plan extends it.
+
 Variables introduced by the width reduction are computed, not free:
 a compute stage per defined variable writes y = l_a OR l_b onto its
 qubit before any clause stage runs. Clause and defined-variable qubits
@@ -61,73 +66,39 @@ def reduced_clauses(f3: ThreeCnf) -> tuple[tuple[int, ...], ...]:
     return f3.base.clauses[3 * len(f3.mapping):]
 
 
-def _literal_qubit(f3: ThreeCnf, layout: RegisterLayout, lit: int) -> int:
-    v = abs(lit)
-    if v <= f3.original_vars:
-        return layout.work[v - 1]
-    return layout.aux[v - 1 - f3.original_vars]
+def _flip_if_all_false(lits: tuple[int, ...], target: int) -> list[Gate]:
+    """Flip target when every literal is false: controls fire on 1, so
+    the qubits of positive literals are conjugated with X."""
+    controls = tuple(abs(lit) - 1 for lit in lits)
+    flip = Gate("CCNOT" if len(controls) == 2 else "NCNOT", (*controls, target))
+    conj = [Gate("X", (lit - 1,)) for lit in lits if lit > 0]
+    return conj + [flip] + conj
 
 
-def _controlled_flip(controls: tuple[int, ...], target: int) -> Gate:
-    if len(controls) == 2:
-        return Gate("CCNOT", (*controls, target))
-    return Gate("NCNOT", (*controls, target))
+def build_oracle(f3: ThreeCnf, polarity_fix: bool = True) -> OracleArtifact:
+    """Lay out the oracle register and build its gates.
 
-
-def build_oracle_gates(
-    f3: ThreeCnf, layout: RegisterLayout, polarity_fix: bool = True
-) -> tuple[Gate, ...]:
-    """Oracle gate sequence against an externally supplied layout.
-
-    The layout must carry exactly original_vars work qubits, aux_vars
-    defined-variable qubits, one clause qubit per reduced clause, and an
+    Variable v sits on qubit v - 1: the original (work) variables, then
+    the defined ones. One flag per reduced clause follows, then the
     oracle qubit. polarity_fix=False omits the per-clause X that flips
     the unsatisfied flag into a satisfied flag; the result computes the
     wrong function on purpose (negative-control testing).
     """
     clauses = reduced_clauses(f3)
-    if len(layout.work) != f3.original_vars:
-        raise InputError(
-            f"layout has {len(layout.work)} work qubits, formula needs {f3.original_vars}"
-        )
-    if len(layout.aux) != f3.aux_vars:
-        raise InputError(
-            f"layout has {len(layout.aux)} defined-variable qubits, need {f3.aux_vars}"
-        )
-    if len(layout.clause) != len(clauses):
-        raise InputError(
-            f"layout has {len(layout.clause)} clause qubits, need {len(clauses)}"
-        )
-    if layout.oracle is None:
-        raise InputError("layout has no oracle qubit")
-
+    n, a, p = f3.original_vars, f3.aux_vars, len(clauses)
+    layout = RegisterLayout(
+        work=tuple(range(n)),
+        aux=tuple(range(n, n + a)),
+        clause=tuple(range(n + a, n + a + p)),
+        oracle=n + a + p,
+    )
     gates: list[Gate] = []
-
-    # Compute stages: y = l_a OR l_b via De Morgan. Controls fire on
-    # "literal false", so positive literals get X conjugation.
+    # Compute stages: y = l_a OR l_b via De Morgan.
     for y, la, lb in f3.mapping:
-        yq = _literal_qubit(f3, layout, y)
-        qa = _literal_qubit(f3, layout, la)
-        qb = _literal_qubit(f3, layout, lb)
-        conj = [q for lit, q in ((la, qa), (lb, qb)) if lit > 0]
-        for q in conj:
-            gates.append(Gate("X", (q,)))
-        gates.append(Gate("CCNOT", (qa, qb, yq)))
-        for q in conj:
-            gates.append(Gate("X", (q,)))
-        gates.append(Gate("X", (yq,)))
-
-    for m, clause in enumerate(clauses):
-        cq = layout.clause[m]
-        controls = tuple(_literal_qubit(f3, layout, lit) for lit in clause)
-        conj = [
-            _literal_qubit(f3, layout, lit) for lit in clause if lit > 0
-        ]
-        for q in conj:
-            gates.append(Gate("X", (q,)))
-        gates.append(_controlled_flip(controls, cq))
-        for q in conj:
-            gates.append(Gate("X", (q,)))
+        gates += _flip_if_all_false((la, lb), y - 1)
+        gates.append(Gate("X", (y - 1,)))
+    for cq, clause in zip(layout.clause, clauses):
+        gates += _flip_if_all_false(clause, cq)
         if polarity_fix:
             gates.append(Gate("X", (cq,)))
 
@@ -136,22 +107,7 @@ def build_oracle_gates(
     else:
         # Empty conjunction is true on every input.
         gates.append(Gate("X", (layout.oracle,)))
-    return tuple(gates)
-
-
-def build_oracle(f3: ThreeCnf, polarity_fix: bool = True) -> OracleArtifact:
-    clauses = reduced_clauses(f3)
-    n = f3.original_vars
-    a = f3.aux_vars
-    p = len(clauses)
-    layout = RegisterLayout(
-        work=tuple(range(n)),
-        aux=tuple(range(n, n + a)),
-        clause=tuple(range(n + a, n + a + p)),
-        oracle=n + a + p,
-    )
-    gates = build_oracle_gates(f3, layout, polarity_fix=polarity_fix)
-    circuit = Circuit(qubit_count=n + a + p + 1, gates=gates, layout=layout)
+    circuit = Circuit(qubit_count=n + a + p + 1, gates=tuple(gates), layout=layout)
     return OracleArtifact(circuit=circuit, polarity_fix=polarity_fix)
 
 

@@ -17,10 +17,11 @@ of two to max|amp| in [1, 2), as gram reads them. Norm queries that
 cannot represent the true value in a double raise instead of returning
 Inf or 0.
 
-apply_circuit compiles a gate sequence once per (gate tuple, register
-width) into kernels. H and T run one gate at a time. Every other kind is
-monomial, a basis permutation (X, CNOT, CCNOT, NCNOT) or a diagonal (Z,
-G, CG), so each run of them is cut into blocks of at most 10 qubits.
+apply_circuit compiles its gate sequence into kernels on each call;
+nothing is cached between calls. H and T run one gate at a time. Every
+other kind is monomial, a basis permutation (X, CNOT, CCNOT, NCNOT) or
+a diagonal (Z, G, CG), so each run of them is cut into blocks of at
+most 10 qubits.
 Within a stretch of diagonal gates, gates on the same qubits fold into
 one, e.g. r rounds of CG(q, nh) into one CG(q, nh, g^r). A block runs in
 place in one pass: scale rows, permute within and between rows, then one
@@ -502,18 +503,9 @@ def _fuse_run(run: list[Gate], n: int) -> list:
     return steps
 
 
-@lru_cache(maxsize=8)
 def _compile(gates: tuple[Gate, ...], n: int) -> tuple:
     """Kernel list for a gate tuple on an n-qubit register: H and T (and
-    gates no block can hold) as single gates, monomial runs as blocks.
-
-    A decision run compiles about five tuples once each, so the hits come
-    from repeated small circuits: 75 of 176 lookups across the 44 corpus
-    solves in sampled mode, and r - 1 of r + 3 in
-    majsat.amplification_fidelity_profile, which replays one round's
-    block r times. Eight entries cover one run; a larger cache would only
-    keep the tables of finished runs alive.
-    """
+    gates no block can hold) as single gates, monomial runs as blocks."""
     for g in gates:
         if max(g.qubits) >= n:
             raise CircuitError(f"gate {g.kind}{g.qubits} exceeds register of {n} qubits")

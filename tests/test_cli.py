@@ -60,6 +60,21 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "solve_report.schema.json",
+        "count_report.schema.json",
+        "oracle_report.schema.json",
+        "lower_report.schema.json",
+        "simulate_report.schema.json",
+        "pathsum_report.schema.json",
+    ],
+)
+def test_shipped_schemas_are_valid(name):
+    jsonschema.Draft202012Validator.check_schema(_schema(name))
+
+
 def _run_json(argv: list[str], tmp_path) -> tuple[int, dict]:
     out = tmp_path / "report.json"
     code = cli.main(argv + ["--json", str(out)])
@@ -176,6 +191,17 @@ def test_solve_flags_reach_the_config(files, tmp_path):
 def test_solve_missing_file(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "absent.cnf")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clause", ["1 -1 9", "9 1 -1"], ids=["range-last", "range-first"])
+@pytest.mark.parametrize("flags", [[], ["--keep-tautologies"]], ids=["reject", "keep"])
+def test_solve_out_of_range_literal_in_tautology_is_input_error(tmp_path, capsys, clause, flags):
+    path = tmp_path / "taut.cnf"
+    path.write_text(f"p cnf 3 1\n{clause} 0\n")
+    assert cli.main(["solve", str(path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "literal 9 out of range" in err
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +383,13 @@ def test_pathsum_table_three_methods(files, tmp_path, capsys):
     assert methods == ["direct", "pathsum", "counting"]
     yes_values = [r["c_yes_sq"] for r in payload["results"]]
     assert max(yes_values) - min(yes_values) < 1e-4
+    jsonschema.validate(payload, _schema("pathsum_report.schema.json"))
+
+
+def test_pathsum_yn_projector_report_schema(files, tmp_path):
+    code, payload = _run_json(["pathsum", files["cg.json"], "--input", "1", "--projector", "yn"], tmp_path)
+    assert code == 0
+    assert payload["manifest"]["config"]["projector"] == {"kind": "yn", "yes_qubit": 0}
     jsonschema.validate(payload, _schema("pathsum_report.schema.json"))
 
 

@@ -62,6 +62,14 @@ def test_parse_keep_tautologies_drops_clause():
     assert cnf.count_models(empty) == 4
 
 
+@pytest.mark.parametrize("clause", ["1 -1 9", "9 1 -1"], ids=["range-last", "range-first"])
+@pytest.mark.parametrize("keep", [False, True], ids=["reject", "keep"])
+def test_parse_range_checks_a_tautology_before_dropping_it(clause, keep):
+    # an out-of-range literal is an error whatever the literal order
+    with pytest.raises(DimacsError, match="literal 9 out of range"):
+        cnf.parse_dimacs(f"p cnf 3 1\n{clause} 0\n", keep_tautologies=keep)
+
+
 def test_format_parse_round_trip():
     formula = _formula(4, [[1, -2, 3], [-4], [2, 4]])
     assert cnf.parse_dimacs(cnf.format_dimacs(formula)) == formula

@@ -1,12 +1,15 @@
 """Majority-decision pipeline: exact and sampled sweeps over beta/alpha."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import warnings
 
 import pytest
 
-from rnqc import cnf, majsat
-from rnqc.circuit import gate_census
+from rnqc import cnf, majsat, sim
+from rnqc.circuit import circuit_to_json, gate_census
 from rnqc.errors import InputError, PostselectError, RegisterCapError
 
 
@@ -143,6 +146,24 @@ def test_plan_primitive_register(clauses, qubits, chain, orientation):
         assert circuit.qubit_count == qubits and circuit.layout == lay
 
 
+# sha256 of every corpus plan in both lowerings at the default r: the four
+# stage circuits, the layout, initial_bits and qubit_count. A new value
+# changes the circuits that solve runs.
+PLAN_CORPUS_SHA256 = "5fac8bd8b96e09d86f2065c27ebd14a55205f14c7b16c6edcb33f6c4134853a6"
+
+
+def test_plan_identity_on_corpus(corpus):
+    digest = hashlib.sha256()
+    for _, formula in corpus:
+        for lowering in majsat.LOWERINGS:
+            p = majsat.plan(formula, majsat.default_config(formula.num_vars, lowering=lowering))
+            for c in (p.superposition_circuit, p.oracle.circuit, p.amplification_circuit, p.readout_circuit):
+                digest.update(json.dumps(circuit_to_json(c), sort_keys=True).encode())
+            facts = {"layout": p.layout.role_map(), "initial_bits": p.initial_bits, "qubit_count": p.qubit_count}
+            digest.update(json.dumps(facts, sort_keys=True).encode())
+    assert digest.hexdigest() == PLAN_CORPUS_SHA256
+
+
 def test_plan_primitive_register_cap(monkeypatch):
     formula = _formula(4, [[1, 2], [-1, 3]])
     monkeypatch.setenv("RNQC_MAX_QUBITS", "10")
@@ -189,17 +210,6 @@ def test_exact_tie_is_no():
     for e in report.per_i:
         assert abs(e["exact_p_minus"] - e["exact_p_plus"]) <= 1e-12
         assert not e["all_sets_success"]
-
-
-def test_exact_checkpoints():
-    report = majsat.run_exact(_plan(OR_PAIR), checkpoints=True)
-    assert set(report.checkpoints) == {
-        "amplification",
-        "readout_min_over_i",
-        "readout_at_alpha_eq_beta",
-    }
-    for value in report.checkpoints.values():
-        assert value >= 0.999
 
 
 def test_exact_postselection_starves_under_literal_orientation():
@@ -335,6 +345,41 @@ def test_readout_grid_spans_configured_range():
     grid = majsat.readout_fidelity_grid(p)
     assert sorted(grid) == list(range(-3, 4))
     assert min(grid.values()) >= 0.999
+
+
+@pytest.mark.parametrize("name", ["n3_or2", "n4_w4_pair", "n5_or2_or3"])
+@pytest.mark.parametrize("i_min, i_max", [(505, 512), (1018, 1023), (-1100, -1090)])
+def test_readout_grid_at_extreme_weights(corpus, name, i_min, i_max):
+    # the closed-form target alpha(N-2s)|0> + beta N|1> is scaled so that
+    # beta N cannot overflow a double: no NaN, no warning, no OverflowError
+    formula = dict(corpus)[name]
+    p = _plan(formula, i_min=i_min, i_max=i_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = majsat.readout_fidelity_grid(p)
+    assert sorted(grid) == list(range(i_min, i_max + 1))
+    assert all(f == 1.0 for f in grid.values()), grid
+
+
+def test_amplification_profile_runs_the_plan_gates(monkeypatch):
+    # a primitive plan's profile runs its lowered amplification circuit,
+    # one gain round per call after the mixing layer
+    p = _plan(OR_PAIR, lowering="primitive")
+    calls = []
+    apply_circuit = sim.apply_circuit
+
+    def record(state, gates):
+        calls.append(tuple(gates))
+        return apply_circuit(state, gates)
+
+    monkeypatch.setattr(sim, "apply_circuit", record)
+    profile = majsat.amplification_fidelity_profile(p)
+    assert len(profile) == p.config.r
+    sup, orc, mixing, *rounds = calls
+    assert (sup, orc) == (p.superposition_circuit.gates, p.oracle.circuit.gates)
+    assert len(mixing) == 2 * len(p.mixed_qubits)
+    assert len(rounds) == p.config.r and len({len(r) for r in rounds}) == 1
+    assert mixing + sum(rounds, ()) == p.amplification_circuit.gates
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from rnqc import cnf, oracle, sim
 from rnqc.circuit import Circuit, Gate, gate_census, lower_to_primitive, propagate_basis
-from rnqc.errors import CircuitError, InputError, ResourceError
+from rnqc.errors import CircuitError, ResourceError
 
 
 def _artifact(num_vars, clauses, polarity_fix=True):
@@ -241,16 +241,6 @@ def test_verify_oracle_matches_per_input_reference():
                 assert report == _reference_report(variant, formula), formula
                 failing += not report.ok
     assert failing > 40
-
-
-def test_build_oracle_gates_checks_layout():
-    formula = cnf.CnfFormula(num_vars=2, clauses=((1, 2),))
-    f3 = cnf.to_3cnf(formula)
-    from rnqc.circuit import RegisterLayout
-
-    bad = RegisterLayout(work=(0,), clause=(1,), oracle=2)
-    with pytest.raises(InputError):
-        oracle.build_oracle_gates(f3, bad)
 
 
 # ---------------------------------------------------------------------------

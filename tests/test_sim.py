@@ -293,15 +293,11 @@ def _fused_and_reference(state, gates, widths):
         sim.apply_gate(ref, gate)
         tiny = np.abs(ref.amps) < np.finfo(np.float64).tiny
         assume(not np.any(tiny & (live | (ref.amps != 0))))
-    sim._compile.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_DENSE_QUBITS", widths[0])
-            patch.setattr(sim, "_BLOCK_QUBITS", widths[1])
-            patch.setattr(sim, "_MOVE_CHUNK", widths[2])
-            fused = sim.apply_circuit(state.copy(), gates)
-    finally:
-        sim._compile.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_DENSE_QUBITS", widths[0])
+        patch.setattr(sim, "_BLOCK_QUBITS", widths[1])
+        patch.setattr(sim, "_MOVE_CHUNK", widths[2])
+        fused = sim.apply_circuit(state.copy(), gates)
     top = int(np.frexp(np.max(np.abs(ref.amps)))[1])
     return _scaled(fused, ref.exponent + top), _scaled(ref, ref.exponent + top)
 
@@ -413,7 +409,6 @@ def test_exact_solve_peaks_near_one_state():
     formula = cnf.parse_dimacs(f"p cnf {n} {m}\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses))
     plan = majsat.plan(formula, majsat.default_config(n))
     assert plan.qubit_count == 20
-    sim._compile.cache_clear()  # compile tables count too
     tracemalloc.start()
     try:
         majsat.run_exact(plan)
