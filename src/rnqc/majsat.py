@@ -20,7 +20,10 @@ amplified state over those qubits and works out every i from it,
 without copying the state. Exact mode reports the +-1 probabilities.
 Sampled mode draws per-shot outcomes with one RNG stream per
 (i, set, run) job, keyed by absolute job index, so a seed fixes the
-report bit for bit.
+report bit for bit. A shot needs only the first Philox block of its
+stream, so the whole sweep's shots are drawn in batches by
+rng.first_uniforms; rng.make_stream, which would draw the same numbers
+one job at a time, is the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from .circuit import Circuit, Gate, RegisterLayout, lower_to_primitive, primitiv
 from .cnf import COUNT_VAR_LIMIT, CnfFormula, ThreeCnf, count_models, to_3cnf
 from .errors import InputError, PostselectError, RegisterCapError
 from .oracle import OracleArtifact, build_oracle
-from .rng import make_stream
+from .rng import first_uniforms
 from . import sim
 
 MODES = ("exact", "sampled")
 LOWERINGS = ("semantic", "primitive")
 ORIENTATIONS = ("boost", "literal")
+SAMPLE_BLOCK = 1 << 16  # jobs whose uniforms run_sampled draws at once
 
 
 def default_r(n: int, g: float, scale: float = 1.0) -> int:
@@ -416,49 +420,72 @@ def run_exact(p: MajsatPlan) -> MajsatReport:
     )
 
 
+def _tally(
+    seed: int, prob1: np.ndarray, prob_minus: np.ndarray, sets: int, runs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kept and -1 shot counts per (i, set), each of shape (len(prob1), sets).
+
+    Job (i_idx * sets + set) * runs + run keeps its shot when its first
+    uniform is below prob1[i_idx], and a kept shot reads -1 when its
+    second uniform is below prob_minus[i_idx]. The uniforms are drawn
+    SAMPLE_BLOCK jobs at a time, so memory stays bounded whatever the
+    sweep's size.
+    """
+    groups = len(prob1) * sets
+    kept = np.zeros(groups, dtype=np.int64)
+    minus = np.zeros(groups, dtype=np.int64)
+    total = groups * runs
+    for start in range(0, total, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, total)
+        u1, u2 = first_uniforms(seed, start, stop)
+        first, last = start // runs, (stop - 1) // runs + 1  # the (i, set) groups hit
+        group = np.arange(start, stop) // runs - first
+        i_idx = (group + first) // sets
+        keep = u1 < prob1[i_idx]
+        kept[first:last] += np.bincount(group[keep], minlength=last - first)
+        keep &= u2 < prob_minus[i_idx]
+        minus[first:last] += np.bincount(group[keep], minlength=last - first)
+    return kept.reshape(-1, sets), minus.reshape(-1, sets)
+
+
 def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     """Shot-sampled sweep; one Philox stream per (i, set, run) job.
 
     Each shot draws a uniform for the oracle measurement (discarding on
     |0>, tallied) and, when kept, a second uniform for the BHR x-basis
     sign, reproducing the draw sequence of measuring a fresh state per
-    run. Job streams are keyed by absolute job index, so the report is
+    run. Both come from the first Philox block of the job's stream, so
+    the whole sweep's shots are drawn in batches by rng.first_uniforms,
+    which returns what rng.make_stream(seed, job) would draw. Job
+    streams are keyed by absolute job index, so the report is
     bit-identical across repeat invocations with the same seed.
     """
     cfg = p.config
     if seed is None:
         seed = cfg.seed
 
-    def visit(i: int, prob1: float, rho: np.ndarray | None) -> dict:
-        prob_minus_cond = sim.x_probabilities(rho)[1] if prob1 > 0.0 else 0.0
-        i_idx = i - cfg.i_min
-        set_results: list[dict] = []
-        discarded = 0
-        for set_idx in range(cfg.sets):
-            minus = plus = 0
-            for run in range(cfg.runs_per_set):
-                job = (i_idx * cfg.sets + set_idx) * cfg.runs_per_set + run
-                stream = make_stream(seed, job)
-                u1 = stream.random()
-                if u1 < prob1:
-                    if stream.random() < prob_minus_cond:
-                        minus += 1
-                    else:
-                        plus += 1
-                else:
-                    discarded += 1
-            set_results.append(
-                {"minus_count": minus, "plus_count": plus, "success": minus > plus}
-            )
-        return {
-            "i": i,
-            "beta_over_alpha": math.ldexp(1.0, i),
-            "set_results": set_results,
-            "discarded_shots": discarded,
-            "all_sets_success": all(s["success"] for s in set_results),
-        }
+    def visit(i: int, prob1: float, rho: np.ndarray | None) -> tuple[float, float]:
+        return prob1, sim.x_probabilities(rho)[1] if prob1 > 0.0 else 0.0
 
-    records = _readout_sweep(p, _amplified_state(p), visit, zero_mass_ok=True)
+    sweep = np.array(_readout_sweep(p, _amplified_state(p), visit, zero_mass_ok=True))
+    kept, minus = _tally(seed, sweep[:, 0], sweep[:, 1], cfg.sets, cfg.runs_per_set)
+    records = []
+    for i_idx, (kept_i, minus_i) in enumerate(zip(kept.tolist(), minus.tolist())):
+        i = cfg.i_min + i_idx
+        set_results = [
+            {"minus_count": m, "plus_count": k - m, "success": m > k - m}
+            for k, m in zip(kept_i, minus_i)
+        ]
+        records.append(
+            {
+                "i": i,
+                "beta_over_alpha": math.ldexp(1.0, i),
+                "set_results": set_results,
+                "discarded_shots": cfg.sets * cfg.runs_per_set - sum(kept_i),
+                "all_sets_success": all(s["success"] for s in set_results),
+            }
+        )
+
     total_shots = len(records) * cfg.sets * cfg.runs_per_set
     total_discarded = sum(rec["discarded_shots"] for rec in records)
     if total_discarded == total_shots:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -287,6 +288,28 @@ def test_sampled_seed_override_argument():
     assert override.verdict == configured.verdict
     assert override.discarded_mass == configured.discarded_mass
     assert override.low_confidence == configured.low_confidence
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_sampled_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(InputError):
+        majsat.run_sampled(_plan(OR_PAIR, mode="sampled"), seed=seed)
+
+
+def test_sampled_memory_is_bounded_by_the_draw_block():
+    # 2^18 shots at one i in one set: the uniforms are drawn
+    # majsat.SAMPLE_BLOCK jobs at a time, not all at once.
+    p = _plan(OR_PAIR, mode="sampled", i_min=0, i_max=0, sets=1, runs_per_set=2**18)
+    tracemalloc.start()
+    try:
+        report = majsat.run_sampled(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (entry,) = report.per_i
+    (counts,) = entry["set_results"]
+    assert counts["minus_count"] + counts["plus_count"] + entry["discarded_shots"] == 2**18
+    assert peak < 16 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 def test_sampled_postselection_starves_under_literal_orientation():

@@ -16,7 +16,6 @@ import pytest
 
 from rnqc import cnf, majsat, sim
 from rnqc.errors import PostselectError
-from rnqc.rng import make_stream
 
 EPS = np.finfo(np.float64).eps
 
@@ -117,44 +116,13 @@ def test_gram_readout_matches_reference_on_corpus(corpus, lowering, rounds):
             assert abs(a[4] - b[4]) <= 1e-12, (name, a[0])
 
 
-class _Streams:
-    """make_stream that keeps every job's draws, so that a second run with
-    the same seed replays them instead of seeding new Philox streams.
-    Draws past the recorded ones continue the job's own stream."""
-
-    def __init__(self):
-        self.jobs = {}
-
-    def __call__(self, seed, job):
-        if (seed, job) not in self.jobs:
-            self.jobs[seed, job] = (make_stream(seed, job), [])
-        return _Replay(*self.jobs[seed, job])
-
-
-class _Replay:
-    def __init__(self, stream, draws):
-        self.stream, self.draws, self.k = stream, draws, 0
-
-    def random(self):
-        if self.k == len(self.draws):
-            self.draws.append(self.stream.random())
-        self.k += 1
-        return self.draws[self.k - 1]
-
-
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 def test_sampled_reports_identical_under_reference_readout(corpus_small, monkeypatch, seed):
-    # n <= 4 keeps this to about 0.5 s per seed: almost all of a sampled
-    # run is seeding one Philox stream per shot.
     for name, formula in corpus_small:
-        if formula.num_vars > 4:
-            continue
         p = majsat.plan(formula, majsat.default_config(formula.num_vars, seed=seed, mode="sampled"))
         st = majsat._amplified_state(p)
-        streams = _Streams()
         with monkeypatch.context() as patch:
             patch.setattr(majsat, "_amplified_state", lambda _: st.copy())
-            patch.setattr(majsat, "make_stream", streams)
             got = json.dumps(majsat.run_sampled(p).to_json_dict())
             patch.setattr(majsat, "_readout_sweep", _reference_rho_sweep)
             want = json.dumps(majsat.run_sampled(p).to_json_dict())
