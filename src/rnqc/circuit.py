@@ -1,12 +1,24 @@
 """Gate-level intermediate representation and lowering rules.
 
 Supported gate kinds: H, X, Z, T, CNOT, CCNOT, NCNOT, G, CG. Operands
-are ordered controls-first, target-last. G carries a parameter g > 0,
-g != 1, and scales its target's |0> component by 1/g and its |1>
-component by g. CG applies the same scaling on the control-|1> subspace
-only. NCNOT is a NOT with any number of controls >= 1 and is kept as a
-first-class kind so circuits can run either semantically (direct
-multi-control kernel, no ancillas) or fully lowered.
+are ordered controls-first, target-last. This module is the one
+definition of what each kind does; the simulator, the path enumerator
+and the oracle checker read it from here. Apart from H, every kind is
+one of two classes:
+
+  * PERMUTATION_KINDS (X, CNOT, CCNOT, NCNOT) NOT the target when every
+    control reads 1; X has no controls. NCNOT takes any number of
+    controls >= 1 and is kept as a first-class kind so circuits can run
+    either semantically (direct multi-control kernel, no ancillas) or
+    fully lowered.
+  * DIAGONAL_KINDS (Z, T, G, CG): where every control reads 1, multiply
+    by d1 when the target reads 1 and by d0 when it reads 0, with
+    (d0, d1) = diagonal_factors(gate). Z = diag(1, -1), T = diag(1,
+    e^{i pi/4}), and G, which carries a parameter g > 0, g != 1, is
+    diag(1/g, g). CG is G on the control-|1> subspace.
+
+COMPLEX_KINDS (T) have no real form: a circuit holding one needs complex
+amplitudes, and lower_to_primitive rejects it.
 
 Lowering compiles everything to the primitive set {H, CCNOT, G}, one
 rewrite rule per kind, applied until only primitive kinds remain:
@@ -24,8 +36,6 @@ rewrite rule per kind, applied until only primitive kinds remain:
     1 control -> CCNOT with a constant-|1> ancilla as the second control.
   * CNOT(c, t) -> CCNOT(c, one_a, t), as a one-control NCNOT.
   * X(t) -> CCNOT(one_a, one_b, t) over two constant-|1> ancillas.
-
-T has no real-mode decomposition and is rejected by lower_to_primitive.
 
 primitive_register is the one place that lays out a lowered register: it
 appends the chain ancillas, then the two const_one qubits, after the
@@ -45,9 +55,13 @@ from .errors import CircuitError, RealModeError
 
 KINDS = ("H", "X", "Z", "T", "CNOT", "CCNOT", "NCNOT", "G", "CG")
 PRIMITIVE_KINDS = frozenset({"H", "CCNOT", "G"})
+PERMUTATION_KINDS = frozenset({"X", "CNOT", "CCNOT", "NCNOT"})
+DIAGONAL_KINDS = frozenset({"Z", "T", "G", "CG"})
+COMPLEX_KINDS = frozenset({"T"})
 
 _FIXED_ARITY = {"H": 1, "X": 1, "Z": 1, "T": 1, "G": 1, "CNOT": 2, "CG": 2, "CCNOT": 3}
 _PARAM_KINDS = frozenset({"G", "CG"})
+_FIXED_FACTORS = {"Z": (1.0, -1.0), "T": (1.0, complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))}
 
 # Scale parameters are capped so that one gate application can never push a
 # guarded mantissa array past the double-precision range (see sim.py).
@@ -193,6 +207,21 @@ class Circuit:
             self.layout.validate_covering(n)
 
 
+def diagonal_factors(gate: Gate) -> tuple:
+    """(d0, d1) of a diagonal gate: where every control reads 1, it
+    multiplies by d1 when the target reads 1 and by d0 when it reads 0."""
+    if gate.kind in _PARAM_KINDS:
+        return 1.0 / gate.param, gate.param
+    if gate.kind in _FIXED_FACTORS:
+        return _FIXED_FACTORS[gate.kind]
+    raise CircuitError(f"{gate.kind} is not a diagonal gate")
+
+
+def needs_complex(gates: Iterable[Gate]) -> bool:
+    """True when some gate has no real form, so only complex amplitudes run it."""
+    return any(g.kind in COMPLEX_KINDS for g in gates)
+
+
 @dataclass(frozen=True)
 class GateCensus:
     counts: dict[str, int] = field(default_factory=dict)
@@ -336,8 +365,10 @@ def _expand(gate: Gate, layout: RegisterLayout) -> list[Gate]:
     """gate rewritten by _rule until only primitive kinds remain."""
     if gate.kind in PRIMITIVE_KINDS:
         return [gate]
-    if gate.kind == "T":
-        raise RealModeError("T gate has no decomposition over the real primitive set {H, CCNOT, G}")
+    if gate.kind in COMPLEX_KINDS:
+        raise RealModeError(
+            f"{gate.kind} gate has no decomposition over the real primitive set {{H, CCNOT, G}}"
+        )
     return [h for step in _rule(gate, layout) for h in _expand(step, layout)]
 
 
@@ -399,21 +430,16 @@ def lower_to_primitive(circuit: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Exact propagation of basis states through permutation circuits. This is the
-# workhorse of oracle verification: X/CNOT/CCNOT/NCNOT circuits permute basis
-# states, so integer bit arithmetic simulates them exactly with no state
-# vector at all.
+# Exact propagation of basis states through permutation circuits: integer bit
+# arithmetic simulates them exactly with no state vector at all. The tests'
+# reference for lowered permutations.
 # ---------------------------------------------------------------------------
 
 
 def propagate_basis(gates: Iterable[Gate], bits: int) -> int:
     for g in gates:
-        kind = g.kind
-        if kind == "X":
-            bits ^= 1 << g.qubits[0]
-        elif kind in ("CNOT", "CCNOT", "NCNOT"):
-            if all((bits >> c) & 1 for c in g.controls):
-                bits ^= 1 << g.target
-        else:
-            raise CircuitError(f"{kind} is not a basis-permutation gate")
+        if g.kind not in PERMUTATION_KINDS:
+            raise CircuitError(f"{g.kind} is not a basis-permutation gate")
+        if all((bits >> c) & 1 for c in g.controls):
+            bits ^= 1 << g.target
     return bits

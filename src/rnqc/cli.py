@@ -22,7 +22,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, cnf, majsat, oracle, pathsum, rng, sim
-from .circuit import Circuit, circuit_to_json, gate_census, load_circuit, lower_to_primitive
+from .circuit import circuit_to_json, gate_census, load_circuit, lower_to_primitive, needs_complex
 from .errors import InputError, ResourceError, RnqcError
 
 AMPLITUDE_PRINT_CAP = 12
@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
         "report": report.to_json_dict(),
     }
     if args.check:
-        s = cnf.count_models(formula)
+        s = report.reference_s if report.reference_s is not None else cnf.count_models(formula)
         agree = (s > (1 << formula.num_vars) // 2) == yes
         print(f"reference count {s}, {'agree' if agree else 'DISAGREE'}")
         payload["check"] = {"reference_s": s, "agree": agree}
@@ -200,7 +200,7 @@ def cmd_simulate(args) -> int:
     basis = _parse_input_basis(args, circuit.qubit_count)
     mode = args.mode
     if mode is None:
-        mode = "complex" if any(g.kind == "T" for g in circuit.gates) else "real"
+        mode = "complex" if needs_complex(circuit.gates) else "real"
     state = sim.new_state(circuit.qubit_count, basis_index=basis, mode=mode)
     state = sim.apply_circuit(state, circuit)
 

@@ -28,7 +28,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .circuit import Circuit, Gate, RegisterLayout
+from .circuit import PERMUTATION_KINDS, Circuit, Gate, RegisterLayout
 from .cnf import CnfFormula, ThreeCnf, clause_table, to_3cnf, truth_tables
 from .errors import CircuitError, InputError
 
@@ -163,7 +163,7 @@ def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckR
     expected[o] = reduce(and_, (clause_table(c, full, tables) for c in formula.clauses), full)
 
     for g in artifact.circuit.gates:
-        if g.kind not in ("X", "CNOT", "CCNOT", "NCNOT"):
+        if g.kind not in PERMUTATION_KINDS:
             raise CircuitError(f"{g.kind} is not a basis-permutation gate")
         state[g.target] ^= reduce(and_, (state[c] for c in g.controls), full)
 

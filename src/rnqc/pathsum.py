@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import sim
-from .circuit import Circuit, Gate
+from .circuit import PERMUTATION_KINDS, Circuit, Gate, diagonal_factors, needs_complex
 from .errors import CircuitError, GridSpacingError, InputError, InvariantError, PathBudgetError
 
 DEFAULT_PATH_BUDGET = 10**8
@@ -97,7 +97,7 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     norm-changing circuit reports its true final norm under kind "yn".
     """
     _check_inputs(circuit, input_basis, projector)
-    mode = "complex" if any(g.kind == "T" for g in circuit.gates) else "real"
+    mode = "complex" if needs_complex(circuit.gates) else "real"
     state = sim.new_state(circuit.qubit_count, basis_index=input_basis, mode=mode)
     state = sim.apply_circuit(state, circuit)
     total = sim.norm_sq(state)
@@ -109,49 +109,27 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     return PathSumResult("direct", yes, no, _acceptance(yes, no), 0)
 
 
-def _successors(gate: Gate, z: int):
-    """Nonzero matrix-element transitions of one gate from basis state z.
+def _transitions(gate: Gate):
+    """The gate as a function from basis state z to its nonzero
+    matrix-element transitions, a list of (next_z, factor) pairs.
 
-    Yields (next_z, factor) pairs.  Only H branches; every other supported
-    gate is a permutation or diagonal, so it has exactly one successor.
+    Only H branches; every other kind is a permutation or a diagonal (see
+    circuit.py), so it has exactly one successor.
     """
-    kind = gate.kind
-    if kind == "H":
-        bit = 1 << gate.qubits[0]
+    bit = 1 << gate.target
+    on = sum(1 << c for c in gate.controls)
+    if gate.kind == "H":
         root = 1.0 / math.sqrt(2.0)
-        yield z & ~bit, root
-        yield z | bit, -root if z & bit else root
-    elif kind == "X":
-        yield z ^ (1 << gate.qubits[0]), 1.0
-    elif kind == "Z":
-        yield z, -1.0 if z & (1 << gate.qubits[0]) else 1.0
-    elif kind == "T":
-        if z & (1 << gate.qubits[0]):
-            yield z, complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-        else:
-            yield z, 1.0
-    elif kind == "CNOT":
-        c, t = gate.qubits
-        yield z ^ (1 << t) if z & (1 << c) else z, 1.0
-    elif kind == "CCNOT":
-        a, b, t = gate.qubits
-        hot = z & (1 << a) and z & (1 << b)
-        yield z ^ (1 << t) if hot else z, 1.0
-    elif kind == "NCNOT":
-        controls, t = gate.qubits[:-1], gate.qubits[-1]
-        hot = all(z & (1 << c) for c in controls)
-        yield z ^ (1 << t) if hot else z, 1.0
-    elif kind == "G":
-        g = gate.param
-        yield z, g if z & (1 << gate.qubits[0]) else 1.0 / g
-    elif kind == "CG":
-        c, t = gate.qubits
-        if z & (1 << c):
-            yield z, gate.param if z & (1 << t) else 1.0 / gate.param
-        else:
-            yield z, 1.0
-    else:
-        raise CircuitError(f"gate {kind} is not supported by the path enumerator")
+        return lambda z: [(z & ~bit, root), (z | bit, -root if z & bit else root)]
+    if gate.kind in PERMUTATION_KINDS:
+        return lambda z: [(z ^ bit if z & on == on else z, 1.0)]
+    d0, d1 = diagonal_factors(gate)
+    return lambda z: [(z, (d1 if z & bit else d0) if z & on == on else 1.0)]
+
+
+def _successors(gate: Gate, z: int) -> list:
+    """Transitions of one gate from basis state z (see _transitions)."""
+    return _transitions(gate)(z)
 
 
 def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
@@ -170,10 +148,10 @@ def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     endpoints: dict = {}
     materialized = 0
     stack = [(0, input_basis, 1.0 + 0.0j)]
-    gates = circuit.gates
+    steps = [_transitions(g) for g in circuit.gates]
     while stack:
         depth, z, value = stack.pop()
-        if depth == len(gates):
+        if depth == len(steps):
             materialized += 1
             if materialized > fwd_cap:
                 raise PathBudgetError(
@@ -182,7 +160,7 @@ def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
                 )
             endpoints.setdefault(z, []).append(value)
             continue
-        for nz, factor in reversed(list(_successors(gates[depth], z))):
+        for nz, factor in reversed(steps[depth](z)):
             nv = value * factor
             if nv != 0:
                 stack.append((depth + 1, nz, nv))

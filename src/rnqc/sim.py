@@ -18,10 +18,13 @@ cannot represent the true value in a double raise instead of returning
 Inf or 0.
 
 apply_circuit compiles its gate sequence into kernels on each call;
-nothing is cached between calls. H and T run one gate at a time. Every
-other kind is monomial, a basis permutation (X, CNOT, CCNOT, NCNOT) or
-a diagonal (Z, G, CG), so each run of them is cut into blocks of at
-most 10 qubits.
+nothing is cached between calls. What each gate kind does comes from
+circuit.py: a permutation kind NOTs its target under its controls, a
+diagonal kind scales by diagonal_factors. H and T run one gate at a
+time; T is diagonal but complex, and a block's factors are real, so it
+runs alone. Every other kind is monomial, a basis permutation (X, CNOT,
+CCNOT, NCNOT) or a real diagonal (Z, G, CG), so each run of them is cut
+into blocks of at most 10 qubits.
 Within a stretch of diagonal gates, gates on the same qubits fold into
 one, e.g. r rounds of CG(q, nh) into one CG(q, nh, g^r). A block runs in
 place in one pass: scale rows, permute within and between rows, then one
@@ -56,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import COMPLEX_KINDS, DIAGONAL_KINDS, PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
 from .errors import (
     CircuitError,
     InputError,
@@ -69,7 +72,6 @@ from .errors import (
 
 _DEFAULT_MAX_QUBITS = 28
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_T_PHASE = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
 _GUARD_HI = 2.0**500
 _GUARD_LO = 2.0**-500
 _MOVE_CHUNK = 1 << 16  # most amplitudes one piece of a data move or |x| temporary holds
@@ -252,8 +254,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if max(gate.qubits) >= state.num_qubits:
         raise CircuitError(f"gate {gate.kind}{gate.qubits} exceeds register of {state.num_qubits} qubits")
     kind = gate.kind
-    if kind == "T" and state.mode != "complex":
-        raise RealModeError("T gate requires complex mode")
+    if kind in COMPLEX_KINDS and state.mode != "complex":
+        raise RealModeError(f"{kind} gate requires complex mode")
     v0, v1 = _halves(state, gate.target, gate.controls)
     if kind == "H":
         for p in _pieces(v0.shape):
@@ -263,23 +265,21 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             np.subtract(a, b, out=b)
             b *= _INV_SQRT2
             a[...] = plus
-    elif kind in _PERMUTATION:
+    elif kind in PERMUTATION_KINDS:
         _rotate((v0, v1))
-    elif kind == "Z":
-        v1 *= -1.0
-    elif kind == "T":
-        v1 *= _T_PHASE
-    else:  # G, CG
-        g = gate.param
-        v0 *= 1.0 / g
-        v1 *= g
-        _rescale_guard(state)
+    else:
+        d0, d1 = diagonal_factors(gate)
+        if d0 != 1.0:
+            v0 *= d0
+        v1 *= d1
+        if gate.param is not None:  # a gain changes the norm
+            _rescale_guard(state)
     return state
 
 
 # ---------------------------------------------------------------------------
 # Gate fusion. Every kind but H and T is monomial: a basis permutation (X,
-# CNOT, CCNOT, NCNOT) or a diagonal (Z, G, CG). apply_circuit compiles each
+# CNOT, CCNOT, NCNOT) or a real diagonal (Z, G, CG). apply_circuit compiles each
 # maximal run of monomial gates into blocks and applies a block in one pass.
 # A block's qubits T split at _DENSE_QUBITS: the low ones index positions
 # inside a row's contiguous tail, the high ones pick the row (a block with
@@ -291,9 +291,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 # longest prefix that keeps them whole.
 # ---------------------------------------------------------------------------
 
-_PERMUTATION = frozenset({"X", "CNOT", "CCNOT", "NCNOT"})
-_DIAGONAL = frozenset({"Z", "G", "CG"})
-_MONOMIAL = _PERMUTATION | _DIAGONAL
+_MONOMIAL = PERMUTATION_KINDS | (DIAGONAL_KINDS - COMPLEX_KINDS)  # a block's factors are real
 _DENSE_QUBITS = 10  # qubits below this index form the contiguous tail of a row
 _BLOCK_QUBITS = 10  # most qubits one block touches
 _ROW_QUBITS = 6  # most block qubits above the tail: at most 2^6 rows per block
@@ -323,7 +321,7 @@ def _merge_diagonal(stretch: list[Gate]) -> list[Gate]:
         key = (g.kind, g.qubits)
         j = slot.get(key)
         if j is not None:
-            p = 1.0 if g.kind == "Z" else out[j][1] * g.param
+            p = 1.0 if g.param is None else out[j][1] * g.param  # Z squares to 1
             if p == 1.0:
                 out[j] = None
                 del slot[key]
@@ -339,7 +337,7 @@ def _merge_diagonal(stretch: list[Gate]) -> list[Gate]:
 def _fold(run: Sequence[Gate]) -> list[Gate]:
     """A run of monomial gates with each diagonal stretch merged."""
     items: list[Gate] = []
-    for diagonal, stretch in groupby(run, key=lambda g: g.kind in _DIAGONAL):
+    for diagonal, stretch in groupby(run, key=lambda g: g.kind in DIAGONAL_KINDS):
         items += _merge_diagonal(list(stretch)) if diagonal else list(stretch)
     return items
 
@@ -355,8 +353,8 @@ def _trace_basis(gates: Sequence[Gate], pos: dict[int, int]):
 
     Yields (dest, w, e) after each gate: local basis state x has moved to
     dest[x] and picked up the factor w[x] * 2^e[x], multiplied in gate
-    order. w is renormalized to a mantissa after every G or CG, so a
-    product of any length stays finite, and the rounding is that of the
+    order. w is renormalized to a mantissa after every diagonal gate, so
+    a product of any length stays finite, and the rounding is that of the
     plain product wherever the plain product is a normal double.
     """
     dest = np.arange(1 << len(pos))
@@ -364,16 +362,13 @@ def _trace_basis(gates: Sequence[Gate], pos: dict[int, int]):
     e = np.zeros(1 << len(pos), dtype=np.int64)
     for g in gates:
         target = 1 << pos[g.target]
-        if g.kind in _PERMUTATION:
-            on = sum(1 << pos[q] for q in g.controls)
-            dest = np.where(dest & on == on, dest ^ target, dest)
-        elif g.kind == "Z":
-            w = np.where(dest & target, -w, w)
+        on = sum(1 << pos[q] for q in g.controls)
+        hot = dest & on == on
+        if g.kind in PERMUTATION_KINDS:
+            dest = np.where(hot, dest ^ target, dest)
         else:
-            f = np.where(dest & target, g.param, 1.0 / g.param)
-            if g.kind == "CG":
-                f = np.where(dest & (1 << pos[g.qubits[0]]), f, 1.0)
-            w, de = np.frexp(w * f)
+            d0, d1 = diagonal_factors(g)
+            w, de = np.frexp(w * np.where(hot, np.where(dest & target, d1, d0), 1.0))
             e = e + de
         yield dest, w, e
 
@@ -398,7 +393,7 @@ def _splits_rows(g: Gate, dense: int) -> bool:
     A run without one keeps rows whole after every gate, so it needs no
     trace to find where a block may end.
     """
-    return g.kind in _PERMUTATION and g.target >= dense and any(c < dense for c in g.controls)
+    return g.kind in PERMUTATION_KINDS and g.target >= dense and any(c < dense for c in g.controls)
 
 
 def _rows_stay_whole(dest: np.ndarray, kl: int) -> bool:
@@ -455,7 +450,7 @@ def _build_block(gates: list[Gate], n: int, dense: int) -> _Block:
             cycle.append(to_row[cycle[-1]])
         seen.update(cycle)
         cycles.append(tuple(row(c) for c in cycle))
-    guard = any(g.kind in ("G", "CG") for g in gates)
+    guard = any(g.param is not None for g in gates)  # a gain changes the norm
     return _Block(shape, local, tuple(scales), tuple(gathers), tuple(cycles), guard)
 
 

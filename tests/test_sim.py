@@ -160,7 +160,7 @@ def test_ccnot_idle_when_control_off():
 def test_t_phase_in_complex_mode():
     state = sim.new_state(1, 1, mode="complex")
     sim.apply_gate(state, Gate("T", (0,)))
-    expect = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
+    expect = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))  # T = diag(1, e^{i pi/4})
     assert abs(_amps(state)[1] - expect) < 1e-15
 
 
