@@ -153,18 +153,6 @@ def format_dimacs(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eval_clause(clause: tuple[int, ...], assignment: int) -> bool:
-    for lit in clause:
-        bit = (assignment >> (abs(lit) - 1)) & 1
-        if (lit > 0) == bool(bit):
-            return True
-    return False
-
-
-def eval_formula(formula: CnfFormula, assignment: int) -> bool:
-    return all(eval_clause(c, assignment) for c in formula.clauses)
-
-
 def truth_tables(n: int) -> tuple[int, list[int]]:
     """(full, tables) over all 2^n assignments: full has all 2^n bits set,
     and bit x of tables[v] is variable v+1 in assignment x. One 2^n-bit
@@ -240,17 +228,3 @@ def to_3cnf(formula: CnfFormula) -> ThreeCnf:
         aux_vars=next_var - n,
         mapping=tuple(mapping),
     )
-
-
-def eval_literal(lit: int, assignment: int) -> bool:
-    bit = (assignment >> (abs(lit) - 1)) & 1
-    return (lit > 0) == bool(bit)
-
-
-def extend_assignment(f3: ThreeCnf, assignment: int) -> int:
-    """Fill in the defined variables for an original-variable assignment."""
-    full = assignment
-    for y, la, lb in f3.mapping:
-        if eval_literal(la, full) or eval_literal(lb, full):
-            full |= 1 << (y - 1)
-    return full

@@ -17,12 +17,18 @@ of two to max|amp| in [1, 2), as gram reads them. Norm queries that
 cannot represent the true value in a double raise instead of returning
 Inf or 0.
 
-apply_circuit compiles its gate sequence into kernels on each call;
-nothing is cached between calls. What each gate kind does comes from
-circuit.py: a permutation kind NOTs its target under its controls, a
-diagonal kind scales by diagonal_factors. H and T run one gate at a
-time; T is diagonal but complex, and a block's factors are real, so it
-runs alone. Every other kind is monomial, a basis permutation (X, CNOT,
+apply_circuit starts sparse while at most 2^-_SPARSE_SHIFT of the
+amplitudes are nonzero, as after the superposition and the oracle: it
+runs the leading H and permutation gates on (index, amplitude) pairs,
+then writes the support back. It stops at T, at an H that would take
+the support past that limit, and at the start of any maximal monomial
+run holding a diagonal gate, so the rest fuses into the blocks the whole
+sequence gets and the state is bit for bit _apply_dense's. The dense
+path compiles its gates into kernels on each call; nothing is cached.
+What each gate kind does comes from circuit.py: a permutation kind NOTs
+its target under its controls, a diagonal kind scales by
+diagonal_factors. H and T run one gate at a time; T is diagonal but
+complex, and a block's factors are real, so it runs alone. Every other kind is monomial, a basis permutation (X, CNOT,
 CCNOT, NCNOT) or a real diagonal (Z, G, CG), so each run of them is cut
 into blocks of at most 10 qubits.
 Within a stretch of diagonal gates, gates on the same qubits fold into
@@ -244,6 +250,15 @@ def _rescale_guard(state: StateVector) -> None:
     state.exponent += e
 
 
+def _hadamard(a: np.ndarray, b: np.ndarray) -> None:
+    """(a, b) <- ((a + b) / sqrt 2, (a - b) / sqrt 2) in place, one piece."""
+    plus = a + b
+    plus *= _INV_SQRT2
+    np.subtract(a, b, out=b)
+    b *= _INV_SQRT2
+    a[...] = plus
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place; returns the same state for chaining.
 
@@ -259,12 +274,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     v0, v1 = _halves(state, gate.target, gate.controls)
     if kind == "H":
         for p in _pieces(v0.shape):
-            a, b = v0[p], v1[p]
-            plus = a + b
-            plus *= _INV_SQRT2
-            np.subtract(a, b, out=b)
-            b *= _INV_SQRT2
-            a[...] = plus
+            _hadamard(v0[p], v1[p])
     elif kind in PERMUTATION_KINDS:
         _rotate((v0, v1))
     else:
@@ -296,6 +306,7 @@ _DENSE_QUBITS = 10  # qubits below this index form the contiguous tail of a row
 _BLOCK_QUBITS = 10  # most qubits one block touches
 _ROW_QUBITS = 6  # most block qubits above the tail: at most 2^6 rows per block
 _LOG2_GUARD = 500  # log2 of _GUARD_HI: the widest factor range one block may apply
+_SPARSE_SHIFT = 7  # apply_circuit starts sparse while at most 2^-7 of the amplitudes are nonzero
 
 
 @dataclass(frozen=True)
@@ -501,9 +512,6 @@ def _fuse_run(run: list[Gate], n: int) -> list:
 def _compile(gates: tuple[Gate, ...], n: int) -> tuple:
     """Kernel list for a gate tuple on an n-qubit register: H and T (and
     gates no block can hold) as single gates, monomial runs as blocks."""
-    for g in gates:
-        if max(g.qubits) >= n:
-            raise CircuitError(f"gate {g.kind}{g.qubits} exceeds register of {n} qubits")
     steps: list = []
     for monomial, run in groupby(gates, key=lambda g: g.kind in _MONOMIAL):
         steps += _fuse_run(list(run), n) if monomial else list(run)
@@ -525,11 +533,64 @@ def _apply_block(state: StateVector, block: _Block) -> None:
         _rescale_guard(state)
 
 
+def _sparse_reach(gates: tuple[Gate, ...]) -> int:
+    """How many leading gates the sparse prefix may run: up to the first T
+    or the start of the first maximal monomial run that holds a diagonal
+    gate, where _compile would start a run of its own anyway."""
+    for k, g in enumerate(gates):
+        if g.kind in DIAGONAL_KINDS:
+            while g.kind in _MONOMIAL and k and gates[k - 1].kind in PERMUTATION_KINDS:
+                k -= 1
+            return k
+    return len(gates)
+
+
+def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
+    """Run leading gates on the nonzero amplitudes alone; returns how many.
+    A permutation flips its target bit in the indices where every control
+    reads 1; H merges index pairs through _hadamard and drops exact zeros."""
+    reach, limit = _sparse_reach(gates), (1 << state.num_qubits) >> _SPARSE_SHIFT
+    if not reach or np.count_nonzero(state.amps) > limit:
+        return 0
+    old = np.flatnonzero(state.amps)
+    idx, vals = old, state.amps[old]
+    for done, g in enumerate(gates[:reach]):
+        bit = 1 << g.target
+        if g.kind in PERMUTATION_KINDS:
+            on = sum(1 << c for c in g.controls)
+            idx = np.where(idx & on == on, idx ^ bit, idx)
+            continue
+        base, pair = np.unique(idx & ~bit, return_inverse=True)
+        if 2 * len(base) > limit:
+            reach = done
+            break
+        ab = np.zeros((2, len(base)), dtype=vals.dtype)
+        ab[(idx & bit != 0).astype(np.intp), pair] = vals
+        _hadamard(*ab)
+        idx, vals = np.concatenate((base, base | bit)), ab.ravel()
+        idx, vals = idx[vals != 0], vals[vals != 0]
+    state.amps[old] = 0.0
+    state.amps[idx] = vals
+    return reach
+
+
+def _apply_dense(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
+    """apply_circuit without the sparse prefix: the reference its tests
+    compare the sparse prefix against."""
+    for step in _compile(gates, state.num_qubits):
+        if isinstance(step, Gate):
+            apply_gate(state, step)
+        else:
+            _apply_block(state, step)
+    return state
+
+
 def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> StateVector:
     """Apply gates in list order. Accepts a Circuit or a bare gate iterable.
 
-    Runs the fused kernels of _compile (see the module notes); gates that
-    reach past the register raise CircuitError before any is applied.
+    Gates that reach past the register raise CircuitError before any is
+    applied. Runs the sparse prefix, then the fused kernels of _compile
+    on the rest (see the module notes).
     """
     if isinstance(circuit, Circuit):
         if circuit.qubit_count != state.num_qubits:
@@ -539,12 +600,10 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
         gates = circuit.gates
     else:
         gates = tuple(circuit)
-    for step in _compile(gates, state.num_qubits):
-        if isinstance(step, Gate):
-            apply_gate(state, step)
-        else:
-            _apply_block(state, step)
-    return state
+    for g in gates:
+        if max(g.qubits) >= state.num_qubits:
+            raise CircuitError(f"gate {g.kind}{g.qubits} exceeds register of {state.num_qubits} qubits")
+    return _apply_dense(state, gates[_apply_sparse(state, gates) :])
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +791,3 @@ def pure_fidelity(rho: np.ndarray, c0, c1) -> float:
         raise ZeroStateError("state vector has zero norm")
     num = (a0 * c0 * rho[0, 0] + 2.0 * a0 * c1 * rho[0, 1] + a1 * c1 * rho[1, 1]).real
     return min(max(float(num / (trace * target_norm)), 0.0), 1.0)
-
-
-def qubit_state_fidelity(state: StateVector, qubit: int, c0, c1) -> float:
-    """Fidelity between one qubit's reduced state and a pure target.
-
-    pure_fidelity of the qubit's reduced density matrix, the conjugate of
-    its one-qubit gram; equals |<phi|psi>|^2 when the register factorizes.
-    """
-    return pure_fidelity(np.conj(gram(state, [qubit])[0]), c0, c1)

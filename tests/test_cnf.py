@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eval_clause, eval_formula, eval_literal, extend_assignment
 from rnqc import cnf
 from rnqc.errors import CountLimitError, DimacsError
 
@@ -173,13 +174,13 @@ def test_extend_assignment_is_consistent():
     f3 = cnf.to_3cnf(formula)
     seen = set()
     for x in range(1 << 5):
-        full = cnf.extend_assignment(f3, x)
+        full = extend_assignment(f3, x)
         assert full & 0b11111 == x, "original bits preserved"
         assert full not in seen, "extension must be injective"
         seen.add(full)
         for i, (y, la, lb) in enumerate(f3.mapping):
-            want = cnf.eval_literal(la, full) or cnf.eval_literal(lb, full)
-            assert cnf.eval_literal(y, full) == want
+            want = eval_literal(la, full) or eval_literal(lb, full)
+            assert eval_literal(y, full) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -204,7 +205,7 @@ def test_to_3cnf_preserves_model_count(data):
 
 def test_eval_helpers():
     formula = _formula(3, [[1, -3]])
-    assert cnf.eval_clause((1, -3), 0b001)
-    assert not cnf.eval_clause((1, -3), 0b100)
-    assert cnf.eval_formula(formula, 0b001)
-    assert not cnf.eval_formula(formula, 0b100)
+    assert eval_clause((1, -3), 0b001)
+    assert not eval_clause((1, -3), 0b100)
+    assert eval_formula(formula, 0b001)
+    assert not eval_formula(formula, 0b100)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import eval_clause, eval_formula, extend_assignment
 from rnqc import cnf, oracle, sim
 from rnqc.circuit import Circuit, Gate, gate_census, lower_to_primitive, propagate_basis
 from rnqc.errors import CircuitError, ResourceError
@@ -71,7 +72,7 @@ def test_oracle_wide_clause_goes_through_conversion():
 def test_oracle_exhaustive_n3():
     formula, art = _artifact(3, [[-1, 2, 3], [1, -3]])
     for x in range(8):
-        assert _oracle_bit(art, x) == cnf.eval_formula(formula, x), f"input {x:03b}"
+        assert _oracle_bit(art, x) == eval_formula(formula, x), f"input {x:03b}"
 
 
 def test_oracle_conjunction_examples():
@@ -93,7 +94,7 @@ def test_oracle_simulated_agrees_with_propagation():
         state = sim.new_state(art.circuit.qubit_count, x)
         sim.apply_circuit(state, art.circuit)
         final = int(state.amps.argmax())
-        assert (final >> art.circuit.layout.oracle) & 1 == cnf.eval_formula(formula, x)
+        assert (final >> art.circuit.layout.oracle) & 1 == eval_formula(formula, x)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +192,14 @@ def _reference_report(artifact, formula):
         satisfying += (final >> layout.oracle) & 1
 
         expected = start
-        full = cnf.extend_assignment(f3, x)
+        full = extend_assignment(f3, x)
         for j in range(f3.aux_vars):
             if (full >> (n + j)) & 1:
                 expected |= 1 << layout.aux[j]
         for m, clause in enumerate(clauses):
-            if cnf.eval_clause(clause, full) == artifact.polarity_fix:
+            if eval_clause(clause, full) == artifact.polarity_fix:
                 expected |= 1 << layout.clause[m]
-        if bool(final & oracle_mask) != cnf.eval_formula(formula, x):
+        if bool(final & oracle_mask) != eval_formula(formula, x):
             mismatches.append(x)
         if (final & ~oracle_mask) != (expected & ~oracle_mask):
             scratch.append(x)
@@ -264,7 +265,7 @@ def test_double_application_restores_scratch():
         assert twice & clause_mask == 0, "clause double-toggle must cancel"
         work_mask = sum(1 << q for q in lay.work)
         assert twice & work_mask == start & work_mask
-        assert (twice >> lay.oracle) & 1 == cnf.eval_formula(formula, x)
+        assert (twice >> lay.oracle) & 1 == eval_formula(formula, x)
 
 
 # ---------------------------------------------------------------------------

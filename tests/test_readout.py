@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import qubit_state_fidelity
 from rnqc import cnf, majsat, sim
 from rnqc.errors import PostselectError
 
@@ -78,7 +79,7 @@ def _reference_entries(p, st, s):
             i,
             prob1,
             *sim.probabilities_x(post, bhr),
-            sim.qubit_state_fidelity(post, bhr, float(big_n - 2 * s), math.ldexp(float(big_n), i)),
+            qubit_state_fidelity(post, bhr, float(big_n - 2 * s), math.ldexp(float(big_n), i)),
         ),
     )
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import qubit_state_fidelity
 from rnqc import cnf, majsat, sim
-from rnqc.circuit import Circuit, Gate
+from rnqc.circuit import Circuit, Gate, RegisterLayout, lower_cg, lower_to_primitive, primitive_register
 from rnqc.errors import (
     CircuitError,
     InputError,
@@ -243,14 +244,9 @@ _ANY_PARAMS = st.one_of(
 )
 
 
-@st.composite
-def _random_circuit(draw, params):
-    """A state of up to 8 qubits, up to 40 gates of every kind, and the
-    fusion's tail and block widths and the data-move piece size to run
-    them with."""
-    n = draw(st.integers(1, 8))
-    mode = draw(st.sampled_from(("real", "complex")))
-    kinds = ["H", "X", "Z", "G", "CG", "CNOT", "CCNOT", "NCNOT"] + (["T"] if mode == "complex" else [])
+def _draw_gates(draw, n, mode, params, kinds=("H", "X", "Z", "G", "CG", "CNOT", "CCNOT", "NCNOT")):
+    """Up to 40 gates of the kinds, and T in complex mode, on an n-qubit register."""
+    kinds = list(kinds) + (["T"] if mode == "complex" else [])
     gates = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(kinds))
@@ -262,6 +258,17 @@ def _random_circuit(draw, params):
             continue
         qubits = draw(st.permutations(range(n)))[:arity]
         gates.append(Gate(kind, qubits, draw(params) if kind in ("G", "CG") else None))
+    return gates
+
+
+@st.composite
+def _random_circuit(draw, params):
+    """A state of up to 8 qubits, up to 40 gates of every kind, and the
+    fusion's tail and block widths and the data-move piece size to run
+    them with."""
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(("real", "complex")))
+    gates = _draw_gates(draw, n, mode, params)
     seed = draw(st.integers(0, 2**32 - 1))
     widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)), 1 << draw(st.integers(0, 10)))
     return _random_state(np.random.default_rng(seed), n, mode), gates, widths
@@ -335,6 +342,85 @@ def test_fused_run_folds_rounds_and_cuts_at_factor_range():
     assert state.exponent > 0, "the guard must have rescaled"
     assert 2.0**-500 <= np.max(np.abs(state.amps)) <= 2.0**500
     assert sim.probabilities_z(state, 0)[1] == 1.0
+
+
+@st.composite
+def _sparse_start(draw):
+    """A basis state or a state with at most 4 nonzero amplitudes on up to
+    8 qubits; gates: H and permutations (and T in complex mode), then
+    lowered CGs, whose monomial runs open with permutations and hold G
+    factors that blocks may group, then every kind; the fusion's tail and
+    block widths; and a sparse limit of 2^-0 to 2^-2 of the state, so
+    that small registers take the sparse prefix."""
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(("real", "complex")))
+    support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(1 << n, dtype=complex if mode == "complex" else float)
+    if len(support) == 1 and draw(st.booleans()):
+        amps[support] = 1.0
+    else:
+        amps[support] = rng.standard_normal(len(support))
+        if mode == "complex":
+            amps[support] += 1j * rng.standard_normal(len(support))
+    state = sim.state_from_amplitudes(amps, mode=mode)
+    widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)))
+    gates = _draw_gates(draw, n, mode, _ANY_PARAMS, ("H", "X", "CNOT", "CCNOT", "NCNOT"))
+    rounds = draw(st.integers(0, 6 if n > 1 else 0))
+    cgs = tuple(Gate("CG", draw(st.permutations(range(n)))[:2], draw(_ANY_PARAMS)) for _ in range(rounds))
+    gates += lower_cg(Circuit(n, cgs)).gates
+    return state, gates + _draw_gates(draw, n, mode, _ANY_PARAMS), widths, draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sparse_start())
+def test_sparse_prefix_matches_dense_bit_for_bit(case):
+    # The prefix stops before any monomial run that holds a diagonal gate,
+    # so the dense rest is cut into the blocks the whole tuple gets, and
+    # its H computes what apply_gate computes: no bit may differ.
+    state, gates, widths, shift = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_DENSE_QUBITS", widths[0])
+        patch.setattr(sim, "_BLOCK_QUBITS", widths[1])
+        want = sim._apply_dense(state.copy(), tuple(gates))
+        patch.setattr(sim, "_SPARSE_SHIFT", shift)
+        got = sim.apply_circuit(state.copy(), gates)
+    assert np.array_equal(got.amps, want.amps)
+    assert got.exponent == want.exponent
+
+
+def test_sparse_prefix_stops_before_primitive_gain_rounds():
+    # A lowered amplification: H, then the X layer as CCNOTs on the two
+    # const-one qubits, then lowered CGs, which open with the same CCNOT
+    # and hold G(sqrt 2). The X layer and the first lowered CG form one
+    # monomial run, so the prefix must end with the H layer. Cut inside
+    # that run, blocks of at most 5 qubits would group the G(sqrt 2)
+    # factors differently and round 6 amplitudes differently.
+    mixed, nh, ones = (0, 1, 2, 3), 4, (5, 6)
+    layout = RegisterLayout(work=mixed, non_hermitian=nh)
+    amp = [Gate("H", (q,)) for q in mixed] + [Gate("X", (q,)) for q in mixed]
+    amp += [Gate("CG", (q, nh), 2.0) for q in mixed] * 3
+    circuit = lower_to_primitive(primitive_register(Circuit(5, tuple(amp), layout)))
+    assert circuit.layout.const_one == ones and circuit.gates[4].kind == "CCNOT"
+    start = sim.new_state(circuit.qubit_count, (1 << nh) | (1 << ones[0]) | (1 << ones[1]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_BLOCK_QUBITS", 5)
+        want = sim._apply_dense(start.copy(), circuit.gates)
+        patch.setattr(sim, "_SPARSE_SHIFT", 2)
+        assert sim._apply_sparse(start.copy(), circuit.gates) == len(mixed)
+        got = sim.apply_circuit(start.copy(), circuit)
+    assert np.array_equal(got.amps, want.amps)
+    assert got.exponent == want.exponent
+
+
+def test_sparse_prefix_checks_the_register_first():
+    # A 10-qubit basis state takes the sparse prefix (1 of 1024 nonzero).
+    state = sim.new_state(10, 3)
+    with pytest.raises(CircuitError):
+        sim.apply_circuit(state, [Gate("H", (0,)), Gate("X", (4,)), Gate("H", (10,))])
+    assert np.array_equal(state.amps, sim.new_state(10, 3).amps)
+    with pytest.raises(RealModeError):
+        sim.apply_circuit(state, [Gate("H", (0,)), Gate("X", (4,)), Gate("T", (0,))])
 
 
 def _gate_loop(state, circuit):
@@ -422,7 +508,7 @@ REDUCTIONS = {
     "norm_sq": lambda s, other: sim.norm_sq(s),
     "probabilities_z": lambda s, other: sim.probabilities_z(s, 3),
     "probabilities_x": lambda s, other: sim.probabilities_x(s, 3),
-    "qubit_state_fidelity": lambda s, other: sim.qubit_state_fidelity(s, 3, 1.0, 2.0),
+    "qubit_state_fidelity": lambda s, other: qubit_state_fidelity(s, 3, 1.0, 2.0),
     "sparse_fidelity": lambda s, other: sim.sparse_fidelity(s, {0: 1.0, 5: 2.0}),
     "fidelity": lambda s, other: sim.fidelity(s, other),
     "postselect": lambda s, other: sim.postselect(s, 3, 1),
@@ -513,7 +599,7 @@ def test_sums_of_huge_mantissas_are_scaled():
     for q in (0, 1):
         assert sim.probabilities_z(big, q) == sim.probabilities_z(small, q)
         assert sim.probabilities_x(big, q) == sim.probabilities_x(small, q)
-        assert sim.qubit_state_fidelity(big, q, 1.0, 2.0) == sim.qubit_state_fidelity(small, q, 1.0, 2.0)
+        assert qubit_state_fidelity(big, q, 1.0, 2.0) == qubit_state_fidelity(small, q, 1.0, 2.0)
     assert sim.fidelity(big, small) == sim.fidelity(small, small)
     assert sim.sparse_fidelity(big, {0: 1.0, 3: 1.0}) == sim.sparse_fidelity(small, {0: 1.0, 3: 1.0})
     assert sim.postselect(big, 1, 1)[0] == sim.postselect(small, 1, 1)[0]
@@ -679,9 +765,9 @@ def test_fidelity_register_mismatch():
 def test_qubit_state_fidelity_product_state():
     state = sim.new_state(2)
     sim.prepare_superposed_qubit(state, 1, 1.0, 2.0)
-    assert abs(sim.qubit_state_fidelity(state, 1, 1.0, 2.0) - 1.0) < 1e-12
+    assert abs(qubit_state_fidelity(state, 1, 1.0, 2.0) - 1.0) < 1e-12
     # orthogonal target on the same qubit
-    assert sim.qubit_state_fidelity(state, 1, 2.0, -1.0) < 1e-12
+    assert qubit_state_fidelity(state, 1, 2.0, -1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
