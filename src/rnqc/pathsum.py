@@ -127,11 +127,6 @@ def _transitions(gate: Gate):
     return lambda z: [(z, (d1 if z & bit else d0) if z & on == on else 1.0)]
 
 
-def _successors(gate: Gate, z: int) -> list:
-    """Transitions of one gate from basis state z (see _transitions)."""
-    return _transitions(gate)(z)
-
-
 def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     """DFS over contributing forward paths.
 

@@ -28,16 +28,18 @@ path compiles its gates into kernels on each call; nothing is cached.
 What each gate kind does comes from circuit.py: a permutation kind NOTs
 its target under its controls, a diagonal kind scales by
 diagonal_factors. H and T run one gate at a time; T is diagonal but
-complex, and a block's factors are real, so it runs alone. Every other kind is monomial, a basis permutation (X, CNOT,
-CCNOT, NCNOT) or a real diagonal (Z, G, CG), so each run of them is cut
-into blocks of at most 10 qubits.
-Within a stretch of diagonal gates, gates on the same qubits fold into
-one, e.g. r rounds of CG(q, nh) into one CG(q, nh, g^r). A block runs in
-place in one pass: scale rows, permute within and between rows, then one
-guard check. apply_gate is the gate-by-gate reference the tests compare
-the blocks against. With power-of-two parameters the two agree bit for
-bit; otherwise a block rounds its product of factors once where the gate
-loop rounds after every gate.
+complex, and a block's factors are real, so it runs alone. Every other
+kind is monomial, a basis permutation (X, CNOT, CCNOT, NCNOT) or a real
+diagonal (Z, G, CG), so each run of them is cut into blocks of at most
+10 qubits. Within a stretch of diagonal gates, gates on the same qubits
+fold into one, e.g. r rounds of CG(q, nh) into one CG(q, nh, g^r). One
+basis trace per block finds where it may end, and the block is built
+from that trace. A block runs in place in one pass: scale rows, permute
+within and between rows, then one guard check. apply_gate is the
+gate-by-gate reference the tests compare the blocks against. With
+power-of-two parameters the two agree bit for bit; otherwise a block
+rounds its product of factors once where the gate loop rounds after
+every gate.
 
 Gates, block rows and gram find the amplitudes where some qubits hold
 given bits through one reshape, _gaps. Data moves (H's sums, the swaps
@@ -297,8 +299,9 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 # scales rows by factor vectors over the tail, permutes the tail of a row
 # with one gather, and moves whole rows along the cycles of the row
 # permutation. So a block must keep rows whole: a gate with a high target
-# and a low control splits them, and _fuse_run ends each block after its
-# longest prefix that keeps them whole.
+# and a low control splits them. _fuse_run traces the stretch the caps
+# admit once, ends the block after its longest prefix that keeps rows
+# whole, and builds it from the basis map the trace holds there.
 # ---------------------------------------------------------------------------
 
 _MONOMIAL = PERMUTATION_KINDS | (DIAGONAL_KINDS - COMPLEX_KINDS)  # a block's factors are real
@@ -353,12 +356,6 @@ def _fold(run: Sequence[Gate]) -> list[Gate]:
     return items
 
 
-def _split(qubits, dense: int) -> tuple[list[int], list[int]]:
-    """A block's low and high qubits."""
-    touched = sorted(set(qubits))
-    return [q for q in touched if q < dense], [q for q in touched if q >= dense]
-
-
 def _trace_basis(gates: Sequence[Gate], pos: dict[int, int]):
     """Run every local basis state through the gates, one gate at a time.
 
@@ -398,27 +395,17 @@ def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarr
     return dest, w, e
 
 
-def _splits_rows(g: Gate, dense: int) -> bool:
-    """True for a permutation gate with a high target and a low control.
-
-    A run without one keeps rows whole after every gate, so it needs no
-    trace to find where a block may end.
-    """
-    return g.kind in PERMUTATION_KINDS and g.target >= dense and any(c < dense for c in g.controls)
-
-
 def _rows_stay_whole(dest: np.ndarray, kl: int) -> bool:
     """True when the row a local state lands in depends only on the row it left."""
     to_row = (dest >> kl).reshape(-1, 1 << kl)
     return bool(np.all(to_row == to_row[:, :1]))
 
 
-def _build_block(gates: list[Gate], n: int, dense: int) -> _Block:
-    low, high = _split([q for g in gates for q in g.qubits], dense)
+def _build_block(gates: list[Gate], net: tuple, low: list, high: list, n: int, dense: int) -> _Block:
+    """The block that applies net, the (dest, w, e) map _trace_basis gives
+    for the gates over the local qubits low + high."""
+    dest, w, e = net
     kl = len(low)
-    pos = {q: j for j, q in enumerate(low + high)}
-    for dest, w, e in _trace_basis(gates, pos):
-        pass  # keep the state after the last gate
     w = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
 
     # Spread the low part over the 2^dense tail positions of a row.
@@ -469,10 +456,12 @@ def _fuse_run(run: list[Gate], n: int) -> list:
     """Blocks over a run of monomial gates, diagonal stretches merged first.
 
     A block grows greedily while it fits the qubit, row and factor-range
-    caps, then ends after its longest prefix whose net permutation keeps
-    rows whole. Mid-way through a lowered CG (X, CNOT, G, CNOT, X, G) a
-    low control has split a high target's rows, but the whole CG is
-    diagonal again, so blocks of whole CGs qualify.
+    caps. One trace of that stretch finds its longest prefix whose net
+    permutation keeps rows whole, and the block is built from the map the
+    trace holds there, over every qubit the caps admitted: one its gates
+    leave alone maps to itself with factor 1. Mid-way through a lowered CG
+    (X, CNOT, G, CNOT, X, G) a low control has split a high target's rows,
+    but the whole CG is diagonal again, so blocks of whole CGs qualify.
     """
     items = _fold(run)
     dense = min(_DENSE_QUBITS, n - 1)
@@ -491,21 +480,16 @@ def _fuse_run(run: list[Gate], n: int) -> list:
             ):
                 break
             touched, budget, j = joined, budget + cost, j + 1
-        size = 0
-        if not any(_splits_rows(g, dense) for g in items[i:j]):
-            size = j - i
-        elif j - i > 1:
-            low, high = _split(touched, dense)
-            pos = {q: k for k, q in enumerate(low + high)}
-            for k, (dest, _, _) in enumerate(_trace_basis(items[i:j], pos), 1):
-                if _rows_stay_whole(dest, len(low)):
-                    size = k
-        if size > 1:
-            steps.append(_build_block(items[i : i + size], n, dense))
-            i += size
-        else:
-            steps.append(items[i])
-            i += 1
+        low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
+        pos = {q: k for k, q in enumerate(low + high)}
+        size, net, whole = 1, None, True
+        for k, (g, trace) in enumerate(zip(items[i:j], _trace_basis(items[i:j], pos)), 1):
+            if g.kind in PERMUTATION_KINDS and g.target >= dense:  # only these move states between rows
+                whole = _rows_stay_whole(trace[0], len(low))
+            if whole and k > 1:
+                size, net = k, trace
+        steps.append(items[i] if net is None else _build_block(items[i : i + size], net, low, high, n, dense))
+        i += size
     return steps
 
 
@@ -545,14 +529,28 @@ def _sparse_reach(gates: tuple[Gate, ...]) -> int:
     return len(gates)
 
 
+def _support(amps: np.ndarray, limit: int) -> np.ndarray | None:
+    """Indices of the nonzero amplitudes in ascending order, or None as soon
+    as there are more than limit. One pass of _MOVE_CHUNK pieces, so a dense
+    state stops at its first piece."""
+    found, count = [], 0
+    for start in range(0, amps.size, _MOVE_CHUNK):
+        idx = np.flatnonzero(amps[start : start + _MOVE_CHUNK] != 0)
+        count += idx.size
+        if count > limit:
+            return None
+        found.append(idx + start)
+    return np.concatenate(found)
+
+
 def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
     """Run leading gates on the nonzero amplitudes alone; returns how many.
     A permutation flips its target bit in the indices where every control
     reads 1; H merges index pairs through _hadamard and drops exact zeros."""
     reach, limit = _sparse_reach(gates), (1 << state.num_qubits) >> _SPARSE_SHIFT
-    if not reach or np.count_nonzero(state.amps) > limit:
+    old = _support(state.amps, limit) if reach else None
+    if old is None:
         return 0
-    old = np.flatnonzero(state.amps)
     idx, vals = old, state.amps[old]
     for done, g in enumerate(gates[:reach]):
         bit = 1 << g.target

@@ -93,8 +93,9 @@ def _sim_matrix(gate):
 
 def _pathsum_matrix(gate):
     out = np.zeros((1 << N, 1 << N), dtype=complex)
+    step = pathsum._transitions(gate)
     for col in range(1 << N):
-        for row, factor in pathsum._successors(gate, col):
+        for row, factor in step(col):
             out[row, col] += factor
     return out
 

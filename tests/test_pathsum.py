@@ -132,7 +132,7 @@ def test_forward_paths_come_in_trail_order():
     trails = [((0,), 1.0 + 0.0j)]
     for g in circ.gates:
         trails = [
-            (t + (nz,), v * f) for t, v in trails for nz, f in pathsum._successors(g, t[-1]) if v * f != 0
+            (t + (nz,), v * f) for t, v in trails for nz, f in pathsum._transitions(g)(t[-1]) if v * f != 0
         ]
     expected: dict = {}
     for t, v in sorted(trails, key=lambda tv: tv[0]):

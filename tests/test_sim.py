@@ -344,14 +344,36 @@ def test_fused_run_folds_rounds_and_cuts_at_factor_range():
     assert sim.probabilities_z(state, 0)[1] == 1.0
 
 
+def test_fused_block_ends_where_its_trace_keeps_rows_whole():
+    # With a 2-qubit tail, qubit 3 picks the row. A lowered CG(0, 3) keeps
+    # rows whole and the CNOT(1, 3) after it splits them (low control,
+    # high target), so the one trace over qubits 0, 1 and 3 ends the block
+    # after the CG. Qubit 1 stays in the block, mapped to itself with
+    # factor 1, and the state is the gate loop's bit for bit.
+    gates = lower_cg(Circuit(4, (Gate("CG", (0, 3), 4.0),))).gates + (Gate("CNOT", (1, 3)),)
+    state = _random_state(np.random.default_rng(3), 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_DENSE_QUBITS", 2)
+        steps = sim._compile(gates, 4)
+        got = sim.apply_circuit(state.copy(), gates)
+    assert len(steps) == 2 and isinstance(steps[0], sim._Block) and steps[1] == gates[-1]
+    assert sorted(set(steps[0].local)) == [0, 1, 2, 3]  # both low qubits index the tail
+    want = state.copy()
+    for g in gates:
+        sim.apply_gate(want, g)
+    assert np.array_equal(got.amps, want.amps)
+    assert got.exponent == want.exponent
+
+
 @st.composite
 def _sparse_start(draw):
     """A basis state or a state with at most 4 nonzero amplitudes on up to
     8 qubits; gates: H and permutations (and T in complex mode), then
     lowered CGs, whose monomial runs open with permutations and hold G
     factors that blocks may group, then every kind; the fusion's tail and
-    block widths; and a sparse limit of 2^-0 to 2^-2 of the state, so
-    that small registers take the sparse prefix."""
+    block widths, and a data-move piece of 2^1 to 2^4 amplitudes, so that
+    the support scan crosses piece boundaries; and a sparse limit of 2^-0
+    to 2^-2 of the state, so that small registers take the sparse prefix."""
     n = draw(st.integers(1, 8))
     mode = draw(st.sampled_from(("real", "complex")))
     support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
@@ -364,7 +386,7 @@ def _sparse_start(draw):
         if mode == "complex":
             amps[support] += 1j * rng.standard_normal(len(support))
     state = sim.state_from_amplitudes(amps, mode=mode)
-    widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)))
+    widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)), 1 << draw(st.integers(1, 4)))
     gates = _draw_gates(draw, n, mode, _ANY_PARAMS, ("H", "X", "CNOT", "CCNOT", "NCNOT"))
     rounds = draw(st.integers(0, 6 if n > 1 else 0))
     cgs = tuple(Gate("CG", draw(st.permutations(range(n)))[:2], draw(_ANY_PARAMS)) for _ in range(rounds))
@@ -382,11 +404,26 @@ def test_sparse_prefix_matches_dense_bit_for_bit(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_DENSE_QUBITS", widths[0])
         patch.setattr(sim, "_BLOCK_QUBITS", widths[1])
+        patch.setattr(sim, "_MOVE_CHUNK", widths[2])
         want = sim._apply_dense(state.copy(), tuple(gates))
         patch.setattr(sim, "_SPARSE_SHIFT", shift)
         got = sim.apply_circuit(state.copy(), gates)
     assert np.array_equal(got.amps, want.amps)
     assert got.exponent == want.exponent
+
+
+def test_support_scan_matches_flatnonzero_and_stops_past_limit():
+    rng = np.random.default_rng(5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_MOVE_CHUNK", 16)  # a 256-amplitude array spans 16 pieces
+        for count in (0, 1, 7, 40, 256):
+            amps = np.zeros(256)
+            amps[rng.choice(256, count, replace=False)] = rng.standard_normal(count)
+            want = np.flatnonzero(amps)
+            assert np.array_equal(sim._support(amps, 256), want)
+            if count:
+                assert np.array_equal(sim._support(amps, count), want)
+                assert sim._support(amps, count - 1) is None
 
 
 def test_sparse_prefix_stops_before_primitive_gain_rounds():
