@@ -46,9 +46,9 @@ def _manifest(command: str, path: str, config: dict, seed, timestamp: str | None
 
 
 def _write_report(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
         return
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

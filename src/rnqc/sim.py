@@ -24,19 +24,19 @@ then writes the support back. It stops at T, at an H that would take
 the support past that limit, and at the start of any maximal monomial
 run holding a diagonal gate, so the rest fuses into the blocks the whole
 sequence gets and the state is bit for bit _apply_dense's. The dense
-path compiles its gates into kernels on each call; nothing is cached.
-What each gate kind does comes from circuit.py: a permutation kind NOTs
-its target under its controls, a diagonal kind scales by
-diagonal_factors. H and T run one gate at a time; T is diagonal but
+path cuts its gates into steps as it applies them; nothing is built
+ahead or cached. What each gate kind does comes from circuit.py: a
+permutation kind NOTs its target under its controls, a diagonal kind
+scales by diagonal_factors. H and T run one gate at a time; T is diagonal but
 complex, and a block's factors are real, so it runs alone. Every other
 kind is monomial, a basis permutation (X, CNOT, CCNOT, NCNOT) or a real
 diagonal (Z, G, CG), so each run of them is cut into blocks of at most
 10 qubits. Within a stretch of diagonal gates, gates on the same qubits
 fold into one, e.g. r rounds of CG(q, nh) into one CG(q, nh, g^r). One
-basis trace per block finds where it may end, and the block is built
-from that trace. A block runs in place in one pass: scale rows, permute
-within and between rows, then one guard check. apply_gate is the
-gate-by-gate reference the tests compare the blocks against. With
+basis trace per block finds where it may end, and the block is applied
+straight from the map that trace holds, in place and in one pass: scale
+rows, permute within and between rows, then one guard check. apply_gate
+is the gate-by-gate reference the tests compare the blocks against. With
 power-of-two parameters the two agree bit for bit; otherwise a block
 rounds its product of factors once where the gate loop rounds after
 every gate.
@@ -63,7 +63,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -291,17 +291,17 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 # ---------------------------------------------------------------------------
 # Gate fusion. Every kind but H and T is monomial: a basis permutation (X,
-# CNOT, CCNOT, NCNOT) or a real diagonal (Z, G, CG). apply_circuit compiles each
+# CNOT, CCNOT, NCNOT) or a real diagonal (Z, G, CG). apply_circuit cuts each
 # maximal run of monomial gates into blocks and applies a block in one pass.
-# A block's qubits T split at _DENSE_QUBITS: the low ones index positions
+# A block's qubits split at _tail_width(n): the low ones index positions
 # inside a row's contiguous tail, the high ones pick the row (a block with
 # no high qubit has one row, the whole state). The block then
 # scales rows by factor vectors over the tail, permutes the tail of a row
 # with one gather, and moves whole rows along the cycles of the row
 # permutation. So a block must keep rows whole: a gate with a high target
 # and a low control splits them. _fuse_run traces the stretch the caps
-# admit once, ends the block after its longest prefix that keeps rows
-# whole, and builds it from the basis map the trace holds there.
+# admit once and ends the block after its longest prefix that keeps rows
+# whole; _apply_block applies the basis map the trace holds there.
 # ---------------------------------------------------------------------------
 
 _MONOMIAL = PERMUTATION_KINDS | (DIAGONAL_KINDS - COMPLEX_KINDS)  # a block's factors are real
@@ -310,16 +310,6 @@ _BLOCK_QUBITS = 10  # most qubits one block touches
 _ROW_QUBITS = 6  # most block qubits above the tail: at most 2^6 rows per block
 _LOG2_GUARD = 500  # log2 of _GUARD_HI: the widest factor range one block may apply
 _SPARSE_SHIFT = 7  # apply_circuit starts sparse while at most 2^-7 of the amplitudes are nonzero
-
-
-@dataclass(frozen=True)
-class _Block:
-    shape: tuple[int, ...]  # reshape of the state: _gaps over the high qubits, then (rest, tail)
-    local: np.ndarray  # tail position -> index over the block's low qubits
-    scales: tuple  # (row index, one factor, or factors over the low qubits)
-    gathers: tuple  # (row index, source position of each tail entry)
-    cycles: tuple  # row index tuples; the data of cycle[j] moves to cycle[j + 1]
-    guard: bool
 
 
 def _merge_diagonal(stretch: list[Gate]) -> list[Gate]:
@@ -356,8 +346,9 @@ def _fold(run: Sequence[Gate]) -> list[Gate]:
     return items
 
 
-def _trace_basis(gates: Sequence[Gate], pos: dict[int, int]):
-    """Run every local basis state through the gates, one gate at a time.
+def _trace_basis(gates: Sequence[Gate], qubits: Sequence[int]):
+    """Run every local basis state through the gates, one gate at a time;
+    bit j of a local index is qubits[j].
 
     Yields (dest, w, e) after each gate: local basis state x has moved to
     dest[x] and picked up the factor w[x] * 2^e[x], multiplied in gate
@@ -365,6 +356,7 @@ def _trace_basis(gates: Sequence[Gate], pos: dict[int, int]):
     a product of any length stays finite, and the rounding is that of the
     plain product wherever the plain product is a normal double.
     """
+    pos = {q: j for j, q in enumerate(qubits)}
     dest = np.arange(1 << len(pos))
     w = np.ones(1 << len(pos))
     e = np.zeros(1 << len(pos), dtype=np.int64)
@@ -389,8 +381,7 @@ def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarr
     state x moves to dest[x] and picks up the factor w[x] * 2^e[x].
     Diagonal stretches fold first, as in apply_circuit's blocks.
     """
-    pos = {q: j for j, q in enumerate(qubits)}
-    for dest, w, e in _trace_basis(_fold(gates), pos):
+    for dest, w, e in _trace_basis(_fold(gates), qubits):
         pass  # keep the map after the last gate
     return dest, w, e
 
@@ -401,71 +392,26 @@ def _rows_stay_whole(dest: np.ndarray, kl: int) -> bool:
     return bool(np.all(to_row == to_row[:, :1]))
 
 
-def _build_block(gates: list[Gate], net: tuple, low: list, high: list, n: int, dense: int) -> _Block:
-    """The block that applies net, the (dest, w, e) map _trace_basis gives
-    for the gates over the local qubits low + high."""
-    dest, w, e = net
-    kl = len(low)
-    w = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
-
-    # Spread the low part over the 2^dense tail positions of a row.
-    tail = np.arange(1 << dense)
-    local = np.zeros_like(tail)
-    spread = np.zeros(1 << kl, dtype=tail.dtype)
-    for j, q in enumerate(low):
-        local |= ((tail >> q) & 1) << j
-        spread |= ((np.arange(1 << kl) >> j) & 1) << q
-    rest = tail & ~int(spread[-1])
-
-    # Rows are _gaps views over the high qubits, with the run below the
-    # lowest one (if any) split into (rest, tail).
-    shape, axes = _gaps(n, tuple(high))
-    below = min(high, default=n)
-    shape = (*(shape[:-1] if below else shape), 1 << (below - dense), 1 << dense)
-
-    def row(h: int) -> tuple:
-        return _index(axes, tuple((h >> j) & 1 for j in range(len(high))))
-
-    scales, gathers, to_row = [], [], {}
-    for h in range(1 << len(high)):
-        x = (h << kl) | local
-        f = w[h << kl : (h + 1) << kl]
-        if np.any(f != 1.0):
-            scales.append((row(h), float(f[0]) if np.all(f == f[0]) else f))
-        fwd = rest | spread[dest[x] & ((1 << kl) - 1)]
-        if np.any(fwd != tail):
-            src = np.empty_like(fwd)
-            src[fwd] = tail
-            gathers.append((row(h), src))
-        to_row[h] = int(dest[h << kl]) >> kl
-    cycles = []
-    seen: set[int] = set()
-    for h in to_row:
-        if h in seen or to_row[h] == h:
-            continue
-        cycle = [h]
-        while to_row[cycle[-1]] != h:
-            cycle.append(to_row[cycle[-1]])
-        seen.update(cycle)
-        cycles.append(tuple(row(c) for c in cycle))
-    guard = any(g.param is not None for g in gates)  # a gain changes the norm
-    return _Block(shape, local, tuple(scales), tuple(gathers), tuple(cycles), guard)
+def _tail_width(n: int) -> int:
+    """How many low qubits form the contiguous tail of a block's rows."""
+    return min(_DENSE_QUBITS, n - 1)
 
 
-def _fuse_run(run: list[Gate], n: int) -> list:
-    """Blocks over a run of monomial gates, diagonal stretches merged first.
+def _fuse_run(run: list[Gate], n: int) -> Iterator:
+    """Yield the blocks over a run of monomial gates, diagonal stretches
+    merged first.
 
     A block grows greedily while it fits the qubit, row and factor-range
     caps. One trace of that stretch finds its longest prefix whose net
-    permutation keeps rows whole, and the block is built from the map the
-    trace holds there, over every qubit the caps admitted: one its gates
-    leave alone maps to itself with factor 1. Mid-way through a lowered CG
-    (X, CNOT, G, CNOT, X, G) a low control has split a high target's rows,
-    but the whole CG is diagonal again, so blocks of whole CGs qualify.
+    permutation keeps rows whole, and the block is that prefix with the
+    (dest, w, e) map the trace holds there, over the qubits its gates
+    touch: a block cut short is traced again without the qubits only its
+    dropped gates touched. Mid-way through a lowered CG (X, CNOT, G, CNOT,
+    X, G) a low control has split a high target's rows, but the whole CG is
+    diagonal again, so blocks of whole CGs qualify.
     """
     items = _fold(run)
-    dense = min(_DENSE_QUBITS, n - 1)
-    steps: list = []
+    dense = _tail_width(n)
     i = 0
     while i < len(items):
         j, touched, budget = i, set(), 0.0
@@ -481,39 +427,71 @@ def _fuse_run(run: list[Gate], n: int) -> list:
                 break
             touched, budget, j = joined, budget + cost, j + 1
         low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
-        pos = {q: k for k, q in enumerate(low + high)}
         size, net, whole = 1, None, True
-        for k, (g, trace) in enumerate(zip(items[i:j], _trace_basis(items[i:j], pos)), 1):
+        for k, (g, trace) in enumerate(zip(items[i:j], _trace_basis(items[i:j], low + high)), 1):
             if g.kind in PERMUTATION_KINDS and g.target >= dense:  # only these move states between rows
                 whole = _rows_stay_whole(trace[0], len(low))
             if whole and k > 1:
                 size, net = k, trace
-        steps.append(items[i] if net is None else _build_block(items[i : i + size], net, low, high, n, dense))
+        gates = items[i : i + size]
+        kept = set().union(*(g.qubits for g in gates))
+        if net is not None and kept != touched:
+            low, high = [q for q in low if q in kept], [q for q in high if q in kept]
+            for net in _trace_basis(gates, low + high):
+                pass  # keep the map after the last gate
+        yield items[i] if net is None else (gates, net, low, high)
         i += size
-    return steps
 
 
-def _compile(gates: tuple[Gate, ...], n: int) -> tuple:
-    """Kernel list for a gate tuple on an n-qubit register: H and T (and
-    gates no block can hold) as single gates, monomial runs as blocks."""
-    steps: list = []
+def _compile(gates: tuple[Gate, ...], n: int) -> Iterator:
+    """Yield the steps for a gate tuple on an n-qubit register: H and T
+    (and gates no block can hold) as single gates, monomial runs as blocks
+    (gates, net, low, high) for _apply_block. A block is cut only when the
+    step before it has been taken, so one block's map is held at a time."""
     for monomial, run in groupby(gates, key=lambda g: g.kind in _MONOMIAL):
-        steps += _fuse_run(list(run), n) if monomial else list(run)
-    return tuple(steps)
+        yield from _fuse_run(list(run), n) if monomial else run
 
 
-def _apply_block(state: StateVector, block: _Block) -> None:
-    v = state.amps.reshape(block.shape)
-    for idx, f in block.scales:
-        r = v[idx]
-        np.multiply(r, f if isinstance(f, float) else f[block.local], out=r)
-    for idx, src in block.gathers:
-        r = v[idx]
-        for p in _pieces(r.shape, keep=1):
-            r[p] = np.take(r[p], src, axis=-1, mode="clip")
-    for cycle in block.cycles:
-        _rotate([v[idx] for idx in cycle])
-    if block.guard:
+def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: list, high: list) -> None:
+    """Apply net, the (dest, w, e) map _trace_basis gives for the gates over
+    the local qubits low + high, in place and in one pass."""
+    n, kl = state.num_qubits, len(low)
+    dense = _tail_width(n)
+    dest, w, e = (a.reshape(-1, 1 << kl) for a in net)  # (row, index over the low qubits)
+    f = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
+
+    # Spread the low part over the 2^dense tail positions of a row.
+    tail = np.arange(1 << dense)
+    local = np.zeros_like(tail)
+    spread = np.zeros(1 << kl, dtype=tail.dtype)
+    for j, q in enumerate(low):
+        local |= ((tail >> q) & 1) << j
+        spread |= ((np.arange(1 << kl) >> j) & 1) << q
+    rest = tail & ~int(spread[-1])
+
+    # Rows are _gaps views over the high qubits, with the run below the
+    # lowest one (if any) split into (rest, tail).
+    shape, axes = _gaps(n, tuple(high))
+    below = min(high, default=n)
+    v = state.amps.reshape(*(shape[:-1] if below else shape), 1 << (below - dense), 1 << dense)
+    rows = [v[_index(axes, tuple((h >> j) & 1 for j in range(len(high))))] for h in range(len(dest))]
+    for r, fh, to in zip(rows, f, dest & ((1 << kl) - 1)):
+        if np.any(fh != 1.0):
+            np.multiply(r, fh[0] if np.all(fh == fh[0]) else fh[local], out=r)
+        if np.any(to != np.arange(1 << kl)):
+            src = np.argsort(rest | spread[to[local]])
+            for p in _pieces(r.shape, keep=1):
+                r[p] = np.take(r[p], src, axis=-1, mode="clip")
+    to_row = (dest[:, 0] >> kl).tolist()
+    for h in range(len(rows)):
+        cycle = [h]
+        while to_row[cycle[-1]] != h:
+            cycle.append(to_row[cycle[-1]])
+        for c in cycle:
+            to_row[c] = c  # so no later h walks this cycle again
+        if len(cycle) > 1:
+            _rotate([rows[c] for c in cycle])  # row cycle[j]'s data moves to row cycle[j + 1]
+    if any(g.param is not None for g in gates):  # a gain changes the norm
         _rescale_guard(state)
 
 
@@ -579,7 +557,7 @@ def _apply_dense(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
         if isinstance(step, Gate):
             apply_gate(state, step)
         else:
-            _apply_block(state, step)
+            _apply_block(state, *step)
     return state
 
 
@@ -587,7 +565,7 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
     """Apply gates in list order. Accepts a Circuit or a bare gate iterable.
 
     Gates that reach past the register raise CircuitError before any is
-    applied. Runs the sparse prefix, then the fused kernels of _compile
+    applied. Runs the sparse prefix, then the gates and blocks of _compile
     on the rest (see the module notes).
     """
     if isinstance(circuit, Circuit):

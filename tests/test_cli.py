@@ -337,6 +337,14 @@ def test_simulate_prints_probabilities_and_amplitudes(files, tmp_path, capsys):
     jsonschema.validate(payload, _schema("simulate_report.schema.json"))
 
 
+def test_simulate_without_json_encodes_no_report(files, monkeypatch, capsys):
+    encoded = []
+    monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: encoded.append(args) or "")
+    assert cli.main(["simulate", files["hgh.json"], "--amplitudes"]) == 0
+    assert "|0> +1.25+0j" in capsys.readouterr().out
+    assert not encoded
+
+
 def test_simulate_bits_width_mismatch(files, capsys):
     assert cli.main(["simulate", files["hgh.json"], "--bits", "00"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -334,7 +334,7 @@ def test_fused_run_folds_rounds_and_cuts_at_factor_range():
     # range, so the block takes two and the third runs on its own.
     gates = [Gate("H", (q,)) for q in range(3)]
     gates += [Gate("CG", (q, 3), 2.0**100) for _ in range(2) for q in range(3)]
-    steps = sim._compile(tuple(gates), 4)
+    steps = tuple(sim._compile(tuple(gates), 4))
     assert steps[:3] == tuple(gates[:3])
     assert not isinstance(steps[3], Gate)
     assert steps[4:] == (Gate("CG", (2, 3), 2.0**200),)
@@ -348,16 +348,20 @@ def test_fused_block_ends_where_its_trace_keeps_rows_whole():
     # With a 2-qubit tail, qubit 3 picks the row. A lowered CG(0, 3) keeps
     # rows whole and the CNOT(1, 3) after it splits them (low control,
     # high target), so the one trace over qubits 0, 1 and 3 ends the block
-    # after the CG. Qubit 1 stays in the block, mapped to itself with
-    # factor 1, and the state is the gate loop's bit for bit.
+    # after the CG. Only the CNOT touched qubit 1, so the block drops it:
+    # its map is CG(0, 3)'s diagonal over qubits 0 and 3, and the state is
+    # the gate loop's bit for bit.
     gates = lower_cg(Circuit(4, (Gate("CG", (0, 3), 4.0),))).gates + (Gate("CNOT", (1, 3)),)
     state = _random_state(np.random.default_rng(3), 4)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_DENSE_QUBITS", 2)
-        steps = sim._compile(gates, 4)
+        steps = tuple(sim._compile(gates, 4))
         got = sim.apply_circuit(state.copy(), gates)
-    assert len(steps) == 2 and isinstance(steps[0], sim._Block) and steps[1] == gates[-1]
-    assert sorted(set(steps[0].local)) == [0, 1, 2, 3]  # both low qubits index the tail
+    assert len(steps) == 2 and not isinstance(steps[0], Gate) and steps[1] == gates[-1]
+    block, (dest, w, e), low, high = steps[0]
+    assert block == list(gates[:-1]) and (low, high) == ([0], [3])
+    assert np.array_equal(dest, np.arange(4))
+    assert np.array_equal(np.ldexp(w, e), [1.0, 0.25, 1.0, 4.0])
     want = state.copy()
     for g in gates:
         sim.apply_gate(want, g)
@@ -505,11 +509,16 @@ def test_fused_exact_runs_match_gate_loop_on_corpus(corpus, monkeypatch, lowerin
 def test_data_moves_allocate_no_state_sized_temporary(gates):
     # A 20-qubit state is 8 MiB; each move copies pieces of at most 2^16
     # amplitudes (512 KiB), plus numpy's copy of an overlapping source.
-    # H's sums and differences and CG's scaling stay within pieces too.
+    # H's sums and differences and CG's scaling stay within pieces too,
+    # and a block's trace, taken inside apply_circuit, is of its 2^k local
+    # states only.
     state = _random_state(np.random.default_rng(3), 20)
-    (step,) = sim._compile(tuple(gates), 20)  # compiled outside the measurement
-    if len(gates) > 1:
-        assert step.gathers and step.cycles
+    (step,) = sim._compile(tuple(gates), 20)
+    if len(gates) > 1:  # the block's map moves states within a row's tail and between rows
+        _, (dest, _, _), low, _ = step
+        rows = dest.reshape(-1, 1 << len(low))
+        assert np.any(rows % (1 << len(low)) != np.arange(1 << len(low)))
+        assert np.any(rows[:, 0] >> len(low) != np.arange(len(rows)))
     ref = state.copy()
     for gate in gates:
         sim.apply_gate(ref, gate)
