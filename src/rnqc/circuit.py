@@ -315,6 +315,8 @@ def load_circuit(path: str) -> Circuit:
         raise CircuitError(f"cannot read circuit file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CircuitError(f"circuit file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CircuitError(f"circuit file {path} is not UTF-8 text: {exc}") from exc
     return circuit_from_json(obj)
 
 

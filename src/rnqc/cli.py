@@ -55,10 +55,12 @@ def _write_report(path: str | None, payload: dict) -> None:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,7 @@ def cmd_count(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     formula = cnf.parse_dimacs(_read_text(args.file), keep_tautologies=args.keep_tautologies)
+    cnf.check_count_limit(formula.num_vars)
     three = cnf.to_3cnf(formula)
     artifact = oracle.build_oracle(three, polarity_fix=not args.no_polarity_fix)
     if args.lowering == "primitive":

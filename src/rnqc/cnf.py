@@ -1,4 +1,4 @@
-"""CNF formulas: DIMACS parsing, brute-force counting, 3-CNF conversion.
+"""CNF formulas: DIMACS parsing, bitset truth tables and model counting, 3-CNF conversion.
 
 Variables are 1-based signed integers in clauses (DIMACS convention);
 assignments are integers where bit v-1 holds the value of variable v,
@@ -13,11 +13,20 @@ a clause are deduplicated.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 from .errors import CountLimitError, DimacsError, InputError
 
 COUNT_VAR_LIMIT = 24
+# Truth tables pack 64 assignments per uint64 word, 2^20 assignments per
+# block. Variables 1-6 repeat within a word: bit b is bit v - 1 of b.
+_BLOCK_WORDS = 1 << 14
+_LOW_WORDS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> v & 1)) for v in range(6))
+_M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F))
 
 
 def _tautology(lits: list[int]) -> int | None:
@@ -62,9 +71,7 @@ class CnfFormula:
         if n < 0:
             raise InputError(f"variable count must be nonnegative, got {n}")
         object.__setattr__(self, "num_vars", n)
-        object.__setattr__(
-            self, "clauses", tuple(_normalize_clause(c, n) for c in self.clauses)
-        )
+        object.__setattr__(self, "clauses", tuple(_normalize_clause(c, n) for c in self.clauses))
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,7 @@ def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed problem line {stripped!r}")
             try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
+                num_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: malformed problem line {stripped!r}") from exc
             if num_vars < 0 or declared_clauses < 0:
@@ -140,9 +146,7 @@ def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
     if pending:
         raise DimacsError("unterminated clause at end of input")
     if body_count != declared_clauses:
-        raise DimacsError(
-            f"problem line declares {declared_clauses} clauses, body has {body_count}"
-        )
+        raise DimacsError(f"problem line declares {declared_clauses} clauses, body has {body_count}")
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
@@ -153,46 +157,70 @@ def format_dimacs(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def truth_tables(n: int) -> tuple[int, list[int]]:
-    """(full, tables) over all 2^n assignments: full has all 2^n bits set,
-    and bit x of tables[v] is variable v+1 in assignment x. One 2^n-bit
-    integer each, 2 MiB at COUNT_VAR_LIMIT, the package's one limit on
-    exhaustive evaluation."""
+def check_count_limit(n: int) -> None:
+    """COUNT_VAR_LIMIT is the package's one limit on exhaustive evaluation."""
     if n > COUNT_VAR_LIMIT:
-        raise CountLimitError(
-            f"exhaustive evaluation is capped at {COUNT_VAR_LIMIT} variables, got {n}"
-        )
-    total = 1 << n
-    tables: list[int] = []
-    for v in range(n):
-        block = 1 << v
-        m = ((1 << block) - 1) << block  # ones where bit v of the index is set
-        span = block << 1
-        while span < total:
-            m |= m << span
-            span <<= 1
-        tables.append(m)
-    return (1 << total) - 1, tables
+        raise CountLimitError(f"exhaustive evaluation is capped at {COUNT_VAR_LIMIT} variables, got {n}")
 
 
-def clause_table(clause: tuple[int, ...], full: int, tables: list[int]) -> int:
-    """Truth table of a clause: the OR of its literals' tables."""
-    t = 0
-    for lit in clause:
-        vt = tables[abs(lit) - 1]
-        t |= vt if lit > 0 else full & ~vt
-    return t
+def truth_blocks(n: int, mapping=()) -> Iterator[tuple[int, np.ndarray, dict[int, np.ndarray]]]:
+    """The 2^n assignments as bitset truth tables, one block at a time.
+
+    A block is (first, full, words): bit x & 63 of word x >> 6 stands for
+    assignment first + x, full has all of them set, and words[lit] those
+    where literal +v or -v holds, for the n variables and those a
+    ThreeCnf's mapping defines. The one dict is refilled for each block,
+    so memory is two tables of at most 128 KiB per variable."""
+    check_count_limit(n)
+    count = 1 << max(n - 6, 0)
+    size = min(count, _BLOCK_WORDS)
+    full = np.full(size, ~np.uint64(0) >> np.uint64(64 - (1 << min(n, 6))))  # n < 6: pad bits 0
+    words = {}
+    for first in range(0, count, size):
+        index = np.arange(first, first + size, dtype=np.uint64)
+        for v in range(1, n + 1):
+            if v <= 6:
+                words[v] = full & _LOW_WORDS[v - 1]
+            else:  # all ones or zero, by bit v - 7 of the word index
+                words[v] = np.uint64(0) - (index >> np.uint64(v - 7) & np.uint64(1))
+            words[-v] = full ^ words[v]
+        for y, la, lb in mapping:  # y = la OR lb, in dependency order
+            words[y] = words[la] | words[lb]
+            words[-y] = full ^ words[y]
+        yield first << 6, full, words
+
+
+def clause_words(clause: tuple[int, ...], words: dict[int, np.ndarray]) -> np.ndarray:
+    """A clause's words over one block: the OR of its literals' words."""
+    return reduce(np.bitwise_or, (words[lit] for lit in clause))
+
+
+def popcount(words: np.ndarray) -> int:
+    """Set bits in uint64 words, by the SWAR sums over bit pairs, nibbles and
+    bytes of Knuth, TAOCP 4A, 7.1.3; numpy 1.24 has no np.bitwise_count."""
+    w = words - (words >> np.uint64(1) & _M1)
+    w = (w & _M2) + (w >> np.uint64(2) & _M2)
+    return int(((w + (w >> np.uint64(4))) & _M4).view(np.uint8).sum())
+
+
+def set_assignments(first: int, words: np.ndarray) -> list[int]:
+    """The assignments whose bits are set in a block's words, ascending."""
+    if not words.any():
+        return []
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return (np.flatnonzero(np.unpackbits(raw, bitorder="little")) + first).tolist()
+
+
+def formula_words(clauses, full: np.ndarray, words: dict[int, np.ndarray]) -> np.ndarray:
+    """A conjunction's words over one block: the AND of its clauses' words."""
+    return reduce(np.bitwise_and, (clause_words(c, words) for c in clauses), full)
 
 
 def count_models(formula: CnfFormula) -> int:
-    """Exact model count: the popcount of the AND of the clause truth
-    tables. Far faster than a per-assignment loop and still an
-    exhaustive, assumption-free reference."""
-    full, tables = truth_tables(formula.num_vars)
-    sat = full
-    for clause in formula.clauses:
-        sat &= clause_table(clause, full, tables)
-    return sat.bit_count()
+    """Exact model count: per block, the popcount of the AND of the
+    clauses' words. An exhaustive, assumption-free reference."""
+    blocks = truth_blocks(formula.num_vars)
+    return sum(popcount(formula_words(formula.clauses, full, words)) for _, full, words in blocks)
 
 
 def to_3cnf(formula: CnfFormula) -> ThreeCnf:
@@ -205,26 +233,15 @@ def to_3cnf(formula: CnfFormula) -> ThreeCnf:
     order, followed by the reduced originals in input order.
     """
     n = formula.num_vars
-    defining: list[tuple[int, ...]] = []
     reduced: list[tuple[int, ...]] = []
     mapping: list[tuple[int, int, int]] = []
-    next_var = n
     for clause in formula.clauses:
         lits = list(clause)
         while len(lits) > 3:
-            la, lb = lits[0], lits[1]
-            next_var += 1
-            y = next_var
-            defining.append((-y, la, lb))
-            defining.append((y, -la))
-            defining.append((y, -lb))
-            mapping.append((y, la, lb))
+            y = n + len(mapping) + 1
+            mapping.append((y, lits[0], lits[1]))
             lits = [y] + lits[2:]
         reduced.append(tuple(lits))
-    base = CnfFormula(num_vars=next_var, clauses=tuple(defining + reduced))
-    return ThreeCnf(
-        base=base,
-        original_vars=n,
-        aux_vars=next_var - n,
-        mapping=tuple(mapping),
-    )
+    defining = [c for y, la, lb in mapping for c in ((-y, la, lb), (y, -la), (y, -lb))]
+    base = CnfFormula(num_vars=n + len(mapping), clauses=tuple(defining + reduced))
+    return ThreeCnf(base=base, original_vars=n, aux_vars=len(mapping), mapping=tuple(mapping))

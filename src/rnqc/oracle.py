@@ -8,10 +8,9 @@ under that pattern, undo the conjugation, then flip the clause qubit
 once more so it reads 1 = satisfied. A final NCNOT over all clause
 qubits lands the conjunction on the oracle qubit.
 
-Variable v sits on qubit v - 1, so the work register holds the input
-variables in order and the defined variables follow; then come one
-flag qubit per reduced clause and the oracle qubit. build_oracle is the
-one place that lays this register out; majsat.plan extends it.
+build_oracle is the one place that lays out the register (variable v
+on qubit v - 1, then the clause flags and the oracle qubit), and
+majsat.plan extends it.
 
 Variables introduced by the width reduction are computed, not free:
 a compute stage per defined variable writes y = l_a OR l_b onto its
@@ -24,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
 
 import numpy as np
 
 from .circuit import PERMUTATION_KINDS, Circuit, Gate, RegisterLayout
-from .cnf import CnfFormula, ThreeCnf, clause_table, to_3cnf, truth_tables
+from .cnf import (
+    CnfFormula, ThreeCnf, clause_words, formula_words, popcount, set_assignments, to_3cnf,
+    truth_blocks,
+)
 from .errors import CircuitError, InputError
 
 
@@ -102,78 +103,60 @@ def build_oracle(f3: ThreeCnf, polarity_fix: bool = True) -> OracleArtifact:
         if polarity_fix:
             gates.append(Gate("X", (cq,)))
 
-    if clauses:
-        gates.append(Gate("NCNOT", (*layout.clause, layout.oracle)))
-    else:
-        # Empty conjunction is true on every input.
-        gates.append(Gate("X", (layout.oracle,)))
+    last = Gate("NCNOT", (*layout.clause, layout.oracle)) if clauses else Gate("X", (layout.oracle,))
+    gates.append(last)  # with no clauses an X: the empty conjunction is true
     circuit = Circuit(qubit_count=n + a + p + 1, gates=tuple(gates), layout=layout)
     return OracleArtifact(circuit=circuit, polarity_fix=polarity_fix)
-
-
-def _set_bits(table: int, n: int) -> tuple[int, ...]:
-    """Indices of the set bits of a 2^n-bit table, ascending."""
-    if not table:
-        return ()
-    raw = np.frombuffer(table.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
-    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
 
 def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckReport:
     """Exhaustively check an oracle circuit against direct clause evaluation.
 
-    The circuit is a basis-state permutation, so it runs once on bitset
-    truth tables (cnf.truth_tables): bit x of a qubit's table is its value
-    on work input x, and a gate XORs the AND of its controls' tables into
-    its target's. The oracle qubit must end holding the formula's table,
-    and the scratch registers their predicted ones: work bits preserved,
-    defined variables and clause flags holding their values, chain
-    ancillas back at 0, constant qubits still 1. Lowered artifacts stay
-    within permutation gates; any other gate raises CircuitError. Memory
-    is one table per qubit, 2 MiB at the cap of n = 24 variables; the
-    register width has no cap.
+    The circuit is a basis-state permutation, so it runs once per block of
+    truth tables (cnf.truth_blocks): bit x of a qubit's words is its value
+    on work input x, and a gate XORs the AND of its controls' words into
+    its target's. The oracle qubit must end holding the formula's words
+    and the scratch qubits their predicted ones: work bits preserved,
+    defined variables and clause flags holding their values, ancillas at
+    rest. A gate outside the permutation kinds raises CircuitError.
+    Memory is a few 128 KiB tables per qubit, for one block of 2^20
+    inputs, up to the cap of 24 variables; the register width has no cap.
     """
     f3 = to_3cnf(formula)
-    n = f3.original_vars
-    full, tables = truth_tables(n)
-    layout = artifact.circuit.layout
-    clauses = reduced_clauses(f3)
-    if (
-        layout is None
-        or len(layout.work) != n
-        or len(layout.aux) != f3.aux_vars
-        or len(layout.clause) != len(clauses)
-        or layout.oracle is None
+    n, clauses, layout = f3.original_vars, reduced_clauses(f3), artifact.circuit.layout
+    if layout is None or layout.oracle is None or (
+        (len(layout.work), len(layout.aux), len(layout.clause)) != (n, f3.aux_vars, len(clauses))
     ):
         raise InputError("artifact layout does not match the formula's register needs")
 
-    for _, la, lb in f3.mapping:  # y = la OR lb, in dependency order
-        tables.append(clause_table((la, lb), full, tables))
-    ones = layout.initial_one_bits()
-    state = [full if (ones >> q) & 1 else 0 for q in range(artifact.circuit.qubit_count)]
-    for q, t in zip(layout.work, tables):
-        state[q] = t
-    expected = list(state)
-    for q, t in zip(layout.aux, tables[n:]):
-        expected[q] = t
-    for q, clause in zip(layout.clause, clauses):
-        t = clause_table(clause, full, tables)
-        expected[q] = t if artifact.polarity_fix else full & ~t
-    o = layout.oracle
-    expected[o] = reduce(and_, (clause_table(c, full, tables) for c in formula.clauses), full)
+    ones, o = layout.initial_one_bits(), layout.oracle
+    mismatches, violations, satisfying = [], [], 0
+    for first, full, words in truth_blocks(n, f3.mapping):
+        zero = np.zeros_like(full)
+        expected = [full if (ones >> q) & 1 else zero for q in range(artifact.circuit.qubit_count)]
+        for v, q in enumerate(layout.work, 1):
+            expected[q] = words[v]
+        state = [t.copy() for t in expected]
+        for v, q in enumerate(layout.aux, n + 1):
+            expected[q] = words[v]
+        for q, clause in zip(layout.clause, clauses):
+            t = clause_words(clause, words)
+            expected[q] = t if artifact.polarity_fix else full ^ t
+        expected[o] = formula_words(formula.clauses, full, words)
 
-    for g in artifact.circuit.gates:
-        if g.kind not in PERMUTATION_KINDS:
-            raise CircuitError(f"{g.kind} is not a basis-permutation gate")
-        state[g.target] ^= reduce(and_, (state[c] for c in g.controls), full)
-
-    mismatches = _set_bits(state[o] ^ expected[o], n)
-    scratch = reduce(or_, (a ^ b for q, (a, b) in enumerate(zip(state, expected)) if q != o), 0)
-    violations = _set_bits(scratch, n)
+        for g in artifact.circuit.gates:
+            if g.kind not in PERMUTATION_KINDS:
+                raise CircuitError(f"{g.kind} is not a basis-permutation gate")
+            state[g.target] ^= reduce(np.bitwise_and, [state[c] for c in g.controls] or [full])
+        satisfying += popcount(state[o])
+        mismatches += set_assignments(first, state[o] ^ expected[o])
+        scratch = (a ^ b for q, (a, b) in enumerate(zip(state, expected)) if q != o)
+        violations += set_assignments(first, reduce(np.bitwise_or, scratch, zero))
+        del expected, state  # before the next block is built
     return OracleCheckReport(
         ok=not mismatches and not violations,
         inputs_checked=1 << n,
-        mismatches=mismatches,
-        scratch_violations=violations,
-        satisfying_inputs=state[o].bit_count(),
+        mismatches=tuple(mismatches),
+        scratch_violations=tuple(violations),
+        satisfying_inputs=satisfying,
     )

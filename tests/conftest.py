@@ -3,11 +3,13 @@ and plain references the tests import from here."""
 from __future__ import annotations
 
 import pathlib
+from functools import reduce
+from operator import and_, or_
 
 import numpy as np
 import pytest
 
-from rnqc import cnf, sim
+from rnqc import cnf, oracle, sim
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "corpus"
 
@@ -69,3 +71,85 @@ def qubit_state_fidelity(state: sim.StateVector, qubit: int, c0, c1) -> float:
     """Fidelity between one qubit's reduced state and a pure target:
     sim.pure_fidelity of the conjugate of the qubit's one-qubit gram."""
     return sim.pure_fidelity(np.conj(sim.gram(state, [qubit])[0]), c0, c1)
+
+
+# ---------------------------------------------------------------------------
+# large-n references: one 2^n-bit Python integer per truth table, bit x
+# standing for assignment x (the tables cnf used before its block engine)
+# ---------------------------------------------------------------------------
+
+
+def truth_tables(n: int) -> tuple[int, list[int]]:
+    """(full, tables): full has all 2^n bits set, and bit x of tables[v]
+    is variable v + 1 in assignment x."""
+    total = 1 << n
+    tables: list[int] = []
+    for v in range(n):
+        block = 1 << v
+        m = ((1 << block) - 1) << block  # ones where bit v of the index is set
+        span = block << 1
+        while span < total:
+            m |= m << span
+            span <<= 1
+        tables.append(m)
+    return (1 << total) - 1, tables
+
+
+def clause_table(clause: tuple[int, ...], full: int, tables: list[int]) -> int:
+    """Truth table of a clause: the OR of its literals' tables."""
+    t = 0
+    for lit in clause:
+        vt = tables[abs(lit) - 1]
+        t |= vt if lit > 0 else full & ~vt
+    return t
+
+
+def table_count(formula: cnf.CnfFormula) -> int:
+    """Model count: the popcount of the AND of the clause tables."""
+    full, tables = truth_tables(formula.num_vars)
+    return reduce(and_, (clause_table(c, full, tables) for c in formula.clauses), full).bit_count()
+
+
+def _set_bits(table: int, n: int) -> tuple[int, ...]:
+    """Indices of the set bits of a 2^n-bit table, ascending."""
+    if not table:
+        return ()
+    raw = np.frombuffer(table.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+
+
+def table_oracle_report(artifact: oracle.OracleArtifact, formula: cnf.CnfFormula) -> oracle.OracleCheckReport:
+    """oracle.verify_oracle over whole-table integers: one table per qubit,
+    each gate XORing the AND of its controls' tables into its target's."""
+    f3 = cnf.to_3cnf(formula)
+    n = f3.original_vars
+    full, tables = truth_tables(n)
+    layout = artifact.circuit.layout
+    clauses = oracle.reduced_clauses(f3)
+    for _, la, lb in f3.mapping:  # y = la OR lb, in dependency order
+        tables.append(clause_table((la, lb), full, tables))
+    ones = layout.initial_one_bits()
+    state = [full if (ones >> q) & 1 else 0 for q in range(artifact.circuit.qubit_count)]
+    for q, t in zip(layout.work, tables):
+        state[q] = t
+    expected = list(state)
+    for q, t in zip(layout.aux, tables[n:]):
+        expected[q] = t
+    for q, clause in zip(layout.clause, clauses):
+        t = clause_table(clause, full, tables)
+        expected[q] = t if artifact.polarity_fix else full & ~t
+    o = layout.oracle
+    expected[o] = reduce(and_, (clause_table(c, full, tables) for c in formula.clauses), full)
+    for g in artifact.circuit.gates:
+        state[g.target] ^= reduce(and_, (state[c] for c in g.controls), full)
+
+    mismatches = _set_bits(state[o] ^ expected[o], n)
+    scratch = reduce(or_, (a ^ b for q, (a, b) in enumerate(zip(state, expected)) if q != o), 0)
+    violations = _set_bits(scratch, n)
+    return oracle.OracleCheckReport(
+        ok=not mismatches and not violations,
+        inputs_checked=1 << n,
+        mismatches=mismatches,
+        scratch_violations=violations,
+        satisfying_inputs=state[o].bit_count(),
+    )

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import random
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -193,6 +195,18 @@ def test_solve_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "count", "oracle-check", "lower", "simulate", "pathsum"])
+def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys, command):
+    # a Latin-1 byte in a comment of the DIMACS file or a string of the circuit JSON
+    dimacs = command in ("solve", "count", "oracle-check")
+    path = tmp_path / "latin1.in"
+    path.write_bytes(b"p cnf 3 1\n1 2 0\nc \xff\n" if dimacs else b'{"qubits": 1, "gates": [], "c": "\xff"}')
+    assert cli.main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
 @pytest.mark.parametrize("clause", ["1 -1 9", "9 1 -1"], ids=["range-last", "range-first"])
 @pytest.mark.parametrize("flags", [[], ["--keep-tautologies"]], ids=["reject", "keep"])
 def test_solve_out_of_range_literal_in_tautology_is_input_error(tmp_path, capsys, clause, flags):
@@ -221,6 +235,34 @@ def test_count_prints_model_count(files, tmp_path, capsys):
 def test_count_cap_is_resource_exit(files, capsys):
     assert cli.main(["count", files["wide.cnf"]]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _random_3cnf(n: int, m: int, seed: int) -> str:
+    rnd = random.Random(seed)
+    clauses = [[v if rnd.random() < 0.5 else -v for v in rnd.sample(range(1, n + 1), 3)] for _ in range(m)]
+    return f"p cnf {n} {m}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+
+
+def _traced_main(argv: list[str]) -> tuple[int, int]:
+    """cli.main's exit code and tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_count_at_the_cap_holds_one_block(tmp_path, capsys):
+    # 24 variables walk 16 blocks of 2^20 assignments; a block's tables
+    # (two per variable, 128 KiB each) are all that is held at once
+    path = tmp_path / "n24.cnf"
+    path.write_text(_random_3cnf(24, 96, 1))
+    code, peak = _traced_main(["count", str(path)])
+    assert code == 0
+    assert int(capsys.readouterr().out) == cnf.count_models(cnf.parse_dimacs(path.read_text()))
+    assert peak < 8 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +295,27 @@ def test_oracle_check_broken_polarity_reports_mismatches(files, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.count("mismatch") == 4
+
+
+def test_oracle_check_at_the_cap_holds_one_block_per_qubit(tmp_path, capsys):
+    # 24 variables and 40 clauses lower to a register of 105 qubits:
+    # one block of 2^20 inputs is 128 KiB per qubit
+    path = tmp_path / "n24.cnf"
+    path.write_text(_random_3cnf(24, 40, 2))
+    code, peak = _traced_main(["oracle-check", str(path), "--lowering", "primitive"])
+    assert code == 0
+    assert "oracle check passed: 16777216 inputs" in capsys.readouterr().out
+    assert peak < 32 << 20, f"peak {peak / (1 << 20):.1f} MiB"
+
+
+def test_oracle_check_cap_is_resource_exit_before_building(tmp_path, capsys):
+    # two million variables: building the register would take hundreds of MB
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 2000000 1\n1 0\n")
+    code, peak = _traced_main(["oracle-check", str(path)])
+    assert code == 3
+    assert "capped at 24 variables" in capsys.readouterr().err
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

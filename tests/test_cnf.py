@@ -1,10 +1,13 @@
 """DIMACS parsing, brute-force counting, and the width-3 conversion."""
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import eval_clause, eval_formula, eval_literal, extend_assignment
+from conftest import eval_clause, eval_formula, eval_literal, extend_assignment, table_count
 from rnqc import cnf
 from rnqc.errors import CountLimitError, DimacsError
 
@@ -113,19 +116,63 @@ def _brute_count(formula):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_count_models_matches_direct_evaluation(data):
-    n = data.draw(st.integers(min_value=1, max_value=6))
-    literals = st.integers(min_value=1, max_value=n).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    )
-    clauses = data.draw(
-        st.lists(
-            st.lists(literals, min_size=1, max_size=4, unique_by=abs),
-            min_size=0,
-            max_size=5,
+    # n < 6 fills part of one word, n = 6 exactly one, n = 7 and 8 several
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    clauses = []
+    if n:
+        literals = st.integers(min_value=1, max_value=n).flatmap(
+            lambda v: st.sampled_from([v, -v])
         )
-    )
+        clauses = data.draw(
+            st.lists(
+                st.lists(literals, min_size=1, max_size=4, unique_by=abs),
+                min_size=0,
+                max_size=5,
+            )
+        )
     formula = _formula(n, clauses)
     assert cnf.count_models(formula) == _brute_count(formula)
+
+
+@pytest.mark.parametrize("n", [21, 22], ids=["two-blocks", "four-blocks"])
+def test_count_models_matches_table_reference(n):
+    rnd = random.Random(n)
+    clauses = [
+        [v if rnd.random() < 0.5 else -v for v in rnd.sample(range(1, n + 1), rnd.randint(2, 4))]
+        for _ in range(2 * n)
+    ]
+    formula = _formula(n, clauses)
+    assert cnf.count_models(formula) == table_count(formula)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_truth_blocks_hold_each_assignment(n):
+    ((first, full, words),) = cnf.truth_blocks(n)
+    assert first == 0 and full.dtype == np.uint64
+    bits = np.unpackbits(full.astype("<u8").view(np.uint8), bitorder="little")
+    assert bits.sum() == 1 << n and bits[: 1 << n].all(), "pad bits past 2^n stay 0"
+    for v in range(1, n + 1):
+        for lit in (v, -v):
+            row = np.unpackbits(words[lit].astype("<u8").view(np.uint8), bitorder="little")
+            want = [((x >> (v - 1)) & 1) == (lit > 0) for x in range(1 << n)]
+            assert row[: 1 << n].tolist() == want and not row[1 << n :].any()
+
+
+def test_truth_blocks_walk_two_blocks_at_n21():
+    blocks = [(first, words[21].copy(), words[7][:3].copy()) for first, _, words in cnf.truth_blocks(21)]
+    assert [first for first, _, _ in blocks] == [0, 1 << 20]
+    ones = np.uint64(2**64 - 1)
+    assert not blocks[0][1].any() and (blocks[1][1] == ones).all()
+    for _, _, low in blocks:
+        assert low.tolist() == [0, 2**64 - 1, 0]  # variable 7 is bit 0 of the word index
+
+
+def test_popcount_matches_int_bit_count():
+    rnd = random.Random(7)
+    values = [0, 2**64 - 1, 1, 2**63] + [rnd.getrandbits(64) for _ in range(200)]
+    for w in values:
+        assert cnf.popcount(np.array([w], dtype=np.uint64)) == w.bit_count()
+    assert cnf.popcount(np.array(values, dtype=np.uint64)) == sum(w.bit_count() for w in values)
 
 
 # ---------------------------------------------------------------------------

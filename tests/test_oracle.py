@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import eval_clause, eval_formula, extend_assignment
+from conftest import eval_clause, eval_formula, extend_assignment, table_oracle_report
 from rnqc import cnf, oracle, sim
 from rnqc.circuit import Circuit, Gate, gate_census, lower_to_primitive, propagate_basis
 from rnqc.errors import CircuitError, ResourceError
@@ -242,6 +242,28 @@ def test_verify_oracle_matches_per_input_reference():
                 assert report == _reference_report(variant, formula), formula
                 failing += not report.ok
     assert failing > 40
+
+
+def test_verify_oracle_across_blocks_matches_table_reference():
+    # n = 21 is two blocks of 2^20 inputs. The stray CCNOT runs while the
+    # qubit of y23 = (x1 v x2) v x3 still holds NOT y23, so it flips x7 on
+    # the 2^17 inputs with x1 = x2 = x3 = 0 and x6 = 1: each is a scratch
+    # violation, and the oracle then reads (x7 v x21)(-x7 v x8) at the
+    # flipped x7, wrong where x4 v x5 and x8 differs from x21.
+    formula = cnf.CnfFormula(num_vars=21, clauses=((1, 2, 3, 4, 5), (7, 21), (-7, 8)))
+    art = oracle.build_oracle(cnf.to_3cnf(formula))
+    y = art.circuit.layout.aux[-1]
+    gates = list(art.circuit.gates)
+    gates.insert(gates.index(Gate("X", (y,))), Gate("CCNOT", (y, 5, 6)))
+    stray = dataclasses.replace(art, circuit=dataclasses.replace(art.circuit, gates=tuple(gates)))
+    for variant in (art, stray):
+        assert oracle.verify_oracle(variant, formula) == table_oracle_report(variant, formula)
+    report = oracle.verify_oracle(stray, formula)
+    assert len(report.scratch_violations) == 1 << 17
+    assert len(report.mismatches) == 3 << 14
+    for found in (report.mismatches, report.scratch_violations):
+        assert found[0] < 1 << 20 <= found[-1], "both blocks"
+        assert list(found) == sorted(set(found))
 
 
 # ---------------------------------------------------------------------------
