@@ -41,6 +41,16 @@ power-of-two parameters the two agree bit for bit; otherwise a block
 rounds its product of factors once where the gate loop rounds after
 every gate.
 
+If the top qubits read the same bits at every nonzero amplitude the
+sparse prefix leaves (one AND and one OR over its indices) and more than
+_DENSE_QUBITS qubits below them vary, the dense steps run on that live
+slice: a contiguous view, as a smaller StateVector sharing the exponent.
+Blocks are still cut on the whole register; one whose high qubits
+include fixed ones applies the rows of its map where they read their
+bits, once a check shows those rows map onto themselves. A lone gate on
+a fixed qubit (an H, say) or a block that fails the check leaves the
+slice for good: the rest runs on the whole register, exponent and all.
+
 Gates, block rows and gram find the amplitudes where some qubits hold
 given bits through one reshape, _gaps. Data moves (H's sums, the swaps
 of X, CNOT, CCNOT and NCNOT, a block's gathers and row cycles, gram's
@@ -521,14 +531,15 @@ def _support(amps: np.ndarray, limit: int) -> np.ndarray | None:
     return np.concatenate(found)
 
 
-def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
-    """Run leading gates on the nonzero amplitudes alone; returns how many.
-    A permutation flips its target bit in the indices where every control
-    reads 1; H merges index pairs through _hadamard and drops exact zeros."""
+def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> tuple[int, np.ndarray | None]:
+    """Run leading gates on the nonzero amplitudes alone; returns how many
+    and the support they leave (None if too dense to start). A permutation
+    flips its target bit in the indices where every control reads 1; H
+    merges index pairs through _hadamard and drops exact zeros."""
     reach, limit = _sparse_reach(gates), (1 << state.num_qubits) >> _SPARSE_SHIFT
     old = _support(state.amps, limit) if reach else None
     if old is None:
-        return 0
+        return 0, None
     idx, vals = old, state.amps[old]
     for done, g in enumerate(gates[:reach]):
         bit = 1 << g.target
@@ -547,17 +558,44 @@ def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
         idx, vals = idx[vals != 0], vals[vals != 0]
     state.amps[old] = 0.0
     state.amps[idx] = vals
-    return reach
+    return reach, idx
 
 
-def _apply_dense(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
-    """apply_circuit without the sparse prefix: the reference its tests
-    compare the sparse prefix against."""
-    for step in _compile(gates, state.num_qubits):
-        if isinstance(step, Gate):
-            apply_gate(state, step)
+def _on_slice(step, live: int, base: int):
+    """The step as it acts on the live slice, where every qubit from live up
+    reads its bit of base; None when it may move amplitude out of the slice.
+    A block keeps the rows of its map where those qubits read their bits."""
+    if isinstance(step, Gate):
+        return step if max(step.qubits) < live else None
+    gates, (dest, w, e), low, high = step
+    kept = [q for q in high if q < live]
+    b = len(low) + len(kept)  # the elided qubits are the block's top local bits
+    row = sum((base >> q & 1) << j for j, q in enumerate(high[len(kept) :]))
+    rows = slice(row << b, row + 1 << b)
+    if np.any(dest[rows] >> b != row):
+        return None
+    return gates, (dest[rows] & (1 << b) - 1, w[rows], e[rows]), low, kept
+
+
+def _apply_dense(state: StateVector, gates: tuple[Gate, ...], support: np.ndarray | None = None) -> StateVector:
+    """Apply the steps of _compile: on the whole register, the reference the
+    tests compare apply_circuit against, or, given the support the sparse
+    prefix left, on its live slice until a step leaves it (module notes)."""
+    n, view = state.num_qubits, state
+    if support is not None:
+        live = int(np.bitwise_or.reduce(support) ^ np.bitwise_and.reduce(support)).bit_length()
+        base = int(support[0]) >> live << live
+        if _DENSE_QUBITS < live < n:  # then the slice's rows split as the register's do
+            view = StateVector(live, state.amps[base : base + (1 << live)], state.mode, state.exponent)
+    for step in _compile(gates, n):
+        sub = step if view is state else _on_slice(step, live, base)
+        if sub is None:
+            state.exponent, view, sub = view.exponent, state, step
+        if isinstance(sub, Gate):
+            apply_gate(view, sub)
         else:
-            _apply_block(state, *step)
+            _apply_block(view, *sub)
+    state.exponent = view.exponent
     return state
 
 
@@ -579,7 +617,8 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
     for g in gates:
         if max(g.qubits) >= state.num_qubits:
             raise CircuitError(f"gate {g.kind}{g.qubits} exceeds register of {state.num_qubits} qubits")
-    return _apply_dense(state, gates[_apply_sparse(state, gates) :])
+    reach, support = _apply_sparse(state, gates)
+    return _apply_dense(state, gates[reach:], support)
 
 
 # ---------------------------------------------------------------------------

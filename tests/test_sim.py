@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import qubit_state_fidelity
+from freeze_amplified import random_formula
 from rnqc import cnf, majsat, sim
 from rnqc.circuit import Circuit, Gate, RegisterLayout, lower_cg, lower_to_primitive, primitive_register
 from rnqc.errors import (
@@ -436,7 +437,9 @@ def test_sparse_prefix_stops_before_primitive_gain_rounds():
     # and hold G(sqrt 2). The X layer and the first lowered CG form one
     # monomial run, so the prefix must end with the H layer. Cut inside
     # that run, blocks of at most 5 qubits would group the G(sqrt 2)
-    # factors differently and round 6 amplitudes differently.
+    # factors differently and round 6 amplitudes differently. The prefix
+    # also returns the support it leaves: every mixed basis word under the
+    # fixed bits of nh and the const-one qubits.
     mixed, nh, ones = (0, 1, 2, 3), 4, (5, 6)
     layout = RegisterLayout(work=mixed, non_hermitian=nh)
     amp = [Gate("H", (q,)) for q in mixed] + [Gate("X", (q,)) for q in mixed]
@@ -448,10 +451,97 @@ def test_sparse_prefix_stops_before_primitive_gain_rounds():
         patch.setattr(sim, "_BLOCK_QUBITS", 5)
         want = sim._apply_dense(start.copy(), circuit.gates)
         patch.setattr(sim, "_SPARSE_SHIFT", 2)
-        assert sim._apply_sparse(start.copy(), circuit.gates) == len(mixed)
+        reach, support = sim._apply_sparse(start.copy(), circuit.gates)
+        assert reach == len(mixed)
+        assert np.array_equal(support, start.amps.nonzero()[0] + np.arange(1 << len(mixed)))
         got = sim.apply_circuit(start.copy(), circuit)
     assert np.array_equal(got.amps, want.amps)
     assert got.exponent == want.exponent
+
+
+@st.composite
+def _sliced_start(draw):
+    """A state of at most 4 nonzero amplitudes whose top 1-3 qubits hold
+    fixed bits, and gates in four parts:
+      * H on the highest live qubit, then on lower ones, so the sparse
+        prefix leaves exactly the top qubits constant;
+      * up to 4 lowered CGs from live controls onto top qubits, which
+        put every top qubit back, and maybe two G(2^400) on a live qubit,
+        so the rescale guard fires on the slice;
+      * the way out, if any: a NOT of a top qubit under a live control,
+        or an H on a top qubit;
+      * H(0), so the way out ends its monomial run, then gates of every
+        kind but Z: a Z on the zeros outside the slice would make them
+        -0.0 on the full register and leave them +0.0 on the slice.
+    Also the tail width, below the live qubit count so the slice is taken."""
+    n = draw(st.integers(3, 9))
+    top = draw(st.integers(1, min(3, n - 2)))
+    live = n - top
+    mode = draw(st.sampled_from(("real", "complex")))
+    bits = draw(st.integers(0, (1 << top) - 1)) << live
+    support = draw(st.lists(st.integers(0, (1 << live) - 1), min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(1 << n, dtype=complex if mode == "complex" else float)
+    amps[[bits | x for x in support]] = rng.standard_normal(len(support))
+    if mode == "complex":
+        amps[[bits | x for x in support]] += 1j * rng.standard_normal(len(support))
+    state = sim.state_from_amplitudes(amps, mode=mode)
+    low, high = st.integers(0, live - 1), st.integers(live, n - 1)
+    head = [Gate("H", (q,)) for q in [live - 1] + draw(st.lists(st.integers(0, live - 2), max_size=5))]
+    modest = st.floats(0.05, 20.0).filter(lambda p: p != 1.0)  # never cut a CG by the factor range
+    cgs = [Gate("CG", (draw(low), draw(high)), draw(modest)) for _ in range(draw(st.integers(1, 4)))]
+    head += lower_cg(Circuit(n, tuple(cgs))).gates
+    head += [Gate("G", (draw(low),), 2.0**400)] * 2 * draw(st.integers(0, 1))
+    way_out = draw(st.sampled_from((None, "NOT", "H")))
+    if way_out == "NOT":
+        head.append(Gate("CNOT", (draw(low), draw(high))))
+    elif way_out == "H":
+        head.append(Gate("H", (draw(high),)))
+    kinds = ("H", "X", "G", "CG", "CNOT", "CCNOT", "NCNOT")
+    tail = [Gate("H", (0,))] + _draw_gates(draw, n, mode, _ANY_PARAMS, kinds)
+    return state, head, tail, way_out, draw(st.integers(1, live - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sliced_start())
+def test_live_slice_matches_dense_bit_for_bit(case):
+    # After the sparse prefix the dense steps run on the live slice below
+    # the constant top qubits. Lowered CGs onto a top qubit put it back, so
+    # their blocks stay on the slice; a NOT of a top qubit under a live
+    # control, or an H on one, moves amplitude out, so the steps go back to
+    # the full register. Either way every byte and the exponent must be
+    # _apply_dense's on the full register.
+    state, head, tail, way_out, dense = case
+    verdicts, on_slice = [], sim._on_slice
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_DENSE_QUBITS", dense)
+        patch.setattr(sim, "_SPARSE_SHIFT", 0)  # every H of the head runs sparse
+        patch.setattr(sim, "_on_slice", lambda *step: verdicts.append(on_slice(*step)) or verdicts[-1])
+        sim.apply_circuit(state.copy(), head)
+        assert verdicts, "the live slice was not taken"
+        assert (verdicts[-1] is None) == (way_out is not None)
+        assert all(v is not None for v in verdicts[:-1])
+        want = sim._apply_dense(state.copy(), tuple(head + tail))
+        got = sim.apply_circuit(state.copy(), head + tail)
+    assert got.amps.tobytes() == want.amps.tobytes()
+    assert got.exponent == want.exponent
+
+
+@pytest.mark.parametrize("lowering, n, m, live", [("semantic", 9, 10, 20), ("primitive", 9, 4, 14)])
+def test_bench_size_plans_run_their_dense_steps_on_the_live_slice(monkeypatch, lowering, n, m, live):
+    # A 22-qubit semantic plan leaves the non-Hermitian qubit and the BHR
+    # definite; a 20-qubit primitive plan also its two chain ancillas and
+    # two const-one qubits. So every dense step of the amplification runs
+    # on 2^20 and 2^14 amplitudes.
+    p = majsat.plan(random_formula(n, m, 0), majsat.default_config(n, lowering=lowering))
+    assert p.qubit_count == (n + m + 3 if lowering == "semantic" else n + 2 * m + 3)
+    state = majsat._oracle_state(p)
+    sizes = []
+    apply_gate, apply_block = sim.apply_gate, sim._apply_block
+    monkeypatch.setattr(sim, "apply_gate", lambda s, g: sizes.append(s.amps.size) or apply_gate(s, g))
+    monkeypatch.setattr(sim, "_apply_block", lambda s, *b: sizes.append(s.amps.size) or apply_block(s, *b))
+    sim.apply_circuit(state, p.amplification_circuit.gates)
+    assert sizes and set(sizes) == {1 << live}
 
 
 def test_sparse_prefix_checks_the_register_first():
