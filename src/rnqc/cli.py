@@ -76,6 +76,7 @@ def _config_from_args(n: int, args) -> majsat.MajsatConfig:
 
 def cmd_solve(args) -> int:
     formula = cnf.parse_dimacs(_read_text(args.file), keep_tautologies=args.keep_tautologies)
+    majsat.check_register(formula.num_vars)
     if args.seed is None and args.mode == "sampled":
         args.seed = rng.draw_seed()
         print(f"seed {args.seed}")

@@ -214,6 +214,15 @@ def _readout_gates(layout: RegisterLayout, g: float, r_prime: int) -> tuple[Gate
     return (Gate("H", (o,)), Gate("CNOT", (bhr, o))) + tuple(_gain_rounds((o,), nh, g, r_prime))
 
 
+def check_register(n: int) -> None:
+    """Raise RegisterCapError when no plan over n variables fits the
+    register cap: a plan holds the n work qubits and the oracle,
+    non-Hermitian and BHR qubits, so at least n + 3. plan checks its exact
+    count; this runs before anything is built or configured."""
+    if n + 3 > sim.max_qubits():
+        raise RegisterCapError(f"a plan over {n} variables needs at least {n + 3} qubits, cap is {sim.max_qubits()}")
+
+
 def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     """Extend the oracle's register and assemble the stage circuits.
 

@@ -177,6 +177,21 @@ def test_solve_i_max_past_a_double_is_input_error(files, mode, capsys):
     assert "verdict " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_solve_past_the_register_cap_is_resource_exit_before_building(tmp_path, mode, capsys):
+    # Two million variables default i_max to 2,000,000, past 1023; the
+    # resource the formula exceeds is the register, so it exits 3 first,
+    # before a seed is drawn or anything is built.
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 2000000 1\n1 0\n")
+    code, peak = _traced_main(["solve", str(path), "--mode", mode])
+    out = capsys.readouterr()
+    assert code == 3
+    assert "a plan over 2000000 variables needs at least 2000003 qubits" in out.err
+    assert out.out == ""
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.1f} MiB"
+
+
 def test_solve_flags_reach_the_config(files, tmp_path):
     argv = ["solve", files["yes.cnf"], "--mode", "exact", "--seed", "3", "--g", "3", "--r", "2"]
     argv += ["--rp", "5", "--i-min", "-1", "--i-max", "2", "--sets", "2", "--runs", "4"]
