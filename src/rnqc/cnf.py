@@ -52,13 +52,16 @@ def _literals(raw, num_vars: int) -> list[int]:
     return lits
 
 
-def _normalize_clause(raw, num_vars: int) -> tuple[int, ...]:
-    """Checked literals with repeats dropped; a tautology is rejected."""
+def _normalize_clause(raw, num_vars: int, drop_tautology: bool = False) -> tuple[int, ...] | None:
+    """Checked literals with repeats dropped. A tautology is rejected, or
+    with drop_tautology comes back as None."""
     lits = _literals(raw, num_vars)
     lit = _tautology(lits)
-    if lit is not None:
-        raise InputError(f"tautological clause: contains both {lit} and {-lit}")
-    return tuple(dict.fromkeys(lits))
+    if lit is None:
+        return tuple(dict.fromkeys(lits))
+    if drop_tautology:
+        return None
+    raise InputError(f"tautological clause: contains both {lit} and {-lit}")
 
 
 @dataclass(frozen=True)
@@ -132,11 +135,11 @@ def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
             if lit == 0:
                 body_count += 1
                 try:
-                    lits = _literals(pending, num_vars)
-                    if not (keep_tautologies and _tautology(lits) is not None):
-                        clauses.append(_normalize_clause(lits, num_vars))
+                    clause = _normalize_clause(pending, num_vars, keep_tautologies)
                 except InputError as exc:
                     raise DimacsError(f"line {lineno}: {exc}") from exc
+                if clause is not None:
+                    clauses.append(clause)
                 pending = []
             else:
                 pending.append(lit)
@@ -147,7 +150,10 @@ def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
         raise DimacsError("unterminated clause at end of input")
     if body_count != declared_clauses:
         raise DimacsError(f"problem line declares {declared_clauses} clauses, body has {body_count}")
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    formula = object.__new__(CnfFormula)  # every clause is normalized: skip __post_init__'s second pass
+    object.__setattr__(formula, "num_vars", num_vars)
+    object.__setattr__(formula, "clauses", tuple(clauses))
+    return formula
 
 
 def format_dimacs(formula: CnfFormula) -> str:

@@ -74,6 +74,30 @@ def test_parse_range_checks_a_tautology_before_dropping_it(clause, keep):
         cnf.parse_dimacs(f"p cnf 3 1\n{clause} 0\n", keep_tautologies=keep)
 
 
+@pytest.mark.parametrize(
+    "text, keep, message",
+    [
+        ("p cnf 2 2\n1 2 0\nc note\n3 0\n", False, "line 4: literal 3 out of range for 2 variables"),
+        ("p cnf 2 2\n1 0\n\n0\n", False, "line 4: empty clause"),
+        ("p cnf 2 1\n1 -1 2 0\n", False, "line 2: tautological clause: contains both -1 and 1"),
+        ("p cnf 3 1\n1\n-1 9 0\n", True, "line 3: literal 9 out of range for 3 variables"),
+    ],
+)
+def test_parse_errors_name_the_line_that_ends_the_clause(text, keep, message):
+    with pytest.raises(DimacsError) as info:
+        cnf.parse_dimacs(text, keep_tautologies=keep)
+    assert str(info.value) == message
+
+
+def test_parse_checks_each_clause_once(monkeypatch):
+    calls = []
+    literals = cnf._literals
+    monkeypatch.setattr(cnf, "_literals", lambda raw, n: calls.append(raw) or literals(raw, n))
+    formula = cnf.parse_dimacs("p cnf 3 4\n1 -2 0\n2 2 3 0\n-3 0\n1 -1 0\n", keep_tautologies=True)
+    assert len(calls) == 4
+    assert formula == cnf.CnfFormula(3, ((1, -2), (2, 3), (-3,)))
+
+
 def test_format_parse_round_trip():
     formula = _formula(4, [[1, -2, 3], [-4], [2, 4]])
     assert cnf.parse_dimacs(cnf.format_dimacs(formula)) == formula
