@@ -517,14 +517,16 @@ def test_live_slice_matches_dense_bit_for_bit(case):
         patch.setattr(sim, "_DENSE_QUBITS", dense)
         patch.setattr(sim, "_SPARSE_SHIFT", 0)  # every H of the head runs sparse
         patch.setattr(sim, "_on_slice", lambda *step: verdicts.append(on_slice(*step)) or verdicts[-1])
-        sim.apply_circuit(state.copy(), head)
-        assert verdicts, "the live slice was not taken"
-        assert (verdicts[-1] is None) == (way_out is not None)
-        assert all(v is not None for v in verdicts[:-1])
-        want = sim._apply_dense(state.copy(), tuple(head + tail))
-        got = sim.apply_circuit(state.copy(), head + tail)
-    assert got.amps.tobytes() == want.amps.tobytes()
-    assert got.exponent == want.exponent
+        for gates in (head, head + tail):
+            verdicts.clear()
+            want = sim._apply_dense(state.copy(), tuple(gates))
+            got = sim.apply_circuit(state.copy(), gates)
+            assert got.amps.tobytes() == want.amps.tobytes()
+            assert got.exponent == want.exponent
+            if gates is head:
+                assert verdicts, "the live slice was not taken"
+                assert (verdicts[-1] is None) == (way_out is not None)
+                assert all(v is not None for v in verdicts[:-1])
 
 
 @pytest.mark.parametrize("lowering, n, m, live", [("semantic", 9, 10, 20), ("primitive", 9, 4, 14)])
