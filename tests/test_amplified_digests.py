@@ -22,8 +22,8 @@ from freeze_amplified import (
 )
 from rnqc import cnf, sim
 
-STATES = json.loads(FROZEN.read_text())["states"]
-REPORTS = json.loads(FROZEN.read_text())["reports"]
+FROZEN_FILE = json.loads(FROZEN.read_text())
+STATES, REPORTS = FROZEN_FILE["states"], FROZEN_FILE["reports"]
 
 
 def _frozen(random: bool) -> dict:
