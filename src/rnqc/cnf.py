@@ -76,6 +76,15 @@ class CnfFormula:
         object.__setattr__(self, "num_vars", n)
         object.__setattr__(self, "clauses", tuple(_normalize_clause(c, n) for c in self.clauses))
 
+    @classmethod
+    def _normalized(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> CnfFormula:
+        """A formula from clauses already normalized for num_vars, which
+        __post_init__ would check a second time."""
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "num_vars", num_vars)
+        object.__setattr__(formula, "clauses", clauses)
+        return formula
+
 
 @dataclass(frozen=True)
 class ThreeCnf:
@@ -150,10 +159,7 @@ def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
         raise DimacsError("unterminated clause at end of input")
     if body_count != declared_clauses:
         raise DimacsError(f"problem line declares {declared_clauses} clauses, body has {body_count}")
-    formula = object.__new__(CnfFormula)  # every clause is normalized: skip __post_init__'s second pass
-    object.__setattr__(formula, "num_vars", num_vars)
-    object.__setattr__(formula, "clauses", tuple(clauses))
-    return formula
+    return CnfFormula._normalized(num_vars, tuple(clauses))
 
 
 def format_dimacs(formula: CnfFormula) -> str:
@@ -248,6 +254,7 @@ def to_3cnf(formula: CnfFormula) -> ThreeCnf:
             mapping.append((y, lits[0], lits[1]))
             lits = [y] + lits[2:]
         reduced.append(tuple(lits))
+    # the input's clauses are normalized, and each y is a fresh variable
     defining = [c for y, la, lb in mapping for c in ((-y, la, lb), (y, -la), (y, -lb))]
-    base = CnfFormula(num_vars=n + len(mapping), clauses=tuple(defining + reduced))
+    base = CnfFormula._normalized(n + len(mapping), tuple(defining + reduced))
     return ThreeCnf(base=base, original_vars=n, aux_vars=len(mapping), mapping=tuple(mapping))

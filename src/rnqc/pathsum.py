@@ -5,7 +5,10 @@
 them with their reversed counterparts at matching endpoints, and sums the
 resulting products.  ``counting`` replays the same pair enumeration but
 recovers each product's real part from two exhaustive threshold counts on
-a dyadic grid, which is how a counting oracle would see the sum.
+a dyadic grid, which is how a counting oracle would see the sum.  Paths
+are walked as numpy arrays and paired in batches, in Python's complex
+arithmetic and summation order, so every value, sum and count is the one
+a path-by-path loop gets.
 
 All three agree on well-formed circuits; the point of keeping them
 separate is that they fail independently.
@@ -14,8 +17,10 @@ separate is that they fail independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import sim
 from .circuit import PERMUTATION_KINDS, Circuit, Gate, diagonal_factors, needs_complex
@@ -25,6 +30,9 @@ DEFAULT_PATH_BUDGET = 10**8
 
 # maximum float64 bound on the imaginary residue of a pair-sum bucket
 IM_TOLERANCE = 1e-9
+
+# most paths, or path pairs, in one array; 2^16 left the heap 0.5 MB larger
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,25 +66,13 @@ class PathSumResult:
     error_bound: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "c_yes_sq": self.c_yes_sq,
-            "c_no_sq": self.c_no_sq,
-            "acceptance": self.acceptance,
-            "path_count": self.path_count,
-        }
-        if self.precision_c is not None:
-            out["precision_c"] = self.precision_c
-        if self.error_bound is not None:
-            out["error_bound"] = self.error_bound
-        return out
+        """The fields in order, without the counting ones when absent."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _acceptance(yes_sq: float, no_sq: float) -> float:
     total = yes_sq + no_sq
-    if total <= 0.0:
-        return 0.0
-    return yes_sq / total
+    return 0.0 if total <= 0.0 else yes_sq / total
 
 
 def _check_inputs(circuit: Circuit, input_basis: int, projector: Projector) -> None:
@@ -109,59 +105,75 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     return PathSumResult("direct", yes, no, _acceptance(yes, no), 0)
 
 
-def _transitions(gate: Gate):
-    """The gate as a function from basis state z to its nonzero
-    matrix-element transitions, a list of (next_z, factor) pairs.
-
-    Only H branches; every other kind is a permutation or a diagonal (see
-    circuit.py), so it has exactly one successor.
-    """
-    bit = 1 << gate.target
-    on = sum(1 << c for c in gate.controls)
-    if gate.kind == "H":
+@np.errstate(all="ignore")  # Python's complex arithmetic raises no float warnings
+def _step(gate: Gate, z, re, im):
+    """One gate over the frontier: the successor states, and each value
+    times its factor as complex.__mul__ forms it, zero values dropped."""
+    bit, fi = 1 << gate.target, 0.0
+    if gate.kind == "H":  # each path's 0-child, then its 1-child
         root = 1.0 / math.sqrt(2.0)
-        return lambda z: [(z & ~bit, root), (z | bit, -root if z & bit else root)]
-    if gate.kind in PERMUTATION_KINDS:
-        return lambda z: [(z ^ bit if z & on == on else z, 1.0)]
-    d0, d1 = diagonal_factors(gate)
-    return lambda z: [(z, (d1 if z & bit else d0) if z & on == on else 1.0)]
+        fr = np.stack((np.full(len(z), root), np.where(z & bit != 0, -root, root)), axis=1).ravel()
+        z, re, im = np.stack((z & ~bit, z | bit), axis=1).ravel(), re.repeat(2), im.repeat(2)
+    else:
+        mask = sum(1 << c for c in gate.controls)
+        on = z & mask == mask
+        if gate.kind in PERMUTATION_KINDS:
+            z, fr = np.where(on, z ^ bit, z), 1.0
+        else:
+            d0, d1 = diagonal_factors(gate)
+            d = np.where(z & bit != 0, complex(d1), complex(d0))
+            fr, fi = np.where(on, d.real, 1.0), np.where(on, d.imag, 0.0)
+    re, im = re * fr - im * fi, re * fi + im * fr
+    keep = (re != 0) | (im != 0)
+    return z[keep], re[keep], im[keep]
 
 
 def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
-    """DFS over contributing forward paths.
-
-    Returns a mapping endpoint -> list of path values, endpoints
-    ascending. Successors are pushed in reverse, so each H's 0-branch is
-    visited first and every list is in lexicographic order of the paths'
-    basis-state trails. The worst case pairs up every forward path with
-    every other at a single endpoint, so enumeration aborts once the
-    forward count could make the pair count exceed the budget.
-    """
+    """Contributing forward paths, walked depth first in trail-order chunks:
+    (ends, groups), the endpoints ascending and, per group size k, the
+    (rows, re, im) parts of the values ending at ends[rows], each row in
+    lexicographic order of the paths' basis-state trails. The worst case
+    pairs every forward path with every other at one endpoint, so the walk
+    aborts once that pair count could exceed the budget."""
     if budget < 1:
         raise InputError(f"path budget must be at least 1, got {budget}")
-    fwd_cap = math.isqrt(budget)
-    endpoints: dict = {}
-    materialized = 0
-    stack = [(0, input_basis, 1.0 + 0.0j)]
-    steps = [_transitions(g) for g in circuit.gates]
+    gates, fwd_cap, found, leaves = circuit.gates, math.isqrt(budget), 0, []
+    h_left = np.cumsum([g.kind == "H" for g in gates[::-1]])[::-1].tolist()
+    dtype = np.int64 if circuit.qubit_count < 64 else object
+    stack = [(0, np.array([input_basis], dtype=dtype), np.ones(1), np.zeros(1))]
     while stack:
-        depth, z, value = stack.pop()
-        if depth == len(steps):
-            materialized += 1
-            if materialized > fwd_cap:
-                raise PathBudgetError(
-                    f"forward path count exceeds budget {budget} "
-                    f"(more than {fwd_cap} contributing forward paths)"
-                )
-            endpoints.setdefault(z, []).append(value)
-            continue
-        for nz, factor in reversed(steps[depth](z)):
-            nv = value * factor
-            if nv != 0:
-                stack.append((depth + 1, nz, nv))
-    return {z: endpoints[z] for z in sorted(endpoints)}
+        depth, z, re, im = stack.pop()
+        for d in range(depth, len(gates)):
+            if gates[d].kind == "H" and 2 * len(z) > _CHUNK:
+                # walk a piece whose subtree fits; the later paths wait their turn
+                take = max(1, _CHUNK >> h_left[d])
+                stack.append((d, z[take:], re[take:], im[take:]))
+                z, re, im = z[:take], re[:take], im[:take]
+            z, re, im = _step(gates[d], z, re, im)
+        found += len(z)
+        if found > fwd_cap:
+            raise PathBudgetError(
+                f"forward path count exceeds budget {budget} "
+                f"(more than {fwd_cap} contributing forward paths)"
+            )
+        leaves.append((z, re, im))
+    z, re, im = (np.concatenate(part) for part in zip(*leaves))
+    order = np.argsort(z, kind="stable")
+    ends, starts, counts = np.unique(z[order], return_index=True, return_counts=True)
+    groups = []
+    for k in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == k)
+        idx = order[starts[rows, None] + np.arange(k)]
+        groups.append((rows, re[idx], im[idx]))
+    return ends, groups
 
 
+def _fold(values):
+    """Sums over the last axis, added left to right from 0.0 as a loop adds."""
+    return np.cumsum(np.insert(values, 0, 0.0, axis=-1), axis=-1)[..., -1]
+
+
+@np.errstate(all="ignore")
 def path_sum_amplitude(
     circuit: Circuit,
     input_basis: int,
@@ -177,59 +189,69 @@ def path_sum_amplitude(
     number of contributing pairs over both projector buckets.
     """
     _check_inputs(circuit, input_basis, projector)
-    endpoints = _forward_paths(circuit, input_basis, budget)
-    bit = 1 << projector.yes_qubit
-    yes = no = 0.0 + 0.0j
-    path_count = 0
-    for z, paths in endpoints.items():
-        amp = sum(paths)
-        mass = amp * amp.conjugate()
-        path_count += len(paths) ** 2
-        if projector.kind == "yn" or z & bit:
-            yes += mass
-        else:
-            no += mass
+    ends, groups = _forward_paths(circuit, input_basis, budget)
+    ar, ai = np.empty(len(ends)), np.empty(len(ends))
+    for rows, re, im in groups:  # each endpoint's amplitude
+        ar[rows], ai[rows] = _fold(np.stack((re, im)))
+    mass_re, mass_im = ar * ar - ai * -ai, ar * -ai + ai * ar  # amp * amp.conjugate()
+    on_yes = (ends & (1 << projector.yes_qubit) != 0) | (projector.kind == "yn")
+    yes = complex(_fold(mass_re[on_yes]), _fold(mass_im[on_yes]))
+    no = complex(_fold(mass_re[~on_yes]), _fold(mass_im[~on_yes]))
     if abs(yes.imag) > IM_TOLERANCE or abs(no.imag) > IM_TOLERANCE:
         raise InvariantError(
             f"pair-sum imaginary residue {max(abs(yes.imag), abs(no.imag)):.3e} "
             "exceeds tolerance; squared masses must be real"
         )
-    return PathSumResult(
-        "pathsum", yes.real, no.real, _acceptance(yes.real, no.real), path_count
-    )
+    path_count = sum(re.size * re.shape[1] for _, re, _ in groups)
+    return PathSumResult("pathsum", yes.real, no.real, _acceptance(yes.real, no.real), path_count)
 
 
-def _grid_count(magnitude: float, nc: int) -> int:
-    """Number of grid thresholds a term of this |Re| accepts, exactly.
+def _grid_total(x, nc: int) -> int:
+    """Sum of floor(x / spacing), each clamped to the grid's point count, over
+    positive finite x = mant * 2^(s - nc), mant a 53-bit integer: each floor
+    is an exact shift, so boundary values land on the correct side."""
+    frac, exp = np.frexp(x)
+    mant = (frac * 2.0**53).astype(np.int64)
+    shift = exp.astype(np.int64) + (nc - 53)
+    clamp, total, lo = (1 << (2 * nc)) + 1, 0, int(shift.min(initial=0))
+    for s in (np.flatnonzero(np.bincount(shift - lo)) + lo).tolist():  # each distinct shift
+        m = mant[shift == s]
+        if s < 0:
+            m, s = m >> min(-s, 63), 0
+        if clamp >> s < 1 << 53:  # terms past the last grid point count it once
+            over = m > clamp >> s
+            total += int(over.sum()) * clamp
+            m = m[~over]
+        # int64 sums of the high and low 31 bits cannot overflow
+        total += ((int((m >> 31).sum()) << 31) + int((m & 0x7FFFFFFF).sum())) << s
+    return total
 
-    Equals floor(|Re| / spacing), clamped to the grid's point count.  A
-    float is num / den with den a power of two, so integer division gives
-    the exact floor and boundary values land on the mathematically
-    correct side.
-    """
-    num, den = magnitude.as_integer_ratio()
-    return min((num << nc) // den, (1 << (2 * nc)) + 1)
 
-
-def _count_bucket(values, nc: int):
-    """Accumulate threshold counts over all path pairs of one endpoint.
-
-    Returns (positive_count, negative_count, imaginary_residue).
-    """
+def _count_pairs(groups, keep, nc: int):
+    """(positive_count, negative_count, residues) over all path pairs at the
+    endpoints keep selects, formed about _CHUNK pairs at a time; residues[e]
+    is endpoint e's imaginary parts added pair by pair."""
     pos = neg = 0
-    im = 0.0
-    for a in values:
-        for b in values:
-            prod = a * b.conjugate()
-            re = prod.real
-            if re > 0:
-                pos += _grid_count(re, nc)
-            elif re < 0:
-                neg += _grid_count(-re, nc)
-            im += prod.imag
-    return pos, neg, im
+    residues = np.zeros(len(keep))
+    for rows, re, im in groups:
+        rows, re, im = rows[keep[rows]], re[keep[rows]], im[keep[rows]]
+        k = re.shape[1]
+        step, span = max(1, _CHUNK // (k * k)), min(k, max(1, _CHUNK // k))
+        for r in range(0, len(rows), step):
+            br, nbi, at = re[r : r + step, None, :], -im[r : r + step, None, :], rows[r : r + step]
+            for c in range(0, k, span):
+                ar, ai = re[r : r + step, c : c + span, None], im[r : r + step, c : c + span, None]
+                prod = ar * br - ai * nbi  # a * b.conjugate(), as complex.__mul__ forms it
+                parts = (ar * nbi + ai * br).reshape(len(ar), -1)
+                residues[at] = _fold(np.concatenate((residues[at, None], parts), axis=1))
+                if np.isinf(prod).any():
+                    raise OverflowError("cannot convert Infinity to integer ratio")
+                pos += _grid_total(prod[prod > 0], nc)
+                neg += _grid_total(-prod[prod < 0], nc)
+    return pos, neg, residues
 
 
+@np.errstate(all="ignore")
 def counting_estimate(
     circuit: Circuit,
     input_basis: int,
@@ -247,27 +269,25 @@ def counting_estimate(
     term.
     """
     _check_inputs(circuit, input_basis, projector)
-    endpoints = _forward_paths(circuit, input_basis, budget)
-    groups = list(endpoints.items())
-    path_count = sum(len(p) ** 2 for _, p in groups)
+    ends, groups = _forward_paths(circuit, input_basis, budget)
+    path_count = sum(re.size * re.shape[1] for _, re, _ in groups)
     n = circuit.qubit_count
-
     if precision_c is None:
         largest = 0.0
-        for _, paths in groups:
-            peak = max(abs(v) for v in paths)
-            largest = max(largest, peak * peak)
-        c = 1
-        while True:
-            nc = n * c
-            if nc > 1024:
-                raise GridSpacingError(
-                    "no representable grid spacing achieves the requested bound"
-                )
-            if path_count * math.ldexp(1.0, -nc) < 1e-6 and math.ldexp(1.0, nc) > largest:
-                break
-            c += 1
-        precision_c = c
+        for _, re, im in groups:
+            size = np.hypot(re, im)  # abs() of each value
+            if np.any(np.isinf(size) & np.isfinite(re) & np.isfinite(im)):
+                raise OverflowError("absolute value too large")
+            # max() keeps a row's first value when it is NaN; the max over rows skips it
+            peak = np.where(np.isnan(size[:, 0]), 0.0, np.fmax.reduce(size, axis=1))
+            largest = max(largest, float(np.max(peak * peak)))
+        precision_c, nc = 1, n
+        while nc <= 1024 and (
+            path_count * math.ldexp(1.0, -nc) >= 1e-6 or math.ldexp(1.0, nc) <= largest
+        ):
+            precision_c, nc = precision_c + 1, nc + n
+        if nc > 1024:
+            raise GridSpacingError("no representable grid spacing achieves the requested bound")
     elif precision_c < 1:
         raise CircuitError("precision_c must be at least 1")
 
@@ -276,36 +296,16 @@ def counting_estimate(
     if spacing == 0.0:
         raise GridSpacingError(f"grid spacing 2**-{nc} underflows to zero")
 
-    # one tally per endpoint group, summed into the yes side and the total
-    bit = 1 << projector.yes_qubit
-    yes_pos = yes_neg = tot_pos = tot_neg = 0
-    yes_im = tot_im = 0.0
-    for z, paths in groups:
-        pos, neg, im = _count_bucket(paths, nc)
-        tot_pos += pos
-        tot_neg += neg
-        tot_im += im
-        if projector.kind == "yn" or z & bit:
-            yes_pos += pos
-            yes_neg += neg
-            yes_im += im
+    on_yes = (ends & (1 << projector.yes_qubit) != 0) | (projector.kind == "yn")
+    yes_pos, yes_neg, yes_res = _count_pairs(groups, on_yes, nc)
+    no_pos, no_neg, no_res = _count_pairs(groups, ~on_yes, nc)
+    yes_im, tot_im = _fold(yes_res[on_yes]), _fold(np.where(on_yes, yes_res, no_res))
     if abs(yes_im) > IM_TOLERANCE or abs(tot_im) > IM_TOLERANCE:
         raise InvariantError(
             f"pair-product imaginary residue {max(abs(yes_im), abs(tot_im)):.3e} "
             "exceeds tolerance; squared masses must be real"
         )
-    yes_est = (yes_pos - yes_neg) * spacing
-    total_est = (tot_pos - tot_neg) * spacing
-    if projector.kind == "yn":
-        yes_sq, no_sq = total_est, 0.0
-    else:
-        yes_sq, no_sq = yes_est, max(total_est - yes_est, 0.0)
-    return PathSumResult(
-        "counting",
-        yes_sq,
-        no_sq,
-        _acceptance(yes_sq, no_sq),
-        path_count,
-        precision_c=precision_c,
-        error_bound=path_count * spacing,
-    )
+    yes_sq = (yes_pos - yes_neg) * spacing  # under "yn" the no side is empty
+    no_sq = max((yes_pos + no_pos - yes_neg - no_neg) * spacing - yes_sq, 0.0)
+    accept, bound = _acceptance(yes_sq, no_sq), path_count * spacing
+    return PathSumResult("counting", yes_sq, no_sq, accept, path_count, precision_c, bound)

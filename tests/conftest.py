@@ -2,6 +2,7 @@
 and plain references the tests import from here."""
 from __future__ import annotations
 
+import math
 import pathlib
 from functools import reduce
 from operator import and_, or_
@@ -9,7 +10,9 @@ from operator import and_, or_
 import numpy as np
 import pytest
 
-from rnqc import cnf, oracle, sim
+from rnqc import cnf, oracle, pathsum, sim
+from rnqc.circuit import PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
+from rnqc.errors import InputError, PathBudgetError
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "corpus"
 
@@ -153,3 +156,82 @@ def table_oracle_report(artifact: oracle.OracleArtifact, formula: cnf.CnfFormula
         scratch_violations=violations,
         satisfying_inputs=state[o].bit_count(),
     )
+
+
+# ---------------------------------------------------------------------------
+# path-sum references: the Python DFS and pair loop that pathsum's frontier
+# walk and batched counts replaced
+# ---------------------------------------------------------------------------
+
+
+def transitions(gate: Gate):
+    """The gate as a function from basis state z to its nonzero
+    matrix-element transitions, a list of (next_z, factor) pairs."""
+    bit = 1 << gate.target
+    on = sum(1 << c for c in gate.controls)
+    if gate.kind == "H":
+        root = 1.0 / math.sqrt(2.0)
+        return lambda z: [(z & ~bit, root), (z | bit, -root if z & bit else root)]
+    if gate.kind in PERMUTATION_KINDS:
+        return lambda z: [(z ^ bit if z & on == on else z, 1.0)]
+    d0, d1 = diagonal_factors(gate)
+    return lambda z: [(z, (d1 if z & bit else d0) if z & on == on else 1.0)]
+
+
+def forward_paths(circuit: Circuit, input_basis: int, budget: int) -> dict:
+    """DFS over contributing forward paths: endpoint -> list of path values,
+    endpoints ascending, each list in lexicographic order of the trails."""
+    if budget < 1:
+        raise InputError(f"path budget must be at least 1, got {budget}")
+    fwd_cap = math.isqrt(budget)
+    endpoints: dict = {}
+    materialized = 0
+    stack = [(0, input_basis, 1.0 + 0.0j)]
+    steps = [transitions(g) for g in circuit.gates]
+    while stack:
+        depth, z, value = stack.pop()
+        if depth == len(steps):
+            materialized += 1
+            if materialized > fwd_cap:
+                raise PathBudgetError(f"forward path count exceeds budget {budget}")
+            endpoints.setdefault(z, []).append(value)
+            continue
+        for nz, factor in reversed(steps[depth](z)):
+            nv = value * factor
+            if nv != 0:
+                stack.append((depth + 1, nz, nv))
+    return {z: endpoints[z] for z in sorted(endpoints)}
+
+
+def frontier_paths(circuit: Circuit, input_basis: int, budget: int = 10**8) -> dict:
+    """pathsum._forward_paths in forward_paths's form."""
+    ends, groups = pathsum._forward_paths(circuit, input_basis, budget)
+    ends, out = ends.tolist(), {}
+    for rows, re, im in groups:
+        for row, r, i in zip(rows.tolist(), re.tolist(), im.tolist()):
+            out[ends[row]] = [complex(a, b) for a, b in zip(r, i)]
+    return {z: out[z] for z in ends}
+
+
+def grid_count(magnitude: float, nc: int) -> int:
+    """floor(magnitude / 2^-nc) clamped to the grid's 2^(2nc) + 1 points,
+    from the float's exact num / den."""
+    num, den = magnitude.as_integer_ratio()
+    return min((num << nc) // den, (1 << (2 * nc)) + 1)
+
+
+def count_bucket(values, nc: int):
+    """(positive_count, negative_count, imaginary_residue) over all path
+    pairs of one endpoint, one pair at a time."""
+    pos = neg = 0
+    im = 0.0
+    for a in values:
+        for b in values:
+            prod = a * b.conjugate()
+            re = prod.real
+            if re > 0:
+                pos += grid_count(re, nc)
+            elif re < 0:
+                neg += grid_count(-re, nc)
+            im += prod.imag
+    return pos, neg, im

@@ -98,6 +98,16 @@ def test_parse_checks_each_clause_once(monkeypatch):
     assert formula == cnf.CnfFormula(3, ((1, -2), (2, 3), (-3,)))
 
 
+def test_to_3cnf_checks_no_clause_again(monkeypatch):
+    formula = _formula(6, [[1, -2, 3, 4, -5, 6], [-1, 2], [3, -4, 5, 6]])
+    calls = []
+    literals = cnf._literals
+    monkeypatch.setattr(cnf, "_literals", lambda raw, n: calls.append(raw) or literals(raw, n))
+    f3 = cnf.to_3cnf(formula)
+    assert calls == []
+    assert f3.base == cnf.CnfFormula(f3.base.num_vars, f3.base.clauses)
+
+
 def test_format_parse_round_trip():
     formula = _formula(4, [[1, -2, 3], [-4], [2, 4]])
     assert cnf.parse_dimacs(cnf.format_dimacs(formula)) == formula

@@ -12,7 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from rnqc import pathsum, sim
+from conftest import frontier_paths
+from rnqc import sim
 from rnqc.circuit import COMPLEX_KINDS, DIAGONAL_KINDS, KINDS, PERMUTATION_KINDS, Circuit, Gate
 
 S = 1.0 / math.sqrt(2.0)
@@ -92,11 +93,11 @@ def _sim_matrix(gate):
 
 
 def _pathsum_matrix(gate):
+    """Column col: the forward paths of the one-gate circuit from basis col."""
     out = np.zeros((1 << N, 1 << N), dtype=complex)
-    step = pathsum._transitions(gate)
     for col in range(1 << N):
-        for row, factor in step(col):
-            out[row, col] += factor
+        for row, values in frontier_paths(Circuit(N, (gate,)), col).items():
+            out[row, col] += sum(values)
     return out
 
 
@@ -133,6 +134,6 @@ def test_sim_amplitudes_match_forward_path_sums(seed):
     state = sim.apply_circuit(sim.new_state(n, start, mode="complex"), circuit)
     amps = state.amps * math.ldexp(1.0, state.exponent)
     paths = np.zeros(1 << n, dtype=complex)
-    for z, values in pathsum._forward_paths(circuit, start, 10**8).items():
+    for z, values in frontier_paths(circuit, start).items():
         paths[z] = sum(values)
     assert np.max(np.abs(amps - paths)) <= 1e-12 * max(1.0, np.max(np.abs(paths)))

@@ -1,14 +1,19 @@
 """Acceptance quantities three ways: direct, path enumeration, counting."""
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rnqc import cnf, majsat, pathsum, sim
-from rnqc.circuit import Circuit, Gate
+from conftest import count_bucket, forward_paths, frontier_paths
+from rnqc import cli, cnf, majsat, pathsum, sim
+from rnqc.circuit import KINDS, Circuit, Gate, circuit_to_json
 from rnqc.errors import CircuitError, GridSpacingError, InputError, PathBudgetError
 from rnqc.pathsum import Projector
 
@@ -124,20 +129,24 @@ def test_pathsum_diagonal_circuit_single_path():
 
 
 def test_forward_paths_come_in_trail_order():
-    # the 0-branch-first DFS lists each endpoint's path values in the
-    # sorted order of the paths' basis-state trails
+    # the walk lists each endpoint's path values in the sorted order of the
+    # paths' basis-state trails; one step of a trail is the one-gate walk
     circ = Circuit(
         2, (H0, Gate("H", (1,)), Gate("CNOT", (0, 1)), H0, Gate("G", (1,), 3.0), Gate("H", (1,)))
     )
     trails = [((0,), 1.0 + 0.0j)]
     for g in circ.gates:
         trails = [
-            (t + (nz,), v * f) for t, v in trails for nz, f in pathsum._transitions(g)(t[-1]) if v * f != 0
+            (t + (nz,), v * f)
+            for t, v in trails
+            for nz, factors in frontier_paths(Circuit(2, (g,)), t[-1]).items()
+            for f in factors
+            if v * f != 0
         ]
     expected: dict = {}
     for t, v in sorted(trails, key=lambda tv: tv[0]):
         expected.setdefault(t[-1], []).append(v)
-    got = pathsum._forward_paths(circ, 0, 10**6)
+    got = frontier_paths(circ, 0, 10**6)
     assert list(got) == sorted(expected)
     assert got == expected
 
@@ -146,6 +155,20 @@ def test_pathsum_budget_guard():
     circ = Circuit(1, (H0,) * 20)
     with pytest.raises(PathBudgetError):
         pathsum.path_sum_amplitude(circ, 0, YES0, budget=16)
+
+
+@pytest.mark.parametrize("k", [3, 17])
+def test_budget_boundary_is_the_forward_count(k):
+    # 2^k forward paths fit a budget of 4^k pairs and not one pair fewer;
+    # at k = 17 the walk splits its frontier into chunks
+    circ = Circuit(k, tuple(Gate("H", (q,)) for q in range(k)))
+    res = pathsum.path_sum_amplitude(circ, 0, YN, budget=4**k)
+    assert res.path_count == 2**k
+    assert abs(res.c_yes_sq - 1.0) <= 1e-12
+    with pytest.raises(PathBudgetError):
+        pathsum.path_sum_amplitude(circ, 0, YN, budget=4**k - 1)
+    with pytest.raises(PathBudgetError):
+        pathsum.counting_estimate(circ, 0, YN, budget=4**k - 1)
 
 
 @pytest.mark.parametrize("budget", [-1, 0])
@@ -169,17 +192,129 @@ def test_pathsum_complex_circuit_with_t():
 
 
 # ---------------------------------------------------------------------------
+# the frontier walk and batched counts against the Python DFS and pair loop
+# (tests/conftest.py): bit for bit, compared as hex
+# ---------------------------------------------------------------------------
+
+PARAMS = (0.5, 1.5, 3.0, 2.0**500, 2.0**-500, 1.7 * 2.0**499)  # the extremes over- and underflow
+
+
+def _hexed(paths: dict) -> dict:
+    return {z: [(v.real.hex(), v.imag.hex()) for v in values] for z, values in paths.items()}
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 4))
+    least = {"CNOT": 2, "CG": 2, "NCNOT": 2, "CCNOT": 3}
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from([k for k in KINDS if least.get(k, 1) <= n]))
+        arity = draw(st.integers(2, n)) if kind == "NCNOT" else least.get(kind, 1)
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        gates.append(Gate(kind, qubits, draw(st.sampled_from(PARAMS)) if kind in ("G", "CG") else None))
+    return Circuit(n, tuple(gates)), draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, n - 1))
+
+
+def _pathsum_by_loop(circuit, start, bit):
+    """path_sum_amplitude's (yes, no) bucket sums, endpoint by endpoint."""
+    yes = no = 0.0 + 0.0j
+    for z, paths in forward_paths(circuit, start, 10**8).items():
+        amp = 0.0 + 0.0j
+        for v in paths:
+            amp += v
+        if z & bit:
+            yes += amp * amp.conjugate()
+        else:
+            no += amp * amp.conjugate()
+    return yes, no
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=_circuits(),
+    chunk=st.sampled_from([1 << 16, 4]),
+    ncs=st.tuples(st.integers(1, 52), st.integers(990, 1074)),
+)
+def test_frontier_matches_python_dfs(case, chunk, ncs):
+    circuit, start, yes_qubit = case
+    want = forward_paths(circuit, start, 10**8)
+    with mock.patch.object(pathsum, "_CHUNK", chunk), np.errstate(all="ignore"):
+        assert _hexed(frontier_paths(circuit, start)) == _hexed(want)
+        ends, groups = pathsum._forward_paths(circuit, start, 10**8)
+        for nc in ncs:
+            for z, values in want.items():
+                try:
+                    ref = count_bucket(values, nc)
+                except OverflowError:  # an infinite product has no integer floor
+                    with pytest.raises(OverflowError):
+                        pathsum._count_pairs(groups, ends == z, nc)
+                    continue
+                pos, neg, residues = pathsum._count_pairs(groups, ends == z, nc)
+                assert (pos, neg) == ref[:2]
+                assert residues[ends == z][0].hex() == ref[2].hex()
+        yes, no = _pathsum_by_loop(circuit, start, 1 << yes_qubit)
+        if abs(yes.imag) > pathsum.IM_TOLERANCE or abs(no.imag) > pathsum.IM_TOLERANCE:
+            return
+        res = pathsum.path_sum_amplitude(circuit, start, Projector("yes", yes_qubit))
+    assert (res.c_yes_sq.hex(), res.c_no_sq.hex()) == (yes.real.hex(), no.real.hex())
+    assert res.path_count == sum(len(p) ** 2 for p in want.values())
+
+
+def test_pair_residues_add_in_loop_order():
+    # with T the imaginary parts round, so at endpoint 0 (8 paths, 64 pairs)
+    # a numpy-order sum gives -2^-60 where the pair loop gives +2^-60
+    g = [("H", (2,)), ("T", (2,)), ("G", (0,)), ("CNOT", (1, 0)), ("H", (2,)), ("G", (2,))]
+    g += [("CNOT", (2, 0)), ("H", (2,)), ("G", (1,)), ("H", (0,)), ("T", (0,))]
+    g += [("CNOT", (2, 1)), ("CNOT", (1, 2)), ("H", (1,))]
+    circ = Circuit(3, tuple(Gate(k, q, 1.5 if k == "G" else None) for k, q in g))
+    ends, groups = pathsum._forward_paths(circ, 0, 10**8)
+    for z, values in forward_paths(circ, 0, 10**8).items():
+        residues = pathsum._count_pairs(groups, ends == z, 20)[2]
+        assert residues[ends == z][0].hex() == count_bucket(values, 20)[2].hex(), z
+
+
+def test_underflowed_path_is_pruned():
+    # after H, three G(2^500) take the 0-branch to 2^-1500 / sqrt(2), which
+    # is zero in float64, so that path drops out; the 1-branch overflows
+    # to inf and stays
+    circ = Circuit(1, (H0,) + (Gate("G", (0,), 2.0**500),) * 3)
+    got = frontier_paths(circ, 0)
+    assert list(got) == [1]
+    assert got[1][0].real == math.inf
+    assert _hexed(got) == _hexed(forward_paths(circ, 0, 10**8))
+
+
+def test_seventy_qubit_register_runs(tmp_path):
+    # basis states past 2^63 are walked as Python integers
+    gates = (Gate("H", (69,)), Gate("G", (69,), 2.0), Gate("CNOT", (69, 65)), Gate("T", (3,)), Gate("H", (64,)))
+    circ = Circuit(70, gates)
+    start = 1 << 68
+    assert _hexed(frontier_paths(circ, start)) == _hexed(forward_paths(circ, start, 10**8))
+    path, out = tmp_path / "wide.json", tmp_path / "wide.report.json"
+    path.write_text(json.dumps(circuit_to_json(circ)))
+    argv = ["pathsum", str(path), "--input", str(start), "--yes-qubit", "65"]
+    assert cli.main(argv + ["--methods", "pathsum,counting", "--json", str(out)]) == 0
+    res = {r["method"]: r for r in json.loads(out.read_text())["results"]}
+    # qubit 69 ends at 2 / sqrt(2) when set (and flips 65), 1 / (2 sqrt(2)) when clear
+    assert abs(res["pathsum"]["c_yes_sq"] - 2.0) <= 1e-12
+    assert abs(res["pathsum"]["c_no_sq"] - 0.125) <= 1e-12
+    assert res["pathsum"]["path_count"] == res["counting"]["path_count"] == 4
+    assert abs(res["counting"]["c_yes_sq"] - res["pathsum"]["c_yes_sq"]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # threshold counts
 # ---------------------------------------------------------------------------
 
 
 def test_count_bucket_all_positive_has_empty_negative_side():
-    endpoints = pathsum._forward_paths(Circuit(1, (H0,)), 0, 10**6)
-    for values in endpoints.values():
-        pos, neg, im = pathsum._count_bucket(values, 20)
+    ends, groups = pathsum._forward_paths(Circuit(1, (H0,)), 0, 10**6)
+    for z in ends.tolist():
+        pos, neg, im = pathsum._count_pairs(groups, ends == z, 20)
         assert neg == 0
         assert pos > 0
-        assert abs(im) < 1e-15
+        assert np.all(np.abs(im) < 1e-15)
 
 
 def _grid_count_reference(magnitude, nc):
@@ -192,14 +327,19 @@ def test_grid_count_matches_rational_floor():
     values = [1.0, 0.5, 2.0**-20, 2.0**-1074, tiny * 3, 2.2250738585072014e-308, 1.0 - 2.0**-53]
     values += [float(v) for v in rng.random(200)]
     values += [float(math.ldexp(m, int(e))) for m, e in zip(rng.random(200), rng.integers(-1080, 4, 200))]
-    for nc in (1, 2, 20, 52, 53, 64, 200, 1024):
+    for nc in (1, 2, 20, 31, 32, 52, 53, 64, 200, 1024, 1074):
         edges = [2.0**-nc, 3 * 2.0**-nc, (1 - 2.0**-53) * 2.0**-nc]
         if 2 * nc < 1000:  # at and past the clamp
             edges += [2.0**nc, 4.0**nc, 4.0**nc + 2.0**-nc, 4.0**nc * 3]
-        for v in values + edges:
-            assert pathsum._grid_count(v, nc) == _grid_count_reference(v, nc), (v, nc)
-    assert pathsum._grid_count(8.0, 1) == 5, "clamped to the grid's point count"
-    assert pathsum._grid_count(2.0**-1074, 1024) == 0
+        terms = [v for v in values + edges if v > 0]
+        for v in terms:
+            assert pathsum._grid_total(np.array([v]), nc) == _grid_count_reference(v, nc), (v, nc)
+        want = sum(_grid_count_reference(v, nc) for v in terms)
+        assert pathsum._grid_total(np.array(terms), nc) == want, nc
+    assert pathsum._grid_total(np.array([8.0]), 1) == 5, "clamped to the grid's point count"
+    assert pathsum._grid_total(np.array([2.0**-1074]), 1024) == 0
+    assert pathsum._grid_total(np.array([2.0**-1074]), 1074) == 1
+    assert pathsum._grid_total(np.zeros(0), 1074) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +379,29 @@ def test_counting_grid_underflow():
         pathsum.counting_estimate(HGH, 0, YES0, precision_c=1100)
 
 
+def test_counting_finest_grid_is_2_to_minus_1074(tmp_path):
+    # one path of value 2^-40, so 2^-80 counts 2^994 thresholds at nc = 1074
+    tiny = Circuit(1, (Gate("G", (0,), 2.0**-40),))
+    res = pathsum.counting_estimate(tiny, 1, YES0, precision_c=1074)
+    assert res.c_yes_sq == 2.0**-80, "the term is exact on the finest grid"
+    with pytest.raises(GridSpacingError):
+        pathsum.counting_estimate(tiny, 1, YES0, precision_c=1075)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(circuit_to_json(tiny)))
+    argv = ["pathsum", str(path), "--input", "1", "--methods", "counting"]
+    assert cli.main(argv + ["--precision-c", "1074"]) == 0
+    assert cli.main(argv + ["--precision-c", "1075"]) == 2
+
+
 def _counting_two_pass(circuit, input_basis, projector, precision_c):
     """Reference tally: the yes groups in one pass, then every group again."""
-    groups = list(pathsum._forward_paths(circuit, input_basis, pathsum.DEFAULT_PATH_BUDGET).items())
+    groups = list(forward_paths(circuit, input_basis, pathsum.DEFAULT_PATH_BUDGET).items())
     nc = circuit.qubit_count * precision_c
     spacing = math.ldexp(1.0, -nc)
     bit = 1 << projector.yes_qubit
 
     def tally(group_list):
-        parts = [pathsum._count_bucket(p, nc) for p in group_list]
+        parts = [count_bucket(p, nc) for p in group_list]
         return sum(p for p, _, _ in parts), sum(q for _, q, _ in parts)
 
     yes_pos, yes_neg = tally([p for z, p in groups if projector.kind == "yn" or z & bit])
