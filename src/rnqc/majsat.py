@@ -17,13 +17,15 @@ amplified state is a monomial suffix on a few qubits (oracle,
 non-Hermitian, BHR, and the constant-one qubits in primitive lowering)
 plus a readout of the BHR, so the sweep reads one Gram matrix of the
 amplified state over those qubits and works out every i from it,
-without copying the state. Exact mode reports the +-1 probabilities.
-Sampled mode draws per-shot outcomes with one RNG stream per
-(i, set, run) job, keyed by absolute job index, so a seed fixes the
-report bit for bit. A shot needs only the first Philox block of its
-stream, so the whole sweep's shots are drawn in batches by
-rng.first_uniforms; rng.make_stream, which would draw the same numbers
-one job at a time, is the reference the tests compare it against.
+without copying the state. The plan is simulated in one
+sim.apply_circuit call, through the readout's H on the oracle qubit,
+so that H runs on the live slice and gram reads only that slice.
+Exact mode reports the +-1 probabilities. Sampled mode draws per-shot
+outcomes with one RNG stream per (i, set, run) job, keyed by absolute
+job index, so a seed fixes the report bit for bit. A shot needs only
+the first Philox block of its stream, so the whole sweep's shots are
+drawn in batches by rng.first_uniforms; rng.make_stream, which draws
+the same numbers one job at a time, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -276,15 +278,21 @@ def _oracle_state(p: MajsatPlan) -> sim.StateVector:
     return sim.apply_circuit(st, p.oracle.circuit.gates)
 
 
-def _amplified_state(p: MajsatPlan) -> sim.StateVector:
-    return sim.apply_circuit(_oracle_state(p), p.amplification_circuit.gates)
+def _amplified_state(p: MajsatPlan, more: tuple[Gate, ...] = ()) -> sim.StateVector:
+    """The plan's start state through the superposition, oracle and
+    amplification stages and then the gates of more, in one simulation
+    call, so the sparse prefix scans the support once and every dense
+    step after it runs on the live slice."""
+    st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
+    stages = (p.superposition_circuit, p.oracle.circuit, p.amplification_circuit)
+    return sim.apply_circuit(st, sum((c.gates for c in stages), ()) + more)
 
 
 def _readout_split(p: MajsatPlan) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     """Split the readout at the first gate touching the BHR qubit.
 
-    The prefix is BHR-independent, so one shared state can absorb it
-    before the per-i BHR preparation; the suffix is replayed per i.
+    The prefix is BHR-independent, so the simulated state absorbs it
+    once; the suffix is read per i through its monomial map.
     """
     gates = p.readout_circuit.gates
     for idx, g in enumerate(gates):
@@ -293,17 +301,18 @@ def _readout_split(p: MajsatPlan) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     return gates, ()
 
 
-def _readout_sweep(p: MajsatPlan, st: sim.StateVector, visit, zero_mass_ok: bool = False) -> list:
+def _readout_sweep(p: MajsatPlan, visit, zero_mass_ok: bool = False) -> list:
     """Run the readout for each i in the sweep; returns visit's results in i order.
 
-    The BHR-independent readout prefix is applied once to the amplified
-    state ``st``. The rest is monomial on its qubits L, the BHR among
-    them: it sends local basis state x to dest[x] with weight w[x]. So
-    one Gram matrix M of ``st`` over L (M[x, y] = sum over the other
-    qubits of psi(., x) psi(., y)) fixes every i, and ``st`` is never
-    copied. With the BHR prepared as c0|0> + c1|1>, (c0, c1) = (1, 2^i)
-    normalized, source x carries c[its BHR bit] w[x] and draws on M's
-    row x with the BHR bit cleared, since the BHR starts in |0>.
+    The plan is simulated once, in one call, through the amplification
+    and the BHR-independent readout prefix, to a state ``st``. The rest is
+    monomial on its qubits L, the BHR among them: it sends local basis
+    state x to dest[x] with weight w[x]. So one Gram matrix M of ``st``
+    over L (M[x, y] = sum over the other qubits of psi(., x) psi(., y))
+    fixes every i, and ``st`` is never copied. With the BHR prepared as
+    c0|0> + c1|1>, (c0, c1) = (1, 2^i) normalized, source x carries
+    c[its BHR bit] w[x] and draws on M's row x with the BHR bit cleared,
+    since the BHR starts in |0>.
     Postselection keeps the outputs whose oracle bit is 1.
     ``visit(i, kept probability, rho)`` reads rho, the BHR's unnormalized
     2x2 reduced matrix on the kept branch; each entry is a quadratic form
@@ -318,7 +327,7 @@ def _readout_sweep(p: MajsatPlan, st: sim.StateVector, visit, zero_mass_ok: bool
     cfg = p.config
     lay = p.layout
     prefix, suffix = _readout_split(p)
-    sim.apply_circuit(st, prefix)
+    st = _amplified_state(p, prefix)
     local = sorted({q for g in suffix for q in g.qubits} | {lay.bhr})
     gram, _ = sim.gram(st, local)
     dest, w, e = sim.monomial_map(suffix, local)
@@ -403,7 +412,7 @@ def run_exact(p: MajsatPlan) -> MajsatReport:
     reported) and success at a given i means strictly more -1 than +1
     probability for the BHR x-basis readout. The state through the
     amplification stage and the BHR-independent readout prefix is
-    simulated once and reused across the sweep.
+    simulated once, in one call, and reused across the sweep.
     """
 
     def visit(i: int, prob1: float, rho: np.ndarray) -> dict:
@@ -417,7 +426,7 @@ def run_exact(p: MajsatPlan) -> MajsatReport:
             "all_sets_success": p_minus > p_plus,
         }
 
-    per_i = _readout_sweep(p, _amplified_state(p), visit)
+    per_i = _readout_sweep(p, visit)
     return MajsatReport(
         source=p.source,
         n=p.formula.original_vars,
@@ -476,7 +485,7 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     def visit(i: int, prob1: float, rho: np.ndarray | None) -> tuple[float, float]:
         return prob1, sim.x_probabilities(rho)[1] if prob1 > 0.0 else 0.0
 
-    sweep = np.array(_readout_sweep(p, _amplified_state(p), visit, zero_mass_ok=True))
+    sweep = np.array(_readout_sweep(p, visit, zero_mass_ok=True))
     kept, minus = _tally(seed, sweep[:, 0], sweep[:, 1], cfg.sets, cfg.runs_per_set)
     records = []
     for i_idx, (kept_i, minus_i) in enumerate(zip(kept.tolist(), minus.tolist())):
@@ -556,7 +565,4 @@ def readout_fidelity_grid(p: MajsatPlan) -> dict[int, float]:
     s_ref = _reference_count(p)
     if s_ref is None:
         raise InputError("fidelity grid needs the brute-force count")
-    pairs = _readout_sweep(
-        p, _amplified_state(p), lambda i, _, rho: (i, _readout_bhr_fidelity(p, rho, s_ref, i))
-    )
-    return dict(pairs)
+    return dict(_readout_sweep(p, lambda i, _, rho: (i, _readout_bhr_fidelity(p, rho, s_ref, i))))

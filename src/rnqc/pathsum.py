@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sim
 from .circuit import PERMUTATION_KINDS, Circuit, Gate, diagonal_factors, needs_complex
-from .errors import CircuitError, GridSpacingError, InputError, InvariantError, PathBudgetError
+from .errors import CircuitError, GridSpacingError, InputError, InvariantError, NormOverflowError, PathBudgetError
 
 DEFAULT_PATH_BUDGET = 10**8
 
@@ -197,6 +197,8 @@ def path_sum_amplitude(
     on_yes = (ends & (1 << projector.yes_qubit) != 0) | (projector.kind == "yn")
     yes = complex(_fold(mass_re[on_yes]), _fold(mass_im[on_yes]))
     no = complex(_fold(mass_re[~on_yes]), _fold(mass_im[~on_yes]))
+    if not (math.isfinite(yes.real) and math.isfinite(no.real)):
+        raise NormOverflowError("squared path-sum mass overflows double precision")
     if abs(yes.imag) > IM_TOLERANCE or abs(no.imag) > IM_TOLERANCE:
         raise InvariantError(
             f"pair-sum imaginary residue {max(abs(yes.imag), abs(no.imag)):.3e} "
@@ -245,7 +247,7 @@ def _count_pairs(groups, keep, nc: int):
                 parts = (ar * nbi + ai * br).reshape(len(ar), -1)
                 residues[at] = _fold(np.concatenate((residues[at, None], parts), axis=1))
                 if np.isinf(prod).any():
-                    raise OverflowError("cannot convert Infinity to integer ratio")
+                    raise NormOverflowError("a path-pair product overflows double precision")
                 pos += _grid_total(prod[prod > 0], nc)
                 neg += _grid_total(-prod[prod < 0], nc)
     return pos, neg, residues
@@ -276,15 +278,14 @@ def counting_estimate(
         largest = 0.0
         for _, re, im in groups:
             size = np.hypot(re, im)  # abs() of each value
-            if np.any(np.isinf(size) & np.isfinite(re) & np.isfinite(im)):
-                raise OverflowError("absolute value too large")
+            if np.isinf(size).any():
+                raise NormOverflowError("a path value overflows double precision")
             # max() keeps a row's first value when it is NaN; the max over rows skips it
             peak = np.where(np.isnan(size[:, 0]), 0.0, np.fmax.reduce(size, axis=1))
             largest = max(largest, float(np.max(peak * peak)))
+        top = math.frexp(largest)[1] if largest < math.inf else math.inf  # 2^nc <= largest iff nc < top
         precision_c, nc = 1, n
-        while nc <= 1024 and (
-            path_count * math.ldexp(1.0, -nc) >= 1e-6 or math.ldexp(1.0, nc) <= largest
-        ):
+        while nc <= 1024 and (path_count * math.ldexp(1.0, -nc) >= 1e-6 or nc < top):
             precision_c, nc = precision_c + 1, nc + n
         if nc > 1024:
             raise GridSpacingError("no representable grid spacing achieves the requested bound")
@@ -305,7 +306,10 @@ def counting_estimate(
             f"pair-product imaginary residue {max(abs(yes_im), abs(tot_im)):.3e} "
             "exceeds tolerance; squared masses must be real"
         )
-    yes_sq = (yes_pos - yes_neg) * spacing  # under "yn" the no side is empty
-    no_sq = max((yes_pos + no_pos - yes_neg - no_neg) * spacing - yes_sq, 0.0)
+    try:  # int / int rounds once, also where a count passes the double range
+        yes_sq = (yes_pos - yes_neg) / (1 << nc)  # under "yn" the no side is empty
+        no_sq = max((yes_pos + no_pos - yes_neg - no_neg) / (1 << nc) - yes_sq, 0.0)
+    except OverflowError as exc:
+        raise NormOverflowError("squared counting mass overflows double precision") from exc
     accept, bound = _acceptance(yes_sq, no_sq), path_count * spacing
     return PathSumResult("counting", yes_sq, no_sq, accept, path_count, precision_c, bound)

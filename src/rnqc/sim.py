@@ -50,6 +50,11 @@ include fixed ones applies the rows of its map where they read their
 bits, once a check shows those rows map onto themselves. A lone gate on
 a fixed qubit (an H, say) or a block that fails the check leaves the
 slice for good: the rest runs on the whole register, exponent and all.
+gram proves its slice from the amplitudes instead: _span finds the
+first and last nonzero one, and the qubits above the aligned block that
+holds both read as fixed bits, so only that block is read. An exact
+solve (majsat) simulates each plan in one apply_circuit call, through
+the readout's H, so the H runs on the slice as well.
 
 Gates, block rows and gram find the amplitudes where some qubits hold
 given bits through one reshape, _gaps. Data moves (H's sums, the swaps
@@ -531,6 +536,18 @@ def _support(amps: np.ndarray, limit: int) -> np.ndarray | None:
     return np.concatenate(found)
 
 
+def _span(amps: np.ndarray) -> tuple[int, int]:
+    """First and last index of a nonzero amplitude, (0, size - 1) if there is
+    none. Scans _MOVE_CHUNK pieces in from each end, so a dense state stops
+    at its first piece on both sides."""
+    starts = range(0, amps.size, _MOVE_CHUNK)
+    hit = [next((s for s in run if amps[s : s + _MOVE_CHUNK].any()), None) for run in (starts, starts[::-1])]
+    if hit[0] is None:
+        return 0, amps.size - 1
+    first, last = (s + np.flatnonzero(amps[s : s + _MOVE_CHUNK]) for s in hit)
+    return int(first[0]), int(last[-1])
+
+
 def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> tuple[int, np.ndarray | None]:
     """Run leading gates on the nonzero amplitudes alone; returns how many
     and the support they leave (None if too dense to start). A permutation
@@ -640,25 +657,36 @@ def gram(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, int]:
     is the sum, over every assignment r of the other qubits, of
     conj(psi(r, x)) * psi(r, y). The mantissas are scaled so that
     max|amp| lies in [1, 2) before any product, so no entry overflows and
-    small ones keep their precision. Each local basis state x has one
-    _sub view; the views are tiled alike into pieces of _MOVE_CHUNK / 2^k
-    amplitudes, and the 2^k pieces at one place are stacked into a
-    (2^k, columns) matrix A that adds conj(A) A^T. So the cost is about
-    2^k amplitude-passes and no temporary is the size of the state.
+    small ones keep their precision. Only the live slice is read, the
+    aligned block of 2^live amplitudes that holds every nonzero one
+    (_span): the qubits from live up read fixed bits, and a local basis
+    state x whose fixed qubits read other bits has m[x, .] = m[., x] = 0.
+    Each other x has one _sub view of the slice; the views are tiled alike
+    into pieces of _MOVE_CHUNK / 2^k' amplitudes, k' the local qubits
+    below live, and the 2^k' pieces at one place are stacked into a
+    (2^k', columns) matrix A that adds conj(A) A^T. So the cost is about
+    2^k' passes over the slice and no temporary is the size of the state.
     """
     qubits = [int(q) for q in qubits]
     n = state.num_qubits
     if not qubits or len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= n:
         raise InputError(f"gram needs distinct qubits inside a {n}-qubit register, got {qubits}")
     k = len(qubits)
-    views = [_sub(state, {q: (x >> j) & 1 for j, q in enumerate(qubits)}) for x in range(1 << k)]
-    shift = math.frexp(_max_abs(state.amps))[1] - 1  # brings max|amp| into [1, 2)
+    lo, hi = _span(state.amps)
+    live = (lo ^ hi).bit_length()
+    base = lo >> live << live
+    view = StateVector(live, state.amps[base : base + (1 << live)], state.mode)
+    free = [j for j, q in enumerate(qubits) if q < live]
+    fixed = [(j, base >> q & 1) for j, q in enumerate(qubits) if q >= live]
+    on = [x for x in range(1 << k) if all(x >> j & 1 == b for j, b in fixed)]  # the block's local states
+    views = [_sub(view, {qubits[j]: (x >> j) & 1 for j in free}) for x in on]
+    shift = math.frexp(_max_abs(view.amps))[1] - 1  # brings max|amp| into [1, 2)
     scale = math.ldexp(1.0, -shift)
     m = np.zeros((1 << k, 1 << k), dtype=state.amps.dtype)
-    for p in _pieces(views[0].shape, limit=_MOVE_CHUNK >> k):
-        a = np.stack([v[p] for v in views]).reshape(1 << k, -1)
+    for p in _pieces(views[0].shape, limit=_MOVE_CHUNK >> len(free)):
+        a = np.stack([v[p] for v in views]).reshape(len(on), -1)
         a *= scale  # a gathered copy, never the state
-        m += (a.conj() if state.mode == "complex" else a) @ a.T
+        m[np.ix_(on, on)] += (a.conj() if state.mode == "complex" else a) @ a.T
     return m, state.exponent + shift
 
 

@@ -34,6 +34,13 @@ NORM_UNDERFLOW_JSON = {
     "gates": [{"g": "X", "q": [0]}] + [{"g": "G", "q": [0], "param": 1e-150}] * 7,
 }
 CG_JSON = {"qubits": 2, "gates": [{"g": "CG", "q": [0, 1], "param": 4.0}]}
+# on input 1 the one path ends at 2^520: its square passes the double range
+G520_JSON = {"qubits": 1, "gates": [{"g": "G", "q": [0], "param": 2.0**p} for p in (500, 20)]}
+# H, then three G(2^500): the 1-branch overflows to inf
+PATH_OVERFLOW_JSON = {
+    "qubits": 1,
+    "gates": [{"g": "H", "q": [0]}] + [{"g": "G", "q": [0], "param": 2.0**500}] * 3,
+}
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,8 @@ def files(tmp_path_factory):
         ("hgh.json", json.dumps(HGH_JSON)),
         ("tgate.json", json.dumps(T_JSON)),
         ("cg.json", json.dumps(CG_JSON)),
+        ("g520.json", json.dumps(G520_JSON)),
+        ("path_overflow.json", json.dumps(PATH_OVERFLOW_JSON)),
     ):
         path = root / name
         path.write_text(text)
@@ -483,6 +492,45 @@ def test_pathsum_yn_projector_report_schema(files, tmp_path):
 def test_pathsum_direct_unrepresentable_norm_is_invariant_exit(files, name, capsys):
     assert cli.main(["pathsum", files[name], "--methods", "direct"]) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_pathsum_counting_on_the_finest_grid_divides_exactly(files, tmp_path, capsys):
+    # nc = 1074: the counts pass 2^1024, so they cannot be turned into
+    # doubles before the division by 2^nc
+    argv = ["pathsum", files["hgh.json"], "--methods", "direct,counting", "--precision-c", "1074"]
+    code, payload = _run_json(argv, tmp_path)
+    assert code == 0
+    assert "unexpected error" not in capsys.readouterr().err
+    direct, counting = payload["results"]
+    assert counting["precision_c"] == 1074
+    for key in ("c_yes_sq", "c_no_sq"):
+        assert abs(counting[key] - direct[key]) <= 1e-12
+
+
+def test_pathsum_counting_grid_past_the_double_range_is_input_error(files, capsys):
+    # the squared path value 2^1040 keeps the adaptive grid growing past
+    # nc = 1024, where no spacing is representable
+    assert cli.main(["pathsum", files["g520.json"], "--input", "1", "--methods", "counting"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no representable grid spacing")
+    assert "unexpected error" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--methods", "direct"],
+        ["--methods", "pathsum"],
+        ["--methods", "counting", "--precision-c", "3"],
+        ["--methods", "counting"],  # the adaptive grid reads the infinite value first
+    ],
+    ids=["direct", "pathsum", "counting", "counting-adaptive"],
+)
+def test_pathsum_overflowing_path_values_are_invariant_exit_on_every_route(files, flags, capsys):
+    assert cli.main(["pathsum", files["path_overflow.json"], *flags]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows double precision" in err
+    assert "unexpected error" not in err
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import count_bucket, forward_paths, frontier_paths
 from rnqc import cli, cnf, majsat, pathsum, sim
 from rnqc.circuit import KINDS, Circuit, Gate, circuit_to_json
-from rnqc.errors import CircuitError, GridSpacingError, InputError, PathBudgetError
+from rnqc.errors import CircuitError, GridSpacingError, InputError, NormOverflowError, PathBudgetError
 from rnqc.pathsum import Projector
 
 H0 = Gate("H", (0,))
@@ -247,7 +247,7 @@ def test_frontier_matches_python_dfs(case, chunk, ncs):
                 try:
                     ref = count_bucket(values, nc)
                 except OverflowError:  # an infinite product has no integer floor
-                    with pytest.raises(OverflowError):
+                    with pytest.raises(NormOverflowError):
                         pathsum._count_pairs(groups, ends == z, nc)
                     continue
                 pos, neg, residues = pathsum._count_pairs(groups, ends == z, nc)
@@ -255,6 +255,10 @@ def test_frontier_matches_python_dfs(case, chunk, ncs):
                 assert residues[ends == z][0].hex() == ref[2].hex()
         yes, no = _pathsum_by_loop(circuit, start, 1 << yes_qubit)
         if abs(yes.imag) > pathsum.IM_TOLERANCE or abs(no.imag) > pathsum.IM_TOLERANCE:
+            return
+        if not (math.isfinite(yes.real) and math.isfinite(no.real)):
+            with pytest.raises(NormOverflowError):
+                pathsum.path_sum_amplitude(circuit, start, Projector("yes", yes_qubit))
             return
         res = pathsum.path_sum_amplitude(circuit, start, Projector("yes", yes_qubit))
     assert (res.c_yes_sq.hex(), res.c_no_sq.hex()) == (yes.real.hex(), no.real.hex())

@@ -2,9 +2,10 @@
 
 The reference runs the readout on the state itself, once per i: copy
 the amplified state, prepare the BHR, replay the readout suffix,
-postselect the oracle qubit and read the BHR off the state. Each test
-builds a plan's amplified state once and gives each readout its own
-copy.
+postselect the oracle qubit and read the BHR off the state. The Gram
+readout simulates the plan itself, in one call through the readout
+prefix; each test builds the reference's amplified state once and gives
+each reference readout its own copy.
 """
 from __future__ import annotations
 
@@ -55,11 +56,10 @@ def _reference_rho_sweep(p, st, visit, zero_mass_ok=False):
     return _reference_sweep(p, st, read, zero_mass_ok)
 
 
-def _gram_entries(p, st, s):
+def _gram_entries(p, s):
     """(i, kept probability, P(+1), P(-1), BHR fidelity) from the Gram readout."""
     return majsat._readout_sweep(
         p,
-        st,
         lambda i, prob1, rho: (
             i,
             prob1,
@@ -107,8 +107,8 @@ def test_gram_readout_matches_reference_on_corpus(corpus, lowering, rounds):
         # The dense dot product rounds two products either as one fused
         # multiply-add or as two, depending on where BLAS puts them.
         assert abs(majsat._amplification_fidelity(p, st, s) - _dense_amplification_fidelity(p, st, s)) <= EPS
-        got = _gram_entries(p, st.copy(), s)
-        want = _reference_entries(p, st.copy(), s)
+        got = _gram_entries(p, s)
+        want = _reference_entries(p, st, s)
         for a, b in zip(got, want, strict=True):
             assert a[0] == b[0]
             assert (a[3] > a[2]) == (b[3] > b[2]), (name, a[0])
@@ -122,10 +122,13 @@ def test_sampled_reports_identical_under_reference_readout(corpus_small, monkeyp
     for name, formula in corpus_small:
         p = majsat.plan(formula, majsat.default_config(formula.num_vars, seed=seed, mode="sampled"))
         st = majsat._amplified_state(p)
+        got = json.dumps(majsat.run_sampled(p).to_json_dict())
         with monkeypatch.context() as patch:
-            patch.setattr(majsat, "_amplified_state", lambda _: st.copy())
-            got = json.dumps(majsat.run_sampled(p).to_json_dict())
-            patch.setattr(majsat, "_readout_sweep", _reference_rho_sweep)
+            patch.setattr(
+                majsat,
+                "_readout_sweep",
+                lambda p, visit, zero_mass_ok=False: _reference_rho_sweep(p, st.copy(), visit, zero_mass_ok),
+            )
             want = json.dumps(majsat.run_sampled(p).to_json_dict())
         assert got == want, name
 
@@ -141,9 +144,9 @@ EDGE_FORMULAS = {
 # sim.ZERO_MASS of the total, so both readouts raise PostselectError.
 
 
-def _outcome(entries, p, st):
+def _outcome(entries):
     try:
-        return "YES" if any(e[3] > e[2] for e in entries(p, st, 0)) else "NO"
+        return "YES" if any(e[3] > e[2] for e in entries()) else "NO"
     except PostselectError:
         return "PostselectError"
 
@@ -165,6 +168,6 @@ def test_gram_readout_matches_reference_at_the_starvation_edge(lowering):
                 p = majsat.plan(formula, config)
                 if st is None:  # the amplified state does not depend on r'
                     st = majsat._amplified_state(p)
-                got = _outcome(_gram_entries, p, st.copy())
-                want = _outcome(_reference_entries, p, st.copy())
+                got = _outcome(lambda: _gram_entries(p, 0))
+                want = _outcome(lambda: _reference_entries(p, st.copy(), 0))
                 assert got == want, (key, orientation, r_prime)

@@ -429,6 +429,7 @@ def test_support_scan_matches_flatnonzero_and_stops_past_limit():
             if count:
                 assert np.array_equal(sim._support(amps, count), want)
                 assert sim._support(amps, count - 1) is None
+            assert sim._span(amps) == ((int(want[0]), int(want[-1])) if count else (0, 255))
 
 
 def test_sparse_prefix_stops_before_primitive_gain_rounds():
@@ -533,17 +534,73 @@ def test_live_slice_matches_dense_bit_for_bit(case):
 def test_bench_size_plans_run_their_dense_steps_on_the_live_slice(monkeypatch, lowering, n, m, live):
     # A 22-qubit semantic plan leaves the non-Hermitian qubit and the BHR
     # definite; a 20-qubit primitive plan also its two chain ancillas and
-    # two const-one qubits. So every dense step of the amplification runs
-    # on 2^20 and 2^14 amplitudes.
+    # two const-one qubits. So every dense step of the amplification and
+    # of the readout prefix (H on the oracle qubit, the last step) runs on
+    # 2^20 and 2^14 amplitudes, and gram reads as many.
     p = majsat.plan(random_formula(n, m, 0), majsat.default_config(n, lowering=lowering))
     assert p.qubit_count == (n + m + 3 if lowering == "semantic" else n + 2 * m + 3)
-    state = majsat._oracle_state(p)
-    sizes = []
-    apply_gate, apply_block = sim.apply_gate, sim._apply_block
-    monkeypatch.setattr(sim, "apply_gate", lambda s, g: sizes.append(s.amps.size) or apply_gate(s, g))
-    monkeypatch.setattr(sim, "_apply_block", lambda s, *b: sizes.append(s.amps.size) or apply_block(s, *b))
-    sim.apply_circuit(state, p.amplification_circuit.gates)
-    assert sizes and set(sizes) == {1 << live}
+    steps, read = [], []
+    apply_gate, apply_block, sub = sim.apply_gate, sim._apply_block, sim._sub
+    monkeypatch.setattr(sim, "apply_gate", lambda s, g: steps.append((s.amps.size, g)) or apply_gate(s, g))
+    monkeypatch.setattr(sim, "_apply_block", lambda s, *b: steps.append((s.amps.size, b)) or apply_block(s, *b))
+    monkeypatch.setattr(sim, "_sub", lambda s, fixed: read.append(s.amps.size) or sub(s, fixed))
+    majsat._readout_sweep(p, lambda i, prob1, rho: None)
+    assert steps and {size for size, _ in steps} == {1 << live}
+    assert steps[-1][1] == Gate("H", (p.layout.oracle,))
+    assert read and set(read) == {1 << live}
+
+
+@st.composite
+def _fixed_top_gram(draw):
+    """A state whose top 1-3 qubits hold fixed bits, as _sliced_start draws
+    them, dense or sparse below them and scaled by up to 2^±450; local
+    qubits that hold at least one of those top qubits and one below them;
+    and a data-move piece of 2^0 to 2^6 amplitudes."""
+    n = draw(st.integers(2, 9))
+    top = draw(st.integers(1, min(3, n - 1)))
+    live = n - top
+    mode = draw(st.sampled_from(("real", "complex")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.standard_normal(1 << live)
+    if mode == "complex":
+        vals = vals + 1j * rng.standard_normal(1 << live)
+    vals[rng.random(1 << live) >= draw(st.sampled_from((1.0, 0.5, 0.05)))] = 0.0
+    vals[rng.integers(1 << live)] = 1.0
+    bits = draw(st.integers(0, (1 << top) - 1)) << live
+    amps = np.zeros(1 << n, dtype=vals.dtype)
+    amps[bits : bits + (1 << live)] = vals * 2.0 ** draw(st.integers(-450, 450))
+    pair = [draw(st.integers(live, n - 1)), draw(st.integers(0, live - 1))]
+    rest = [q for q in draw(st.permutations(range(n))) if q not in pair][: draw(st.integers(0, 2))]
+    qubits = draw(st.permutations(pair + rest))
+    return sim.state_from_amplitudes(amps, mode=mode), qubits, 1 << draw(st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fixed_top_gram())
+def test_gram_on_the_live_slice_matches_the_full_register(case):
+    # gram reads only the aligned block that holds every nonzero amplitude
+    # and takes the qubits above it as fixed bits. The full-register path,
+    # forced by a _span that reports the whole array, is the reference.
+    # Local states whose fixed qubits read other bits get exact zeros; the
+    # rest sum the same products in other pieces, so each entry may move
+    # by the rounding of a sum of at most 2^n terms: 2^n ulp of
+    # sqrt(M[x, x] M[y, y]), which bounds the sum of their magnitudes.
+    state, qubits, chunk = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_MOVE_CHUNK", chunk)
+        got, e = sim.gram(state, qubits)
+        patch.setattr(sim, "_span", lambda amps: (0, amps.size - 1))
+        want, e_ref = sim.gram(state, qubits)
+    assert e == e_ref
+    lo, hi = np.flatnonzero(state.amps)[[0, -1]]
+    live = int(lo ^ hi).bit_length()
+    x = np.arange(1 << len(qubits))
+    on = np.all([(x >> j & 1) == (int(lo) >> q & 1) for j, q in enumerate(qubits) if q >= live], axis=0)
+    off = ~np.outer(on, on)
+    assert np.all(got[off] == 0) and np.all(want[off] == 0)
+    d = np.abs(np.diag(want))
+    bound = (1 << state.num_qubits) * np.finfo(np.float64).eps * np.sqrt(np.outer(d, d))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_sparse_prefix_checks_the_register_first():
