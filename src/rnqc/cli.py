@@ -227,7 +227,7 @@ def cmd_simulate(args) -> int:
     }
     if args.amplitudes:
         scale = math.ldexp(1.0, state.exponent)
-        flat = state.amps.reshape(-1)
+        flat = sim.amplitudes(state)
         rows = []
         for z in range(flat.shape[0]):
             a = complex(flat[z]) * scale

@@ -19,7 +19,7 @@ plus a readout of the BHR, so the sweep reads one Gram matrix of the
 amplified state over those qubits and works out every i from it,
 without copying the state. The plan is simulated in one
 sim.apply_circuit call, through the readout's H on the oracle qubit,
-so that H runs on the live slice and gram reads only that slice.
+so that H runs on the state's stored qubits and gram reads only those.
 Exact mode reports the +-1 probabilities. Sampled mode draws per-shot
 outcomes with one RNG stream per (i, set, run) job, keyed by absolute
 job index, so a seed fixes the report bit for bit. A shot needs only
@@ -282,7 +282,7 @@ def _amplified_state(p: MajsatPlan, more: tuple[Gate, ...] = ()) -> sim.StateVec
     """The plan's start state through the superposition, oracle and
     amplification stages and then the gates of more, in one simulation
     call, so the sparse prefix scans the support once and every dense
-    step after it runs on the live slice."""
+    step after it runs on the qubits the state stores."""
     st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
     stages = (p.superposition_circuit, p.oracle.circuit, p.amplification_circuit)
     return sim.apply_circuit(st, sum((c.gates for c in stages), ()) + more)

@@ -41,20 +41,19 @@ power-of-two parameters the two agree bit for bit; otherwise a block
 rounds its product of factors once where the gate loop rounds after
 every gate.
 
-If the top qubits read the same bits at every nonzero amplitude the
-sparse prefix leaves (one AND and one OR over its indices) and more than
-_DENSE_QUBITS qubits below them vary, the dense steps run on that live
-slice: a contiguous view, as a smaller StateVector sharing the exponent.
-Blocks are still cut on the whole register; one whose high qubits
-include fixed ones applies the rows of its map where they read their
-bits, once a check shows those rows map onto themselves. A lone gate on
-a fixed qubit (an H, say) or a block that fails the check leaves the
-slice for good: the rest runs on the whole register, exponent and all.
-gram proves its slice from the amplitudes instead: _span finds the
-first and last nonzero one, and the qubits above the aligned block that
-holds both read as fixed bits, so only that block is read. An exact
-solve (majsat) simulates each plan in one apply_circuit call, through
-the readout's H, so the H runs on the slice as well.
+A state stores only its live qubits: amps holds the low stored =
+log2(amps.size) qubits, and each qubit above them reads its bit of
+fixed, so amps[j] belongs to basis state fixed | j. new_state stores
+none, and the sparse prefix writes its support into a fresh array over
+the qubits it does not hold constant. The dense steps store at least
+_DENSE_QUBITS + 1 qubits, so stored rows split as the register's do. A
+block over fixed qubits applies the rows of its map where they read
+their bits, once a check shows those rows map onto themselves
+(_on_slice); a block that fails it, or a lone gate on a fixed qubit,
+first widens the array to store its qubits, a zero-filled data move
+(_widen), so a state is bit for bit the whole register's. gram reads
+the fixed bits from the state; amplitudes(state) expands it to 2^n. An
+exact solve (majsat) runs each plan in one apply_circuit call.
 
 Gates, block rows and gram find the amplitudes where some qubits hold
 given bits through one reshape, _gaps. Data moves (H's sums, the swaps
@@ -75,7 +74,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
@@ -120,9 +119,14 @@ class StateVector:
     amps: np.ndarray
     mode: str = "real"
     exponent: int = 0
+    fixed: int = 0  # bits of the qubits above the stored ones; its low stored bits are 0
+
+    @property
+    def stored(self) -> int:
+        return self.amps.size.bit_length() - 1
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy(), self.mode, self.exponent)
+        return StateVector(self.num_qubits, self.amps.copy(), self.mode, self.exponent, self.fixed)
 
 
 def _check_register(num_qubits: int) -> None:
@@ -142,14 +146,11 @@ def _dtype_for(mode: str):
 
 
 def new_state(num_qubits: int, basis_index: int = 0, mode: str = "real") -> StateVector:
-    """Basis state |basis_index> on a fresh register."""
+    """Basis state |basis_index> on a fresh register; it stores no qubit."""
     _check_register(num_qubits)
-    dim = 1 << num_qubits
-    if not 0 <= basis_index < dim:
+    if not 0 <= basis_index < 1 << num_qubits:
         raise InputError(f"basis index {basis_index} out of range for {num_qubits} qubits")
-    amps = np.zeros(dim, dtype=_dtype_for(mode))
-    amps[basis_index] = 1.0
-    return StateVector(num_qubits=num_qubits, amps=amps, mode=mode)
+    return StateVector(num_qubits, np.ones(1, dtype=_dtype_for(mode)), mode, fixed=basis_index)
 
 
 def state_from_amplitudes(values: Sequence, mode: str = "real", exponent: int = 0) -> StateVector:
@@ -173,6 +174,23 @@ def state_from_amplitudes(values: Sequence, mode: str = "real", exponent: int = 
     state = StateVector(num_qubits=n, amps=amps.copy(), mode=mode, exponent=exponent)
     _rescale_guard(state)
     return state
+
+
+def _widen(state: StateVector, top: int) -> StateVector:
+    """Store the low top qubits, if fewer are stored: the amplitudes move
+    into a zero-filled array, at the place their fixed bits below top give."""
+    if top > state.stored:
+        amps = np.zeros(1 << top, dtype=state.amps.dtype)
+        at = state.fixed & (1 << top) - 1
+        amps[at : at + state.amps.size] = state.amps
+        state.amps, state.fixed = amps, state.fixed >> top << top
+    return state
+
+
+def amplitudes(state: StateVector) -> np.ndarray:
+    """All 2^n mantissas at their register indices: the stored array itself
+    when it holds every qubit, else a zero-filled copy."""
+    return _widen(replace(state), state.num_qubits).amps
 
 
 @lru_cache(maxsize=256)  # apply_gate asks on every gate; a small state feels the cost
@@ -204,15 +222,16 @@ def _index(axes: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
 
 def _sub(state: StateVector, fixed: dict[int, int]) -> np.ndarray:
     """View of the amplitudes where each qubit q reads fixed[q]; its axes are
-    the runs of the other qubits. Writes go through to the state."""
-    shape, axes = _gaps(state.num_qubits, tuple(fixed))
+    the runs of the other stored qubits. Writes go through to the state."""
+    shape, axes = _gaps(state.stored, tuple(fixed))
     return state.amps.reshape(shape)[_index(axes, tuple(fixed.values()))]
 
 
 def _halves(state: StateVector, target: int, controls: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
     """The target's 0 and 1 halves inside the subspace where every control
-    reads 1, as views of the state."""
-    shape, axes = _gaps(state.num_qubits, (*controls, target))
+    reads 1, as views of the state, which first widens to store them all."""
+    _widen(state, max((target, *controls)) + 1)
+    shape, axes = _gaps(state.stored, (*controls, target))
     v = state.amps.reshape(shape)
     on = (1,) * len(controls)
     return v[_index(axes, on + (0,))], v[_index(axes, on + (1,))]
@@ -469,8 +488,8 @@ def _compile(gates: tuple[Gate, ...], n: int) -> Iterator:
 
 def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: list, high: list) -> None:
     """Apply net, the (dest, w, e) map _trace_basis gives for the gates over
-    the local qubits low + high, in place and in one pass."""
-    n, kl = state.num_qubits, len(low)
+    the local qubits low + high (all stored), in place and in one pass."""
+    n, kl = state.stored, len(low)
     dense = _tail_width(n)
     dest, w, e = (a.reshape(-1, 1 << kl) for a in net)  # (row, index over the low qubits)
     f = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
@@ -536,28 +555,16 @@ def _support(amps: np.ndarray, limit: int) -> np.ndarray | None:
     return np.concatenate(found)
 
 
-def _span(amps: np.ndarray) -> tuple[int, int]:
-    """First and last index of a nonzero amplitude, (0, size - 1) if there is
-    none. Scans _MOVE_CHUNK pieces in from each end, so a dense state stops
-    at its first piece on both sides."""
-    starts = range(0, amps.size, _MOVE_CHUNK)
-    hit = [next((s for s in run if amps[s : s + _MOVE_CHUNK].any()), None) for run in (starts, starts[::-1])]
-    if hit[0] is None:
-        return 0, amps.size - 1
-    first, last = (s + np.flatnonzero(amps[s : s + _MOVE_CHUNK]) for s in hit)
-    return int(first[0]), int(last[-1])
-
-
-def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> tuple[int, np.ndarray | None]:
-    """Run leading gates on the nonzero amplitudes alone; returns how many
-    and the support they leave (None if too dense to start). A permutation
-    flips its target bit in the indices where every control reads 1; H
-    merges index pairs through _hadamard and drops exact zeros."""
+def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
+    """Run leading gates on the nonzero amplitudes alone and return how
+    many (0 if too dense to start). A permutation flips its target bit in
+    the indices where every control reads 1; H merges index pairs through
+    _hadamard and drops exact zeros. The support they leave is stored afresh."""
     reach, limit = _sparse_reach(gates), (1 << state.num_qubits) >> _SPARSE_SHIFT
     old = _support(state.amps, limit) if reach else None
     if old is None:
-        return 0, None
-    idx, vals = old, state.amps[old]
+        return 0
+    idx, vals = old | state.fixed, state.amps[old]
     for done, g in enumerate(gates[:reach]):
         bit = 1 << g.target
         if g.kind in PERMUTATION_KINDS:
@@ -573,46 +580,39 @@ def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> tuple[int, np.
         _hadamard(*ab)
         idx, vals = np.concatenate((base, base | bit)), ab.ravel()
         idx, vals = idx[vals != 0], vals[vals != 0]
-    state.amps[old] = 0.0
-    state.amps[idx] = vals
-    return reach, idx
+    live = int(np.bitwise_or.reduce(idx) ^ np.bitwise_and.reduce(idx)).bit_length()
+    state.fixed = int(idx[0]) >> live << live
+    state.amps = np.zeros(1 << live, dtype=vals.dtype)
+    state.amps[idx ^ state.fixed] = vals
+    return reach
 
 
-def _on_slice(step, live: int, base: int):
-    """The step as it acts on the live slice, where every qubit from live up
-    reads its bit of base; None when it may move amplitude out of the slice.
-    A block keeps the rows of its map where those qubits read their bits."""
-    if isinstance(step, Gate):
-        return step if max(step.qubits) < live else None
-    gates, (dest, w, e), low, high = step
-    kept = [q for q in high if q < live]
+def _on_slice(state: StateVector, block):
+    """The block as it acts on the stored qubits, where every qubit above
+    them reads its bit of state.fixed: the rows of its map where those
+    qubits read their bits. When it may move amplitude out of them, the
+    state first widens to store the block's qubits and the block is whole."""
+    gates, (dest, w, e), low, high = block
+    kept = [q for q in high if q < state.stored]
     b = len(low) + len(kept)  # the elided qubits are the block's top local bits
-    row = sum((base >> q & 1) << j for j, q in enumerate(high[len(kept) :]))
+    row = sum((state.fixed >> q & 1) << j for j, q in enumerate(high[len(kept) :]))
     rows = slice(row << b, row + 1 << b)
     if np.any(dest[rows] >> b != row):
-        return None
+        _widen(state, max(high) + 1)
+        return block
     return gates, (dest[rows] & (1 << b) - 1, w[rows], e[rows]), low, kept
 
 
-def _apply_dense(state: StateVector, gates: tuple[Gate, ...], support: np.ndarray | None = None) -> StateVector:
-    """Apply the steps of _compile: on the whole register, the reference the
-    tests compare apply_circuit against, or, given the support the sparse
-    prefix left, on its live slice until a step leaves it (module notes)."""
-    n, view = state.num_qubits, state
-    if support is not None:
-        live = int(np.bitwise_or.reduce(support) ^ np.bitwise_and.reduce(support)).bit_length()
-        base = int(support[0]) >> live << live
-        if _DENSE_QUBITS < live < n:  # then the slice's rows split as the register's do
-            view = StateVector(live, state.amps[base : base + (1 << live)], state.mode, state.exponent)
-    for step in _compile(gates, n):
-        sub = step if view is state else _on_slice(step, live, base)
-        if sub is None:
-            state.exponent, view, sub = view.exponent, state, step
-        if isinstance(sub, Gate):
-            apply_gate(view, sub)
+def _apply_dense(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
+    """Apply the steps of _compile on the stored qubits (module notes). On
+    a state that stores every qubit, as from state_from_amplitudes, it is
+    the whole-register reference the tests compare apply_circuit against."""
+    _widen(state, min(state.num_qubits, _DENSE_QUBITS + 1))
+    for step in _compile(gates, state.num_qubits):
+        if isinstance(step, Gate):
+            apply_gate(state, step)
         else:
-            _apply_block(view, *sub)
-    state.exponent = view.exponent
+            _apply_block(state, *_on_slice(state, step))
     return state
 
 
@@ -634,8 +634,8 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
     for g in gates:
         if max(g.qubits) >= state.num_qubits:
             raise CircuitError(f"gate {g.kind}{g.qubits} exceeds register of {state.num_qubits} qubits")
-    reach, support = _apply_sparse(state, gates)
-    return _apply_dense(state, gates[reach:], support)
+    reach = _apply_sparse(state, gates)
+    return _apply_dense(state, gates[reach:])
 
 
 # ---------------------------------------------------------------------------
@@ -657,30 +657,25 @@ def gram(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, int]:
     is the sum, over every assignment r of the other qubits, of
     conj(psi(r, x)) * psi(r, y). The mantissas are scaled so that
     max|amp| lies in [1, 2) before any product, so no entry overflows and
-    small ones keep their precision. Only the live slice is read, the
-    aligned block of 2^live amplitudes that holds every nonzero one
-    (_span): the qubits from live up read fixed bits, and a local basis
-    state x whose fixed qubits read other bits has m[x, .] = m[., x] = 0.
-    Each other x has one _sub view of the slice; the views are tiled alike
-    into pieces of _MOVE_CHUNK / 2^k' amplitudes, k' the local qubits
-    below live, and the 2^k' pieces at one place are stacked into a
-    (2^k', columns) matrix A that adds conj(A) A^T. So the cost is about
-    2^k' passes over the slice and no temporary is the size of the state.
+    small ones keep their precision. Only the stored amplitudes are read:
+    a qubit from state.stored up reads its bit of state.fixed, and a local
+    basis state x whose fixed qubits read other bits has
+    m[x, .] = m[., x] = 0. Each other x has one _sub view; the views are
+    tiled alike into pieces of _MOVE_CHUNK / 2^k' amplitudes, k' the
+    stored local qubits, and the 2^k' pieces at one place are stacked into
+    a (2^k', columns) matrix A that adds conj(A) A^T. So the cost is about
+    2^k' passes over the stored amplitudes and no temporary is their size.
     """
     qubits = [int(q) for q in qubits]
     n = state.num_qubits
     if not qubits or len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= n:
         raise InputError(f"gram needs distinct qubits inside a {n}-qubit register, got {qubits}")
     k = len(qubits)
-    lo, hi = _span(state.amps)
-    live = (lo ^ hi).bit_length()
-    base = lo >> live << live
-    view = StateVector(live, state.amps[base : base + (1 << live)], state.mode)
-    free = [j for j, q in enumerate(qubits) if q < live]
-    fixed = [(j, base >> q & 1) for j, q in enumerate(qubits) if q >= live]
-    on = [x for x in range(1 << k) if all(x >> j & 1 == b for j, b in fixed)]  # the block's local states
-    views = [_sub(view, {qubits[j]: (x >> j) & 1 for j in free}) for x in on]
-    shift = math.frexp(_max_abs(view.amps))[1] - 1  # brings max|amp| into [1, 2)
+    free = [j for j, q in enumerate(qubits) if q < state.stored]
+    fixed = [(j, state.fixed >> q & 1) for j, q in enumerate(qubits) if q >= state.stored]
+    on = [x for x in range(1 << k) if all(x >> j & 1 == b for j, b in fixed)]  # the stored local states
+    views = [_sub(state, {qubits[j]: (x >> j) & 1 for j in free}) for x in on]
+    shift = math.frexp(_max_abs(state.amps))[1] - 1  # brings max|amp| into [1, 2)
     scale = math.ldexp(1.0, -shift)
     m = np.zeros((1 << k, 1 << k), dtype=state.amps.dtype)
     for p in _pieces(views[0].shape, limit=_MOVE_CHUNK >> len(free)):
@@ -801,13 +796,15 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 / (norm_sq(a) * norm_sq(b)).
 
     Each state is read at its own gram scale, so the exponents cancel
-    exactly; the overlap is summed piece by piece.
+    exactly; the overlap is summed piece by piece where both are stored.
     """
     if a.num_qubits != b.num_qubits:
         raise InputError(f"fidelity needs equal registers, got {a.num_qubits} and {b.num_qubits}")
     (na, ka), (nb, kb) = _scaled_norm(a), _scaled_norm(b)
     sa, sb = math.ldexp(1.0, -ka), math.ldexp(1.0, -kb)
-    overlap = sum(np.vdot(a.amps[p] * sa, b.amps[p] * sb) for p in _pieces(a.amps.shape))
+    lo, hi = max(a.fixed, b.fixed), min(a.fixed + a.amps.size, b.fixed + b.amps.size)
+    xa, xb = (s.amps[lo - s.fixed : max(lo, hi) - s.fixed] for s in (a, b))
+    overlap = sum(np.vdot(xa[p] * sa, xb[p] * sb) for p in _pieces(xa.shape))
     return _fidelity(overlap, na, nb)
 
 
@@ -816,9 +813,10 @@ def sparse_fidelity(state: StateVector, target: dict[int, float]) -> float:
     target[j] at basis index j. Reads those amplitudes and the state's
     norm; no target vector is built."""
     base, k = _scaled_norm(state)
-    idx = list(target)
-    t = np.array([target[j] for j in idx], dtype=state.amps.dtype)
-    overlap = np.vdot(state.amps[idx] * math.ldexp(1.0, -k), t)
+    at = [j ^ state.fixed for j in target]  # below amps.size where the state stores j
+    amps = np.array([state.amps[x] if x < state.amps.size else 0.0 for x in at], dtype=state.amps.dtype)
+    t = np.array(list(target.values()), dtype=state.amps.dtype)
+    overlap = np.vdot(amps * math.ldexp(1.0, -k), t)
     return _fidelity(overlap, base, float(np.real(np.vdot(t, t))))
 
 

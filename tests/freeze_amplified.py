@@ -5,8 +5,8 @@
 
 The frozen file, tests/amplified_digests.json, holds
   * "states": the sha256 of every amplified state (the superposition,
-    oracle and amplification stages of a plan), over its mantissa bytes
-    and then its exponent. The plans are the 44 corpus files in both
+    oracle and amplification stages of a plan), over the mantissa bytes of
+    the whole register (sim.amplitudes) and then its exponent. The plans are the 44 corpus files in both
     lowerings, at the default rounds and at r = r' = 2n, and RANDOM_PLANS,
     seeded random 3-CNF formulas of 20-22 qubits in both lowerings.
   * "reports": the exact `solve` report of every corpus file in both
@@ -30,7 +30,7 @@ import pathlib
 import random
 import sys
 
-from rnqc import cnf, majsat
+from rnqc import cnf, majsat, sim
 
 HERE = pathlib.Path(__file__).resolve().parent
 FROZEN = HERE / "amplified_digests.json"
@@ -57,7 +57,7 @@ def state_digest(formula: cnf.CnfFormula, lowering: str, rounds: int | None = No
     """sha256 of the plan's amplified state: mantissa bytes, then exponent."""
     config = majsat.default_config(formula.num_vars, r=rounds, r_prime=rounds, lowering=lowering)
     st = majsat._amplified_state(majsat.plan(formula, config))
-    digest = hashlib.sha256(st.amps.tobytes())
+    digest = hashlib.sha256(sim.amplitudes(st).tobytes())
     digest.update(str(st.exponent).encode())
     return digest.hexdigest()
 

@@ -111,7 +111,7 @@ def test_criterion_03_lowering_equivalence(corpus_small):
     for b in (0, 1):
         state = sim.new_state(zlow.qubit_count, b | zones)
         state = sim.apply_circuit(state, zlow)
-        amps = state.amps.reshape(-1) * 2.0**state.exponent
+        amps = sim.amplitudes(state) * 2.0**state.exponent
         want = np.zeros_like(amps)
         want[b | zones] = -1.0 if b else 1.0
         if np.max(np.abs(amps - want)) > 1e-12:
@@ -140,7 +140,7 @@ def test_criterion_03_lowering_equivalence(corpus_small):
         matrix = np.zeros((4, 4))
         for col in range(4):
             state = sim.apply_circuit(sim.new_state(2, col), low)
-            matrix[:, col] = state.amps.reshape(-1) * 2.0**state.exponent
+            matrix[:, col] = sim.amplitudes(state) * 2.0**state.exponent
         if np.max(np.abs(matrix - np.diag([1.0, 1.0, 1.0 / g, g]))) > 1e-12:
             problems.append(f"controlled-gain lowering wrong for g={g}")
 

@@ -424,6 +424,25 @@ def test_simulate_prints_probabilities_and_amplitudes(files, tmp_path, capsys):
     jsonschema.validate(payload, _schema("simulate_report.schema.json"))
 
 
+def test_simulate_amplitudes_list_the_whole_register(tmp_path, monkeypatch, capsys):
+    # Qubit 11 stays |0>, so the state stores qubits 0-10 only; --amplitudes
+    # still lists all 2^12 rows, each amplitude at its register index.
+    gates = [{"g": "H", "q": [q]} for q in range(11)]
+    gates += [{"g": "G", "q": [10], "param": 2.0}, {"g": "CG", "q": [0, 11], "param": 4.0}]
+    path = tmp_path / "h11.json"
+    path.write_text(json.dumps({"qubits": 12, "gates": gates}))
+    stored, amplitudes = [], cli.sim.amplitudes
+    monkeypatch.setattr(cli.sim, "amplitudes", lambda s: stored.append(s.stored) or amplitudes(s))
+    code, payload = _run_json(["simulate", str(path), "--amplitudes"], tmp_path)
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|")]
+    assert code == 0 and stored == [11]
+    assert len(rows) == len(payload["amplitudes"]) == 4096
+    for z, (line, (re, im)) in enumerate(zip(rows, payload["amplitudes"])):
+        want = 0.0 if z >> 11 else 2.0**-5.5 * (2.0 if z >> 10 & 1 else 0.5) * (0.25 if z & 1 else 1.0)
+        assert line.startswith(f"|{z:012b}> ")
+        assert im == 0.0 and re == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_simulate_without_json_encodes_no_report(files, monkeypatch, capsys):
     encoded = []
     monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: encoded.append(args) or "")

@@ -88,7 +88,7 @@ def _sim_matrix(gate):
     cols = []
     for col in range(1 << N):
         state = sim.apply_gate(sim.new_state(N, col, mode="complex"), gate)
-        cols.append(state.amps * math.ldexp(1.0, state.exponent))
+        cols.append(sim.amplitudes(state) * math.ldexp(1.0, state.exponent))
     return np.array(cols).T
 
 
@@ -132,7 +132,7 @@ def test_sim_amplitudes_match_forward_path_sums(seed):
     circuit = _random_circuit(rnd, n, 14)
     start = rnd.randrange(1 << n)
     state = sim.apply_circuit(sim.new_state(n, start, mode="complex"), circuit)
-    amps = state.amps * math.ldexp(1.0, state.exponent)
+    amps = sim.amplitudes(state) * math.ldexp(1.0, state.exponent)
     paths = np.zeros(1 << n, dtype=complex)
     for z, values in frontier_paths(circuit, start).items():
         paths[z] = sum(values)

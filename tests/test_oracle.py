@@ -93,7 +93,7 @@ def test_oracle_simulated_agrees_with_propagation():
     for x in range(8):
         state = sim.new_state(art.circuit.qubit_count, x)
         sim.apply_circuit(state, art.circuit)
-        final = int(state.amps.argmax())
+        final = int(sim.amplitudes(state).argmax())
         assert (final >> art.circuit.layout.oracle) & 1 == eval_formula(formula, x)
 
 

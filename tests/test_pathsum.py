@@ -70,7 +70,7 @@ def _direct_yes_by_loop(circuit, input_basis, yes_qubit):
     mode = "complex" if any(g.kind == "T" for g in circuit.gates) else "real"
     state = sim.new_state(circuit.qubit_count, basis_index=input_basis, mode=mode)
     state = sim.apply_circuit(state, circuit)
-    amps = state.amps.reshape(-1)
+    amps = sim.amplitudes(state)
     yes = 0.0
     for z in range(amps.shape[0]):
         if z & (1 << yes_qubit):
