@@ -307,12 +307,10 @@ def circuit_from_json(obj) -> Circuit:
     return Circuit(qubit_count=obj["qubits"], gates=tuple(gates), layout=layout)
 
 
-def load_circuit(path: str) -> Circuit:
+def parse_circuit(data: bytes, path: str) -> Circuit:
+    """The circuit a circuit file's bytes hold; path names the file in errors."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise CircuitError(f"cannot read circuit file {path}: {exc}") from exc
+        obj = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise CircuitError(f"circuit file {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

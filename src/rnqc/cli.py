@@ -22,7 +22,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, cnf, majsat, oracle, pathsum, rng, sim
-from .circuit import circuit_to_json, gate_census, load_circuit, lower_to_primitive, needs_complex
+from .circuit import Circuit, circuit_to_json, gate_census, lower_to_primitive, needs_complex, parse_circuit
 from .errors import InputError, ResourceError, RnqcError
 
 AMPLITUDE_PRINT_CAP = 12
@@ -32,12 +32,10 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _manifest(command: str, path: str, config: dict, seed, timestamp: str | None) -> dict:
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+def _manifest(command: str, data: bytes, config: dict, seed, timestamp: str | None) -> dict:
     return {
         "command": command,
-        "input_sha256": digest,
+        "input_sha256": hashlib.sha256(data).hexdigest(),
         "config": config,
         "seed": seed,
         "version": __version__,
@@ -53,14 +51,29 @@ def _write_report(path: str | None, payload: dict) -> None:
         fh.write(text)
 
 
-def _read_text(path: str) -> str:
+def _read_input(path: str) -> bytes:
+    """The input file's bytes. Each command reads its input once, parses
+    these bytes and hashes them into the manifest, so input_sha256 names
+    the input that ran even if the file is replaced meanwhile."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_formula(path: str, keep_tautologies: bool) -> tuple[cnf.CnfFormula, bytes]:
+    data = _read_input(path)
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    return cnf.parse_dimacs(text, keep_tautologies=keep_tautologies), data
+
+
+def _read_circuit(path: str) -> tuple[Circuit, bytes]:
+    data = _read_input(path)
+    return parse_circuit(data, path), data
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +88,7 @@ def _config_from_args(n: int, args) -> majsat.MajsatConfig:
 
 
 def cmd_solve(args) -> int:
-    formula = cnf.parse_dimacs(_read_text(args.file), keep_tautologies=args.keep_tautologies)
+    formula, data = _read_formula(args.file, args.keep_tautologies)
     majsat.check_register(formula.num_vars)
     if args.seed is None and args.mode == "sampled":
         args.seed = rng.draw_seed()
@@ -89,7 +102,7 @@ def cmd_solve(args) -> int:
     payload = {
         "manifest": _manifest(
             "solve",
-            args.file,
+            data,
             config.to_json_dict(),
             config.seed if config.mode == "sampled" else None,
             args.timestamp,
@@ -110,13 +123,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    formula = cnf.parse_dimacs(_read_text(args.file), keep_tautologies=args.keep_tautologies)
+    formula, data = _read_formula(args.file, args.keep_tautologies)
     s = cnf.count_models(formula)
     print(s)
     _write_report(
         args.json,
         {
-            "manifest": _manifest("count", args.file, {}, None, args.timestamp),
+            "manifest": _manifest("count", data, {}, None, args.timestamp),
             "count": s,
             "num_vars": formula.num_vars,
         },
@@ -129,7 +142,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    formula = cnf.parse_dimacs(_read_text(args.file), keep_tautologies=args.keep_tautologies)
+    formula, data = _read_formula(args.file, args.keep_tautologies)
     cnf.check_count_limit(formula.num_vars)
     three = cnf.to_3cnf(formula)
     artifact = oracle.build_oracle(three, polarity_fix=not args.no_polarity_fix)
@@ -150,7 +163,7 @@ def cmd_oracle_check(args) -> int:
     _write_report(
         args.json,
         {
-            "manifest": _manifest("oracle-check", args.file, config, None, args.timestamp),
+            "manifest": _manifest("oracle-check", data, config, None, args.timestamp),
             "report": report.to_json_dict(),
         },
     )
@@ -162,11 +175,11 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_lower(args) -> int:
-    circuit = load_circuit(args.file)
+    circuit, data = _read_circuit(args.file)
     lowered = lower_to_primitive(circuit)
     census = gate_census(lowered)
     payload = {
-        "manifest": _manifest("lower", args.file, {"to": "primitive"}, None, args.timestamp),
+        "manifest": _manifest("lower", data, {"to": "primitive"}, None, args.timestamp),
         "circuit": circuit_to_json(lowered),
         "census": {"counts": dict(sorted(census.counts.items())), "is_primitive": census.is_primitive},
     }
@@ -198,7 +211,7 @@ def _parse_input_basis(args, qubit_count: int) -> int:
 
 
 def cmd_simulate(args) -> int:
-    circuit = load_circuit(args.file)
+    circuit, data = _read_circuit(args.file)
     if args.amplitudes and circuit.qubit_count > AMPLITUDE_PRINT_CAP:
         raise InputError(f"--amplitudes is limited to registers of {AMPLITUDE_PRINT_CAP} qubits")
     basis = _parse_input_basis(args, circuit.qubit_count)
@@ -215,7 +228,7 @@ def cmd_simulate(args) -> int:
     payload = {
         "manifest": _manifest(
             "simulate",
-            args.file,
+            data,
             {"input_basis": basis, "mode": mode, "amplitudes": bool(args.amplitudes)},
             None,
             args.timestamp,
@@ -243,7 +256,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pathsum(args) -> int:
-    circuit = load_circuit(args.file)
+    circuit, data = _read_circuit(args.file)
     projector = pathsum.Projector(args.projector, args.yes_qubit)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     known = {"direct", "pathsum", "counting"}
@@ -289,7 +302,7 @@ def cmd_pathsum(args) -> int:
     _write_report(
         args.json,
         {
-            "manifest": _manifest("pathsum", args.file, config, None, args.timestamp),
+            "manifest": _manifest("pathsum", data, config, None, args.timestamp),
             "results": [r.to_json_dict() for r in results],
         },
     )

@@ -17,29 +17,30 @@ of two to max|amp| in [1, 2), as gram reads them. Norm queries that
 cannot represent the true value in a double raise instead of returning
 Inf or 0.
 
-apply_circuit starts sparse while at most 2^-_SPARSE_SHIFT of the
-amplitudes are nonzero, as after the superposition and the oracle: it
-runs the leading H and permutation gates on (index, amplitude) pairs,
-then writes the support back. It stops at T, at an H that would take
-the support past that limit, and at the start of any maximal monomial
-run holding a diagonal gate, so the rest fuses into the blocks the whole
-sequence gets and the state is bit for bit _apply_dense's. The dense
-path cuts its gates into steps as it applies them; nothing is built
-ahead or cached. What each gate kind does comes from circuit.py: a
-permutation kind NOTs its target under its controls, a diagonal kind
-scales by diagonal_factors. H and T run one gate at a time; T is diagonal but
-complex, and a block's factors are real, so it runs alone. Every other
-kind is monomial, a basis permutation (X, CNOT, CCNOT, NCNOT) or a real
-diagonal (Z, G, CG), so each run of them is cut into blocks of at most
-10 qubits. Within a stretch of diagonal gates, gates on the same qubits
-fold into one, e.g. r rounds of CG(q, nh) into one CG(q, nh, g^r). One
-basis trace per block finds where it may end, and the block is applied
-straight from the map that trace holds, in place and in one pass: scale
-rows, permute within and between rows, then one guard check. apply_gate
-is the gate-by-gate reference the tests compare the blocks against. With
-power-of-two parameters the two agree bit for bit; otherwise a block
-rounds its product of factors once where the gate loop rounds after
-every gate.
+apply_circuit starts sparse when the state stores at most
+2^-_SPARSE_SHIFT of the register's amplitudes, as a new_state does: it
+runs the leading H and permutation gates on (index, amplitude) pairs of
+the nonzero ones, then writes the support back. It stops at T, at an H
+that would take the support past that limit, and at the start of any
+maximal monomial run holding a diagonal gate, so the rest fuses into the
+blocks the whole sequence gets and the state is bit for bit
+_apply_dense's. The dense path cuts its gates into steps as it applies
+them; nothing is built ahead or cached. What each gate kind does comes
+from circuit.py: a permutation kind NOTs its target under its controls,
+a diagonal kind scales by diagonal_factors. H and T run one gate at a
+time; T is diagonal but complex, and a block's factors are real, so it
+runs alone. Every other kind is monomial, a basis permutation (X, CNOT,
+CCNOT, NCNOT) or a real diagonal (Z, G, CG), so each run of them is cut
+into blocks of at most 10 qubits, down to one gate; only a permutation
+that splits rows runs alone. Within a stretch of diagonal gates, gates
+on the same qubits fold into one, e.g. r rounds of CG(q, nh) into one
+CG(q, nh, g^r). One basis trace per block finds where it may end, and
+the block is applied straight from the map that trace holds, in place
+and in one pass: scale rows, permute within and between rows, then one
+guard check. apply_gate is the gate-by-gate reference the tests compare
+the blocks against. With power-of-two parameters the two agree bit for
+bit; otherwise a block rounds its product of factors once where the
+gate loop rounds after every gate.
 
 A state stores only its live qubits: amps holds the low stored =
 log2(amps.size) qubits, and each qubit above them reads its bit of
@@ -49,22 +50,24 @@ the qubits it does not hold constant. The dense steps store at least
 _DENSE_QUBITS + 1 qubits, so stored rows split as the register's do. A
 block over fixed qubits applies the rows of its map where they read
 their bits, once a check shows those rows map onto themselves
-(_on_slice); a block that fails it, or a lone gate on a fixed qubit,
-first widens the array to store its qubits, a zero-filled data move
-(_widen), so a state is bit for bit the whole register's. gram reads
-the fixed bits from the state; amplitudes(state) expands it to 2^n. An
-exact solve (majsat) runs each plan in one apply_circuit call.
+(_on_slice); a block that fails it, or a gate that runs alone on a
+fixed qubit, first widens the array to store its qubits, a zero-filled
+data move (_widen), so a state is bit for bit the whole register's.
+gram reads the fixed bits from the state; amplitudes(state) expands it
+to 2^n. An exact solve (majsat) runs each plan in one apply_circuit
+call.
 
 Gates, block rows and gram find the amplitudes where some qubits hold
-given bits through one reshape, _gaps. Data moves (H's sums, the swaps
-of X, CNOT, CCNOT and NCNOT, a block's gathers and row cycles, gram's
-gathers) run through _pieces, at most _MOVE_CHUNK amplitudes at a time,
-so none allocates a temporary the size of the state. A swap is a row
-cycle of length two: both run through _rotate.
+given bits through one view builder, _sub. Data moves (H's sums, the
+swaps of X, CNOT, CCNOT and NCNOT, a block's gathers and row cycles,
+gram's gathers) run through _pieces, at most _MOVE_CHUNK amplitudes at a
+time, so none allocates a temporary the size of the state. A swap is a
+row cycle of length two: both run through _rotate.
 
-Real mode stores float64 and never allocates an imaginary component;
-realness of the restricted gate set is a property of the storage, not a
-tolerance. T requires complex mode and is rejected otherwise.
+A state's mode is its array's: real mode stores float64 and never
+allocates an imaginary component, so realness of the restricted gate
+set is a property of the storage, not a tolerance. T requires complex
+mode and is rejected otherwise.
 
 States deliberately stay unnormalized under G; renormalization is an
 explicit operation because downstream code needs raw squared masses.
@@ -117,7 +120,6 @@ def max_qubits() -> int:
 class StateVector:
     num_qubits: int
     amps: np.ndarray
-    mode: str = "real"
     exponent: int = 0
     fixed: int = 0  # bits of the qubits above the stored ones; its low stored bits are 0
 
@@ -125,8 +127,12 @@ class StateVector:
     def stored(self) -> int:
         return self.amps.size.bit_length() - 1
 
+    @property
+    def mode(self) -> str:
+        return "complex" if np.iscomplexobj(self.amps) else "real"
+
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy(), self.mode, self.exponent, self.fixed)
+        return replace(self, amps=self.amps.copy())
 
 
 def _check_register(num_qubits: int) -> None:
@@ -150,7 +156,7 @@ def new_state(num_qubits: int, basis_index: int = 0, mode: str = "real") -> Stat
     _check_register(num_qubits)
     if not 0 <= basis_index < 1 << num_qubits:
         raise InputError(f"basis index {basis_index} out of range for {num_qubits} qubits")
-    return StateVector(num_qubits, np.ones(1, dtype=_dtype_for(mode)), mode, fixed=basis_index)
+    return StateVector(num_qubits, np.ones(1, dtype=_dtype_for(mode)), fixed=basis_index)
 
 
 def state_from_amplitudes(values: Sequence, mode: str = "real", exponent: int = 0) -> StateVector:
@@ -171,7 +177,7 @@ def state_from_amplitudes(values: Sequence, mode: str = "real", exponent: int = 
         raise InputError("amplitudes must be finite (no NaN or infinity)")
     if not np.any(amps):
         raise ZeroStateError("all-zero amplitude array is not a valid state")
-    state = StateVector(num_qubits=n, amps=amps.copy(), mode=mode, exponent=exponent)
+    state = StateVector(num_qubits=n, amps=amps.copy(), exponent=exponent)
     _rescale_guard(state)
     return state
 
@@ -231,10 +237,8 @@ def _halves(state: StateVector, target: int, controls: tuple[int, ...] = ()) -> 
     """The target's 0 and 1 halves inside the subspace where every control
     reads 1, as views of the state, which first widens to store them all."""
     _widen(state, max((target, *controls)) + 1)
-    shape, axes = _gaps(state.stored, (*controls, target))
-    v = state.amps.reshape(shape)
-    on = (1,) * len(controls)
-    return v[_index(axes, on + (0,))], v[_index(axes, on + (1,))]
+    on = dict.fromkeys(controls, 1)
+    return _sub(state, {**on, target: 0}), _sub(state, {**on, target: 1})
 
 
 def _pieces(shape: tuple[int, ...], keep: int = 0, limit: int | None = None):
@@ -465,7 +469,7 @@ def _fuse_run(run: list[Gate], n: int) -> Iterator:
         for k, (g, trace) in enumerate(zip(items[i:j], _trace_basis(items[i:j], low + high)), 1):
             if g.kind in PERMUTATION_KINDS and g.target >= dense:  # only these move states between rows
                 whole = _rows_stay_whole(trace[0], len(low))
-            if whole and k > 1:
+            if whole:
                 size, net = k, trace
         gates = items[i : i + size]
         kept = set().union(*(g.qubits for g in gates))
@@ -480,8 +484,9 @@ def _fuse_run(run: list[Gate], n: int) -> Iterator:
 def _compile(gates: tuple[Gate, ...], n: int) -> Iterator:
     """Yield the steps for a gate tuple on an n-qubit register: H and T
     (and gates no block can hold) as single gates, monomial runs as blocks
-    (gates, net, low, high) for _apply_block. A block is cut only when the
-    step before it has been taken, so one block's map is held at a time."""
+    (gates, net, low, high) for _apply_block, one gate long or more. A
+    block is cut only when the step before it has been taken, so one
+    block's map is held at a time."""
     for monomial, run in groupby(gates, key=lambda g: g.kind in _MONOMIAL):
         yield from _fuse_run(list(run), n) if monomial else run
 
@@ -489,8 +494,7 @@ def _compile(gates: tuple[Gate, ...], n: int) -> Iterator:
 def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: list, high: list) -> None:
     """Apply net, the (dest, w, e) map _trace_basis gives for the gates over
     the local qubits low + high (all stored), in place and in one pass."""
-    n, kl = state.stored, len(low)
-    dense = _tail_width(n)
+    kl, dense = len(low), _tail_width(state.stored)
     dest, w, e = (a.reshape(-1, 1 << kl) for a in net)  # (row, index over the low qubits)
     f = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
 
@@ -503,12 +507,10 @@ def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: lis
         spread |= ((np.arange(1 << kl) >> j) & 1) << q
     rest = tail & ~int(spread[-1])
 
-    # Rows are _gaps views over the high qubits, with the run below the
-    # lowest one (if any) split into (rest, tail).
-    shape, axes = _gaps(n, tuple(high))
-    below = min(high, default=n)
-    v = state.amps.reshape(*(shape[:-1] if below else shape), 1 << (below - dense), 1 << dense)
-    rows = [v[_index(axes, tuple((h >> j) & 1 for j in range(len(high))))] for h in range(len(dest))]
+    # Rows are _sub views over the high qubits, with the run below the
+    # lowest one split into (rest, tail): a view, as that run is contiguous.
+    rows = [_sub(state, {q: h >> j & 1 for j, q in enumerate(high)}) for h in range(len(dest))]
+    rows = [r.reshape(*r.shape[:-1], -1, 1 << dense) for r in rows]
     for r, fh, to in zip(rows, f, dest & ((1 << kl) - 1)):
         if np.any(fh != 1.0):
             np.multiply(r, fh[0] if np.all(fh == fh[0]) else fh[local], out=r)
@@ -541,29 +543,16 @@ def _sparse_reach(gates: tuple[Gate, ...]) -> int:
     return len(gates)
 
 
-def _support(amps: np.ndarray, limit: int) -> np.ndarray | None:
-    """Indices of the nonzero amplitudes in ascending order, or None as soon
-    as there are more than limit. One pass of _MOVE_CHUNK pieces, so a dense
-    state stops at its first piece."""
-    found, count = [], 0
-    for start in range(0, amps.size, _MOVE_CHUNK):
-        idx = np.flatnonzero(amps[start : start + _MOVE_CHUNK] != 0)
-        count += idx.size
-        if count > limit:
-            return None
-        found.append(idx + start)
-    return np.concatenate(found)
-
-
 def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
     """Run leading gates on the nonzero amplitudes alone and return how
-    many (0 if too dense to start). A permutation flips its target bit in
-    the indices where every control reads 1; H merges index pairs through
-    _hadamard and drops exact zeros. The support they leave is stored afresh."""
+    many (0 if the state stores more amplitudes than the sparse limit). A
+    permutation flips its target bit in the indices where every control
+    reads 1; H merges index pairs through _hadamard and drops exact zeros.
+    The support they leave is stored afresh."""
     reach, limit = _sparse_reach(gates), (1 << state.num_qubits) >> _SPARSE_SHIFT
-    old = _support(state.amps, limit) if reach else None
-    if old is None:
+    if not reach or state.amps.size > limit:
         return 0
+    old = np.flatnonzero(state.amps)
     idx, vals = old | state.fixed, state.amps[old]
     for done, g in enumerate(gates[:reach]):
         bit = 1 << g.target

@@ -17,9 +17,9 @@ from rnqc.circuit import (
     circuit_from_json,
     circuit_to_json,
     gate_census,
-    load_circuit,
     lower_cg,
     lower_to_primitive,
+    parse_circuit,
     primitive_register,
     propagate_basis,
 )
@@ -441,7 +441,7 @@ def test_load_circuit(tmp_path):
     path = tmp_path / "c.json"
     circ = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
     path.write_text(json.dumps(circuit_to_json(circ)))
-    assert load_circuit(str(path)) == circ
+    assert parse_circuit(path.read_bytes(), str(path)) == circ
 
 
 def test_circuit_from_json_rejects_garbage():

@@ -1,6 +1,7 @@
 """End-to-end command-line checks run in process through cli.main."""
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 import json
 import random
@@ -9,7 +10,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from rnqc import cli, cnf
+from rnqc import cli, cnf, majsat, oracle, pathsum, sim
 
 YES_CNF = "p cnf 3 1\n1 2 0\n"
 NO_CNF = "p cnf 3 2\n1 0\n2 0\n"
@@ -229,6 +230,39 @@ def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "command, module, name",
+    [
+        ("solve", majsat, "run"),
+        ("count", cnf, "count_models"),
+        ("oracle-check", oracle, "verify_oracle"),
+        ("lower", cli, "lower_to_primitive"),
+        ("simulate", sim, "apply_circuit"),
+        ("pathsum", pathsum, "direct_amplitude"),
+    ],
+    ids=["solve", "count", "oracle-check", "lower", "simulate", "pathsum"],
+)
+def test_manifest_hashes_the_input_that_ran(tmp_path, monkeypatch, command, module, name):
+    # The input file is replaced after the command parsed it, while module.name
+    # runs. input_sha256 must still be the digest of the bytes that ran.
+    dimacs = command in ("solve", "count", "oracle-check")
+    data = (YES_CNF if dimacs else json.dumps(HGH_JSON)).encode()
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    original = getattr(module, name)
+
+    def replace_then_run(*args, **kwargs):
+        path.write_bytes(b"p cnf 1 1\n-1 0\n" if dimacs else b"{}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, replace_then_run)
+    report = tmp_path / "report.json"
+    assert cli.main([command, str(path), "--json", str(report)]) == 0
+    assert path.read_bytes() != data
+    manifest = json.loads(report.read_text())["manifest"]
+    assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("clause", ["1 -1 9", "9 1 -1"], ids=["range-last", "range-first"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import qubit_state_fidelity
+from conftest import CORPUS_DIR, qubit_state_fidelity
 from freeze_amplified import random_formula
 from rnqc import cnf, majsat, sim
 from rnqc.circuit import Circuit, Gate, RegisterLayout, lower_cg, lower_to_primitive, primitive_register
@@ -375,13 +375,17 @@ def test_fused_circuit_matches_gate_loop(case):
 def test_fused_run_folds_rounds_and_cuts_at_factor_range():
     # Two rounds of CG fold into one CG(q, 3, 2^200) per control. Three of
     # them would scale the all-ones branch by 2^600, past one block's
-    # range, so the block takes two and the third runs on its own.
+    # range, so the block takes two and the third is a block of its own.
     gates = [Gate("H", (q,)) for q in range(3)]
     gates += [Gate("CG", (q, 3), 2.0**100) for _ in range(2) for q in range(3)]
     steps = tuple(sim._compile(tuple(gates), 4))
     assert steps[:3] == tuple(gates[:3])
-    assert not isinstance(steps[3], Gate)
-    assert steps[4:] == (Gate("CG", (2, 3), 2.0**200),)
+    assert len(steps) == 5 and not any(isinstance(s, Gate) for s in steps[3:])
+    assert [g.qubits for g in steps[3][0]] == [(0, 3), (1, 3)]
+    lone, (dest, w, e), low, high = steps[4]
+    assert lone == [Gate("CG", (2, 3), 2.0**200)] and (low, high) == ([2], [3])
+    assert np.array_equal(dest, np.arange(4))
+    assert np.array_equal(np.ldexp(w, e), [1.0, 2.0**-200, 1.0, 2.0**200])  # G(2^200) where qubit 2 reads 1
     state = sim.apply_circuit(sim.new_state(4, 1 << 3), gates)
     assert state.exponent > 0, "the guard must have rescaled"
     assert 2.0**-500 <= np.max(np.abs(state.amps)) <= 2.0**500
@@ -416,12 +420,15 @@ def test_fused_block_ends_where_its_trace_keeps_rows_whole():
 @st.composite
 def _sparse_start(draw):
     """A basis state or a state with at most 4 nonzero amplitudes on up to
-    8 qubits; gates: H and permutations (and T in complex mode), then
+    8 qubits, stored whole and as it starts: whole, or storing only the
+    span of its support under fixed bits above it, as the sparse prefix
+    leaves a state; gates: H and permutations (and T in complex mode), then
     lowered CGs, whose monomial runs open with permutations and hold G
     factors that blocks may group, then every kind; the fusion's tail and
-    block widths, and a data-move piece of 2^1 to 2^4 amplitudes, so that
-    the support scan crosses piece boundaries; and a sparse limit of 2^-0
-    to 2^-2 of the state, so that small registers take the sparse prefix."""
+    block widths, and a data-move piece of 2^1 to 2^4 amplitudes; and a
+    sparse limit of 2^-0 to 2^-2 of the register, so that small registers
+    take the sparse prefix: a start stored whole only at 2^-0, one stored
+    on its span at any limit its span fits."""
     n = draw(st.integers(1, 8))
     mode = draw(st.sampled_from(("real", "complex")))
     support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
@@ -433,13 +440,17 @@ def _sparse_start(draw):
         amps[support] = rng.standard_normal(len(support))
         if mode == "complex":
             amps[support] += 1j * rng.standard_normal(len(support))
-    state = sim.state_from_amplitudes(amps, mode=mode)
+    whole = start = sim.state_from_amplitudes(amps, mode=mode)
+    if draw(st.booleans()):
+        live = (min(support) ^ max(support)).bit_length()  # up to the highest qubit the support varies in
+        fixed = min(support) >> live << live
+        start = sim.StateVector(n, whole.amps[fixed : fixed + (1 << live)].copy(), whole.exponent, fixed)
     widths = (draw(st.integers(1, 10)), draw(st.integers(2, 10)), 1 << draw(st.integers(1, 4)))
     gates = _draw_gates(draw, n, mode, _ANY_PARAMS, ("H", "X", "CNOT", "CCNOT", "NCNOT"))
     rounds = draw(st.integers(0, 6 if n > 1 else 0))
     cgs = tuple(Gate("CG", draw(st.permutations(range(n)))[:2], draw(_ANY_PARAMS)) for _ in range(rounds))
     gates += lower_cg(Circuit(n, cgs)).gates
-    return state, gates + _draw_gates(draw, n, mode, _ANY_PARAMS), widths, draw(st.integers(0, 2))
+    return whole, start, gates + _draw_gates(draw, n, mode, _ANY_PARAMS), widths, draw(st.integers(0, 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,30 +459,16 @@ def test_sparse_prefix_matches_dense_bit_for_bit(case):
     # The prefix stops before any monomial run that holds a diagonal gate,
     # so the dense rest is cut into the blocks the whole tuple gets, and
     # its H computes what apply_gate computes: no bit may differ.
-    state, gates, widths, shift = case
+    whole, start, gates, widths, shift = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_DENSE_QUBITS", widths[0])
         patch.setattr(sim, "_BLOCK_QUBITS", widths[1])
         patch.setattr(sim, "_MOVE_CHUNK", widths[2])
-        want = sim._apply_dense(state.copy(), tuple(gates))
+        want = sim._apply_dense(whole.copy(), tuple(gates))
         patch.setattr(sim, "_SPARSE_SHIFT", shift)
-        got = sim.apply_circuit(state.copy(), gates)
+        got = sim.apply_circuit(start.copy(), gates)
     assert np.array_equal(sim.amplitudes(got), want.amps)
     assert got.exponent == want.exponent
-
-
-def test_support_scan_matches_flatnonzero_and_stops_past_limit():
-    rng = np.random.default_rng(5)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_MOVE_CHUNK", 16)  # a 256-amplitude array spans 16 pieces
-        for count in (0, 1, 7, 40, 256):
-            amps = np.zeros(256)
-            amps[rng.choice(256, count, replace=False)] = rng.standard_normal(count)
-            want = np.flatnonzero(amps)
-            assert np.array_equal(sim._support(amps, 256), want)
-            if count:
-                assert np.array_equal(sim._support(amps, count), want)
-                assert sim._support(amps, count - 1) is None
 
 
 def test_sparse_prefix_stops_before_primitive_gain_rounds():
@@ -602,6 +599,19 @@ def test_bench_size_plans_run_their_dense_steps_on_the_live_slice(monkeypatch, l
     assert read and set(read) == {1 << live}
 
 
+@pytest.mark.parametrize("lowering", ["semantic", "primitive"])
+def test_lone_monomial_gate_on_a_fixed_qubit_keeps_the_live_slice(lowering):
+    # n6_w5's plans hold the non-Hermitian qubit (11) and the BHR (12) fixed
+    # above 11 live qubits. The 10-qubit block cap leaves the semantic
+    # amplification's last CG(9, 11) alone; as a one-gate block it runs on
+    # the stored rows, so the state stores 11 qubits through the readout
+    # prefix's H in both lowerings, where a bare gate would widen it to 12.
+    formula = cnf.parse_dimacs((CORPUS_DIR / "n6_w5.cnf").read_text())
+    p = majsat.plan(formula, majsat.default_config(formula.num_vars, lowering=lowering))
+    assert (p.layout.non_hermitian, p.layout.bhr) == (11, 12)
+    assert majsat._amplified_state(p, majsat._readout_split(p)[0]).stored == 11
+
+
 @st.composite
 def _fixed_top_gram(draw):
     """A state whose top 1-3 qubits hold fixed bits, as _sliced_start draws
@@ -626,7 +636,7 @@ def _fixed_top_gram(draw):
     rest = [q for q in draw(st.permutations(range(n))) if q not in pair][: draw(st.integers(0, 2))]
     qubits = draw(st.permutations(pair + rest))
     whole = sim.state_from_amplitudes(amps, mode=mode)
-    sliced = sim.StateVector(n, whole.amps[bits : bits + (1 << live)].copy(), mode, whole.exponent, bits)
+    sliced = sim.StateVector(n, whole.amps[bits : bits + (1 << live)].copy(), whole.exponent, bits)
     return whole, sliced, qubits, 1 << draw(st.integers(0, 6))
 
 
