@@ -5,17 +5,18 @@ qubit q, so qubit 0 is the least significant bit. This is fixed across
 the whole package.
 
 Amplitudes are stored as a mantissa array plus one shared power-of-two
-exponent; the true vector is amps * 2**exponent. Unitary kernels never
-change the norm, so only kernels that apply G or CG factors run the
-rescaling guard: whenever the largest mantissa magnitude leaves
-[2^-500, 2^+500] the array is scaled by an exact power of two and the
-exponent absorbs the difference. Gate parameters are capped at 2^±500
-(circuit.py) and a fused block is cut before its factors could leave
-that range, so one kernel can never overflow the mantissa array. Every
+exponent; the true vector is amps * 2**exponent. Only kernels that apply
+G or CG factors run the rescaling guard: whenever the largest mantissa
+magnitude leaves [2^-500, 2^+500] the array is scaled by an exact power
+of two and the exponent absorbs the difference. apply_circuit carries
+bounds on max|amp| (moved by a block's factor range, by 2^±1/2 at H,
+lost at T) and a check scans only when they cannot prove it inside, so
+each check rescales exactly when a scan would. Gate parameters are
+capped at 2^±500 (circuit.py) and a block is cut before its factors
+could leave that range, so no kernel overflows the mantissa array. Every
 sum of squared or multiplied mantissas runs on pieces scaled by a power
-of two to max|amp| in [1, 2), as gram reads them. Norm queries that
-cannot represent the true value in a double raise instead of returning
-Inf or 0.
+of two to max|amp| in [1, 2), as gram reads them. Norm queries raise
+where a double cannot hold the true value, never returning Inf or 0.
 
 apply_circuit starts sparse when the state stores at most
 2^-_SPARSE_SHIFT of the register's amplitudes, as a new_state does: it
@@ -24,23 +25,20 @@ the nonzero ones, then writes the support back. It stops at T, at an H
 that would take the support past that limit, and at the start of any
 maximal monomial run holding a diagonal gate, so the rest fuses into the
 blocks the whole sequence gets and the state is bit for bit
-_apply_dense's. The dense path cuts its gates into steps as it applies
-them; nothing is built ahead or cached. What each gate kind does comes
-from circuit.py: a permutation kind NOTs its target under its controls,
-a diagonal kind scales by diagonal_factors. H and T run one gate at a
-time; T is diagonal but complex, and a block's factors are real, so it
-runs alone. Every other kind is monomial, a basis permutation (X, CNOT,
-CCNOT, NCNOT) or a real diagonal (Z, G, CG), so each run of them is cut
-into blocks of at most 10 qubits, down to one gate; only a permutation
-that splits rows runs alone. Within a stretch of diagonal gates, gates
-on the same qubits fold into one, e.g. r rounds of CG(q, nh) into one
-CG(q, nh, g^r). One basis trace per block finds where it may end, and
-the block is applied straight from the map that trace holds, in place
-and in one pass: scale rows, permute within and between rows, then one
-guard check. apply_gate is the gate-by-gate reference the tests compare
-the blocks against. With power-of-two parameters the two agree bit for
-bit; otherwise a block rounds its product of factors once where the
-gate loop rounds after every gate.
+_apply_dense's. The dense path runs H and T one gate at a time (T is
+complex, a block's factors are real) and, as it applies them, cuts each
+run of monomial gates, permutations (X, CNOT, CCNOT, NCNOT) and real
+diagonals (Z, G, CG) as circuit.py defines them, into blocks of at most
+10 qubits, down to one gate; only a permutation that splits rows runs
+alone. Diagonal gates on the same qubits fold within a stretch, e.g. r
+rounds of CG(q, nh) into CG(q, nh, g^r). A pass over a block's
+permutations on bit planes finds where it may end, one trace of the
+gates it keeps gives its basis map, and the map is applied in place and
+in one pass: scale rows, permute within and between rows, then the
+guard. apply_gate is the gate-by-gate reference the tests compare the
+blocks against. With power-of-two parameters the two agree bit for bit;
+otherwise a block rounds its product of factors once where the gate loop
+rounds after every gate.
 
 A state stores only its live qubits: amps holds the low stored =
 log2(amps.size) qubits, and each qubit above them reads its bit of
@@ -78,8 +76,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -100,6 +99,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _GUARD_HI = 2.0**500
 _GUARD_LO = 2.0**-500
 _MOVE_CHUNK = 1 << 16  # most amplitudes one piece of a data move or |x| temporary holds
+_NO_BOUND = (0.0, math.inf)  # bounds on max|amp| that prove nothing
 
 
 def max_qubits() -> int:
@@ -278,16 +278,26 @@ def _max_abs(amps: np.ndarray) -> float:
     return float(np.max([np.abs(amps[p]).max() for p in _pieces(amps.shape)]))
 
 
-def _rescale_guard(state: StateVector) -> None:
-    """Rescale by a power of two when max|amp| leaves [2^-500, 2^+500]."""
+def _rescale_guard(state: StateVector, peak: tuple[float, float] = _NO_BOUND) -> tuple[float, float]:
+    """Rescale by a power of two when max|amp| leaves [2^-500, 2^+500];
+    scan only when the bounds peak = (lo, hi) do not prove it inside.
+    Returns the bounds after, exact after a scan."""
+    if _GUARD_LO <= peak[0] and peak[1] <= _GUARD_HI:
+        return peak
     m = _max_abs(state.amps)
     if m == 0.0:
         raise ZeroStateError("state vector collapsed to zero")
-    if _GUARD_LO <= m <= _GUARD_HI:
-        return
-    e = int(math.floor(math.log2(m)))
-    state.amps *= 2.0 ** (-e)
-    state.exponent += e
+    if not _GUARD_LO <= m <= _GUARD_HI:
+        e = int(math.floor(math.log2(m)))
+        state.amps *= 2.0 ** (-e)
+        state.exponent += e
+        m = math.ldexp(m, -e)
+    return m, m
+
+
+def _bracket(peak: tuple[float, float], lo: float, hi: float) -> tuple[float, float]:
+    """Bounds on max|amp| after a step that scales it by [lo, hi], rounding included."""
+    return peak[0] * lo * (1 - 2.0**-40), peak[1] * hi * (1 + 2.0**-40)
 
 
 def _hadamard(a: np.ndarray, b: np.ndarray) -> None:
@@ -328,18 +338,11 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Gate fusion. Every kind but H and T is monomial: a basis permutation (X,
-# CNOT, CCNOT, NCNOT) or a real diagonal (Z, G, CG). apply_circuit cuts each
-# maximal run of monomial gates into blocks and applies a block in one pass.
-# A block's qubits split at _tail_width(n): the low ones index positions
-# inside a row's contiguous tail, the high ones pick the row (a block with
-# no high qubit has one row, the whole state). The block then
-# scales rows by factor vectors over the tail, permutes the tail of a row
-# with one gather, and moves whole rows along the cycles of the row
-# permutation. So a block must keep rows whole: a gate with a high target
-# and a low control splits them. _fuse_run traces the stretch the caps
-# admit once and ends the block after its longest prefix that keeps rows
-# whole; _apply_block applies the basis map the trace holds there.
+# Gate fusion (module notes). A block's qubits split at _tail_width(n): the
+# low ones index positions inside a row's contiguous tail, the high ones
+# pick the row. A block scales rows, gathers within a row's tail and moves
+# whole rows along cycles, so it must keep rows whole: a high target under
+# a low control splits them. Blocks are traced on bit planes (_hot).
 # ---------------------------------------------------------------------------
 
 _MONOMIAL = PERMUTATION_KINDS | (DIAGONAL_KINDS - COMPLEX_KINDS)  # a block's factors are real
@@ -384,50 +387,66 @@ def _fold(run: Sequence[Gate]) -> list[Gate]:
     return items
 
 
-def _trace_basis(gates: Sequence[Gate], qubits: Sequence[int]):
-    """Run every local basis state through the gates, one gate at a time;
-    bit j of a local index is qubits[j].
+@lru_cache(maxsize=32)
+def _basis_planes(k: int) -> tuple[int, ...]:
+    """The identity map on 2^k local states as bit planes: bit x of plane j is bit j of x."""
+    x = np.arange(1 << k)
+    return tuple(int.from_bytes(np.packbits(x >> j & 1, bitorder="little").tobytes(), "little") for j in range(k))
 
-    Yields (dest, w, e) after each gate: local basis state x has moved to
-    dest[x] and picked up the factor w[x] * 2^e[x], multiplied in gate
-    order. w is renormalized to a mantissa after every diagonal gate, so
-    a product of any length stays finite, and the rounding is that of the
-    plain product wherever the plain product is a normal double.
-    """
-    pos = {q: j for j, q in enumerate(qubits)}
-    dest = np.arange(1 << len(pos))
-    w = np.ones(1 << len(pos))
-    e = np.zeros(1 << len(pos), dtype=np.int64)
+
+def _bits(planes: Sequence[int], k: int) -> np.ndarray:
+    """(len(planes), 2^k) array of 0s and 1s: bit x of each plane."""
+    size = max(1, (1 << k) >> 3)
+    raw = b"".join([p.to_bytes(size, "little") for p in planes])
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").reshape(len(planes), -1)[:, : 1 << k]
+
+
+def _hot(g: Gate, pos: dict, planes: list[int], full: int) -> tuple[int, int]:
+    """g's target's plane index and hot, where all its controls' planes read 1."""
+    hot = full
+    for q in g.qubits[:-1]:
+        hot &= planes[pos[q]]
+    return pos[g.qubits[-1]], hot
+
+
+def _trace(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """monomial_map's (dest, w, e) for folded gates, on bit planes. A
+    diagonal gate applies d0 and d1 (diagonal_factors) where the planes
+    say; the factors of a stretch spanning at most 2^500 are multiplied
+    onto the mantissas as one matrix of under _MOVE_CHUNK entries, in
+    gate order, and renormalized once: inside 2^±500 a product stays
+    normal, so it rounds as the plain one."""
+    k, pos = len(qubits), {q: j for j, q in enumerate(qubits)}
+    planes, full = list(_basis_planes(k)), (1 << (1 << k)) - 1
+    stretches, span = [[]], 0.0
     for g in gates:
-        target = 1 << pos[g.target]
-        on = sum(1 << pos[q] for q in g.controls)
-        hot = dest & on == on
+        t, hot = _hot(g, pos, planes, full)
         if g.kind in PERMUTATION_KINDS:
-            dest = np.where(hot, dest ^ target, dest)
-        else:
-            d0, d1 = diagonal_factors(g)
-            w, de = np.frexp(w * np.where(hot, np.where(dest & target, d1, d0), 1.0))
-            e = e + de
-        yield dest, w, e
+            planes[t] ^= hot
+            continue
+        cost = abs(math.log2(g.param)) if g.param is not None else 0.0
+        if span + cost > _LOG2_GUARD or (2 * len(stretches[-1]) + 2) << k > _MOVE_CHUNK:
+            stretches, span = [*stretches, []], 0.0
+        stretches[-1].append((diagonal_factors(g), hot & ~planes[t], hot & planes[t]))
+        span += cost
+    w, e = np.ones(1 << k), np.zeros(1 << k, dtype=np.int64)
+    for stretch in filter(None, stretches):
+        d = np.array([f for f, _, _ in stretch])
+        on = _bits([p for _, zero, one in stretch for p in (zero, one)], k).view(bool).reshape(len(stretch), 2, -1)
+        f = np.ones((len(stretch), 1 << k))
+        np.copyto(f, d[:, :1], where=on[:, 0])
+        np.copyto(f, d[:, 1:], where=on[:, 1])
+        w, de = np.frexp(np.multiply.reduce(np.vstack((w, f)), axis=0))
+        e = e + de
+    return (np.ldexp(1.0, np.arange(k)) @ _bits(planes, k)).astype(np.int64), w, e
 
 
 def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """How a nonempty run of monomial gates acts on the basis of the qubits
-    it touches.
-
-    Bit j of a local index is qubits[j]. Returns (dest, w, e): local basis
-    state x moves to dest[x] and picks up the factor w[x] * 2^e[x].
-    Diagonal stretches fold first, as in apply_circuit's blocks.
-    """
-    for dest, w, e in _trace_basis(_fold(gates), qubits):
-        pass  # keep the map after the last gate
-    return dest, w, e
-
-
-def _rows_stay_whole(dest: np.ndarray, kl: int) -> bool:
-    """True when the row a local state lands in depends only on the row it left."""
-    to_row = (dest >> kl).reshape(-1, 1 << kl)
-    return bool(np.all(to_row == to_row[:, :1]))
+    it touches, diagonal stretches folded first as in apply_circuit's
+    blocks: (dest, w, e), where local basis state x (bit j is qubits[j])
+    moves to dest[x] and picks up the factor w[x] * 2^e[x]."""
+    return _trace(_fold(gates), qubits)
 
 
 def _tail_width(n: int) -> int:
@@ -437,17 +456,12 @@ def _tail_width(n: int) -> int:
 
 def _fuse_run(run: list[Gate], n: int) -> Iterator:
     """Yield the blocks over a run of monomial gates, diagonal stretches
-    merged first.
-
-    A block grows greedily while it fits the qubit, row and factor-range
-    caps. One trace of that stretch finds its longest prefix whose net
-    permutation keeps rows whole, and the block is that prefix with the
-    (dest, w, e) map the trace holds there, over the qubits its gates
-    touch: a block cut short is traced again without the qubits only its
-    dropped gates touched. Mid-way through a lowered CG (X, CNOT, G, CNOT,
-    X, G) a low control has split a high target's rows, but the whole CG is
-    diagonal again, so blocks of whole CGs qualify.
-    """
+    merged first. A block grows greedily within the qubit, row and
+    factor-range caps and ends after the longest prefix whose
+    permutations keep rows whole: each high plane p constant over every
+    row, (p ^ p >> 1) & inner == 0. Mid-way through a lowered CG (X,
+    CNOT, G, CNOT, X, G) a low control has split a high target's rows,
+    but the whole CG is diagonal again, so blocks of whole CGs qualify."""
     items = _fold(run)
     dense = _tail_width(n)
     i = 0
@@ -455,30 +469,33 @@ def _fuse_run(run: list[Gate], n: int) -> Iterator:
         j, touched, budget = i, set(), 0.0
         while j < len(items):
             g = items[j]
-            joined = touched | set(g.qubits)
+            joined = touched.union(g.qubits)
             cost = abs(math.log2(g.param)) if g.param is not None else 0.0
-            if (
-                len(joined) > _BLOCK_QUBITS
-                or sum(q >= dense for q in joined) > _ROW_QUBITS
-                or budget + cost > _LOG2_GUARD
+            if budget + cost > _LOG2_GUARD or len(joined) > len(touched) and (
+                len(joined) > _BLOCK_QUBITS or sum(q >= dense for q in joined) > _ROW_QUBITS
             ):
                 break
             touched, budget, j = joined, budget + cost, j + 1
         low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
-        size, net, whole = 1, None, True
-        for k, (g, trace) in enumerate(zip(items[i:j], _trace_basis(items[i:j], low + high)), 1):
-            if g.kind in PERMUTATION_KINDS and g.target >= dense:  # only these move states between rows
-                whole = _rows_stay_whole(trace[0], len(low))
-            if whole:
-                size, net = k, trace
-        gates = items[i : i + size]
+        pos = {q: j for j, q in enumerate(low + high)}
+        planes, full = list(_basis_planes(len(pos))), (1 << (1 << len(pos))) - 1
+        inner = full ^ reduce(and_, planes[: len(low)], full)  # bit x set unless x ends its row
+        size, split = 0, set()
+        for k, g in enumerate(items[i:j], 1):
+            if g.kind in PERMUTATION_KINDS:
+                t, hot = _hot(g, pos, planes, full)
+                planes[t] ^= hot
+                if t >= len(low):  # only a high target moves states between rows
+                    split.discard(t)
+                    if (planes[t] ^ planes[t] >> 1) & inner:
+                        split.add(t)
+            if not split:
+                size = k
+        gates = items[i : i + max(size, 1)]
         kept = set().union(*(g.qubits for g in gates))
-        if net is not None and kept != touched:
-            low, high = [q for q in low if q in kept], [q for q in high if q in kept]
-            for net in _trace_basis(gates, low + high):
-                pass  # keep the map after the last gate
-        yield items[i] if net is None else (gates, net, low, high)
-        i += size
+        low, high = [q for q in low if q in kept], [q for q in high if q in kept]
+        yield (gates, _trace(gates, low + high), low, high) if size else items[i]
+        i += len(gates)
 
 
 def _compile(gates: tuple[Gate, ...], n: int) -> Iterator:
@@ -491,44 +508,49 @@ def _compile(gates: tuple[Gate, ...], n: int) -> Iterator:
         yield from _fuse_run(list(run), n) if monomial else run
 
 
-def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: list, high: list) -> None:
-    """Apply net, the (dest, w, e) map _trace_basis gives for the gates over
-    the local qubits low + high (all stored), in place and in one pass."""
+@lru_cache(maxsize=64)
+def _spread(low: tuple[int, ...], dense: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over a row's 2^dense tail positions: each one's index over the low
+    qubits, each such index's position, and each position's other bits."""
+    tail, x = np.arange(1 << dense), np.arange(1 << len(low))
+    local = sum(((tail >> q & 1) << j for j, q in enumerate(low)), np.zeros_like(tail))
+    spread = sum(((x >> j & 1) << q for j, q in enumerate(low)), np.zeros_like(x))
+    return local, spread, tail & ~int(spread[-1])
+
+
+def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: list, high: list, peak=_NO_BOUND):
+    """Apply net, the (dest, w, e) map _trace gives for the gates over the
+    local qubits low + high (all stored), in place and in one pass; which
+    rows scale or permute is decided once, and only their views are built.
+    Takes and returns bounds on max|amp| (_rescale_guard)."""
     kl, dense = len(low), _tail_width(state.stored)
+    local, spread, rest = _spread(tuple(low), dense)
     dest, w, e = (a.reshape(-1, 1 << kl) for a in net)  # (row, index over the low qubits)
     f = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
+    to = dest & ((1 << kl) - 1)
 
-    # Spread the low part over the 2^dense tail positions of a row.
-    tail = np.arange(1 << dense)
-    local = np.zeros_like(tail)
-    spread = np.zeros(1 << kl, dtype=tail.dtype)
-    for j, q in enumerate(low):
-        local |= ((tail >> q) & 1) << j
-        spread |= ((np.arange(1 << kl) >> j) & 1) << q
-    rest = tail & ~int(spread[-1])
+    def row(h):  # a _sub view, the run below the lowest high qubit split into (rest, tail)
+        r = _sub(state, {q: h >> j & 1 for j, q in enumerate(high)})
+        return r.reshape(*r.shape[:-1], -1, 1 << dense)
 
-    # Rows are _sub views over the high qubits, with the run below the
-    # lowest one split into (rest, tail): a view, as that run is contiguous.
-    rows = [_sub(state, {q: h >> j & 1 for j, q in enumerate(high)}) for h in range(len(dest))]
-    rows = [r.reshape(*r.shape[:-1], -1, 1 << dense) for r in rows]
-    for r, fh, to in zip(rows, f, dest & ((1 << kl) - 1)):
-        if np.any(fh != 1.0):
-            np.multiply(r, fh[0] if np.all(fh == fh[0]) else fh[local], out=r)
-        if np.any(to != np.arange(1 << kl)):
-            src = np.argsort(rest | spread[to[local]])
-            for p in _pieces(r.shape, keep=1):
-                r[p] = np.take(r[p], src, axis=-1, mode="clip")
-    to_row = (dest[:, 0] >> kl).tolist()
-    for h in range(len(rows)):
-        cycle = [h]
-        while to_row[cycle[-1]] != h:
-            cycle.append(to_row[cycle[-1]])
-        for c in cycle:
-            to_row[c] = c  # so no later h walks this cycle again
+    uniform = np.all(f == f[:, :1], axis=1)
+    for h in np.flatnonzero(np.any(f != 1.0, axis=1)).tolist():
+        np.multiply(r := row(h), f[h, 0] if uniform[h] else f[h][local], out=r)
+    moved = np.flatnonzero(np.any(to != np.arange(1 << kl), axis=1))
+    for h, back in zip(moved.tolist(), np.argsort(to[moved], axis=1)):  # back[x]: where x is gathered from
+        r, src = row(h), rest | spread[back[local]]
+        for p in _pieces(r.shape, keep=1):
+            r[p] = np.take(r[p], src, axis=-1, mode="clip")
+    to_row = dict(enumerate((dest[:, 0] >> kl).tolist()))
+    while to_row:  # walk each cycle of the row permutation once
+        cycle = [next(iter(to_row))]
+        while (nxt := to_row.pop(cycle[-1])) != cycle[0]:
+            cycle.append(nxt)
         if len(cycle) > 1:
-            _rotate([rows[c] for c in cycle])  # row cycle[j]'s data moves to row cycle[j + 1]
+            _rotate([row(c) for c in cycle])  # row cycle[j]'s data moves to row cycle[j + 1]
     if any(g.param is not None for g in gates):  # a gain changes the norm
-        _rescale_guard(state)
+        peak = _rescale_guard(state, _bracket(peak, np.abs(f).min(), np.abs(f).max()))
+    return peak
 
 
 def _sparse_reach(gates: tuple[Gate, ...]) -> int:
@@ -543,15 +565,15 @@ def _sparse_reach(gates: tuple[Gate, ...]) -> int:
     return len(gates)
 
 
-def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
-    """Run leading gates on the nonzero amplitudes alone and return how
-    many (0 if the state stores more amplitudes than the sparse limit). A
-    permutation flips its target bit in the indices where every control
-    reads 1; H merges index pairs through _hadamard and drops exact zeros.
-    The support they leave is stored afresh."""
+def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> tuple[int, tuple[float, float]]:
+    """Run leading gates on the nonzero amplitudes alone; returns how many
+    (0 if the state stores more amplitudes than the sparse limit) and
+    bounds on max|amp| after them. A permutation flips its target bit in
+    the indices where every control reads 1; H merges index pairs through
+    _hadamard and drops exact zeros. The support left is stored afresh."""
     reach, limit = _sparse_reach(gates), (1 << state.num_qubits) >> _SPARSE_SHIFT
     if not reach or state.amps.size > limit:
-        return 0
+        return 0, _NO_BOUND
     old = np.flatnonzero(state.amps)
     idx, vals = old | state.fixed, state.amps[old]
     for done, g in enumerate(gates[:reach]):
@@ -573,7 +595,8 @@ def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> int:
     state.fixed = int(idx[0]) >> live << live
     state.amps = np.zeros(1 << live, dtype=vals.dtype)
     state.amps[idx ^ state.fixed] = vals
-    return reach
+    m = float(np.max(np.abs(vals)))  # the support only: at most the sparse limit
+    return reach, (m, m)
 
 
 def _on_slice(state: StateVector, block):
@@ -592,16 +615,18 @@ def _on_slice(state: StateVector, block):
     return gates, (dest[rows] & (1 << b) - 1, w[rows], e[rows]), low, kept
 
 
-def _apply_dense(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
-    """Apply the steps of _compile on the stored qubits (module notes). On
-    a state that stores every qubit, as from state_from_amplitudes, it is
-    the whole-register reference the tests compare apply_circuit against."""
+def _apply_dense(state: StateVector, gates: tuple[Gate, ...], peak: tuple[float, float] = _NO_BOUND) -> StateVector:
+    """Apply the steps of _compile on the stored qubits, carrying bounds on
+    max|amp| from peak (module notes). On a state stored whole, as from
+    state_from_amplitudes, it is the reference for apply_circuit."""
     _widen(state, min(state.num_qubits, _DENSE_QUBITS + 1))
     for step in _compile(gates, state.num_qubits):
-        if isinstance(step, Gate):
-            apply_gate(state, step)
-        else:
-            _apply_block(state, *_on_slice(state, step))
+        if not isinstance(step, Gate):
+            peak = _apply_block(state, *_on_slice(state, step), peak)
+            continue
+        apply_gate(state, step)
+        if step.kind not in PERMUTATION_KINDS:  # H scales max|amp| by 2^-1/2 to 2^1/2
+            peak = _bracket(peak, _INV_SQRT2, math.sqrt(2.0)) if step.kind == "H" else _NO_BOUND
     return state
 
 
@@ -614,17 +639,15 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
     """
     if isinstance(circuit, Circuit):
         if circuit.qubit_count != state.num_qubits:
-            raise CircuitError(
-                f"circuit has {circuit.qubit_count} qubits, state has {state.num_qubits}"
-            )
+            raise CircuitError(f"circuit has {circuit.qubit_count} qubits, state has {state.num_qubits}")
         gates = circuit.gates
     else:
         gates = tuple(circuit)
     for g in gates:
         if max(g.qubits) >= state.num_qubits:
             raise CircuitError(f"gate {g.kind}{g.qubits} exceeds register of {state.num_qubits} qubits")
-    reach = _apply_sparse(state, gates)
-    return _apply_dense(state, gates[reach:])
+    reach, peak = _apply_sparse(state, gates)
+    return _apply_dense(state, gates[reach:], peak)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +692,8 @@ def gram(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, int]:
     m = np.zeros((1 << k, 1 << k), dtype=state.amps.dtype)
     for p in _pieces(views[0].shape, limit=_MOVE_CHUNK >> len(free)):
         a = np.stack([v[p] for v in views]).reshape(len(on), -1)
-        a *= scale  # a gathered copy, never the state
+        if shift:
+            a *= scale  # a gathered copy, never the state
         m[np.ix_(on, on)] += (a.conj() if state.mode == "complex" else a) @ a.T
     return m, state.exponent + shift
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import pathlib
 from functools import reduce
+from itertools import groupby
 from operator import and_, or_
 
 import numpy as np
 import pytest
 
 from rnqc import cnf, oracle, pathsum, sim
-from rnqc.circuit import PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
+from rnqc.circuit import DIAGONAL_KINDS, PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
 from rnqc.errors import InputError, PathBudgetError
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "corpus"
@@ -235,3 +236,79 @@ def count_bucket(values, nc: int):
                 neg += grid_count(-re, nc)
             im += prod.imag
     return pos, neg, im
+
+
+# ---------------------------------------------------------------------------
+# fused-block references: the gate-at-a-time basis trace and the block cut
+# that sim's bit-plane trace replaced
+# ---------------------------------------------------------------------------
+
+
+def trace_basis(gates, qubits):
+    """Run every local basis state through the gates, one gate at a time;
+    bit j of a local index is qubits[j].
+
+    Yields (dest, w, e) after each gate: local basis state x has moved to
+    dest[x] and picked up the factor w[x] * 2^e[x], multiplied in gate
+    order. w is renormalized to a mantissa after every diagonal gate.
+    """
+    pos = {q: j for j, q in enumerate(qubits)}
+    dest = np.arange(1 << len(pos))
+    w = np.ones(1 << len(pos))
+    e = np.zeros(1 << len(pos), dtype=np.int64)
+    for g in gates:
+        target = 1 << pos[g.target]
+        on = sum(1 << pos[q] for q in g.controls)
+        hot = dest & on == on
+        if g.kind in PERMUTATION_KINDS:
+            dest = np.where(hot, dest ^ target, dest)
+        else:
+            d0, d1 = diagonal_factors(g)
+            w, de = np.frexp(w * np.where(hot, np.where(dest & target, d1, d0), 1.0))
+            e = e + de
+        yield dest, w, e
+
+
+def rows_stay_whole(dest, kl: int) -> bool:
+    """True when the row a local state lands in depends only on the row it left."""
+    to_row = (dest >> kl).reshape(-1, 1 << kl)
+    return bool(np.all(to_row == to_row[:, :1]))
+
+
+def fuse_run(run, n: int):
+    """sim._fuse_run as one trace per stretch the caps admit: the block is
+    its longest prefix that keeps rows whole, traced again over the qubits
+    its own gates touch when it was cut short."""
+    items = []
+    for diagonal, stretch in groupby(run, key=lambda g: g.kind in DIAGONAL_KINDS):
+        items += sim._merge_diagonal(list(stretch)) if diagonal else list(stretch)
+    dense = sim._tail_width(n)
+    i = 0
+    while i < len(items):
+        j, touched, budget = i, set(), 0.0
+        while j < len(items):
+            g = items[j]
+            joined = touched | set(g.qubits)
+            cost = abs(math.log2(g.param)) if g.param is not None else 0.0
+            if (
+                len(joined) > sim._BLOCK_QUBITS
+                or sum(q >= dense for q in joined) > sim._ROW_QUBITS
+                or budget + cost > sim._LOG2_GUARD
+            ):
+                break
+            touched, budget, j = joined, budget + cost, j + 1
+        low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
+        size, net, whole = 1, None, True
+        for k, (g, trace) in enumerate(zip(items[i:j], trace_basis(items[i:j], low + high)), 1):
+            if g.kind in PERMUTATION_KINDS and g.target >= dense:
+                whole = rows_stay_whole(trace[0], len(low))
+            if whole:
+                size, net = k, trace
+        gates = items[i : i + size]
+        kept = set().union(*(g.qubits for g in gates))
+        if net is not None and kept != touched:
+            low, high = [q for q in low if q in kept], [q for q in high if q in kept]
+            for net in trace_basis(gates, low + high):
+                pass
+        yield items[i] if net is None else (gates, net, low, high)
+        i += size

@@ -154,9 +154,10 @@ def _outcome(entries):
 @pytest.mark.parametrize("lowering", majsat.LOWERINGS)
 def test_gram_readout_matches_reference_at_the_starvation_edge(lowering):
     # Semantic plans get the whole grid. A primitive plan at large r' is a
-    # list of about 6 r' gates, which take 0.1-0.4 s per point to lower,
-    # compile and trace, so primitive plans get the edge point only.
-    grid = range(25, 1201, 25) if lowering == "semantic" else (525,)
+    # list of about 6 r' gates to lower, compile and trace per point, so
+    # primitive plans get the grid's ends and the edge point: at r' = 1200
+    # n3_two_or3's readout suffix alone is 7,201 gates.
+    grid = range(25, 1201, 25) if lowering == "semantic" else (25, 525, 1200)
     for key, formula in EDGE_FORMULAS.items():
         n = formula.num_vars
         for orientation in majsat.ORIENTATIONS:

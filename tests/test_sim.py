@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import CORPUS_DIR, qubit_state_fidelity
+from conftest import CORPUS_DIR, fuse_run, qubit_state_fidelity, trace_basis
 from freeze_amplified import random_formula
 from rnqc import cnf, majsat, sim
 from rnqc.circuit import Circuit, Gate, RegisterLayout, lower_cg, lower_to_primitive, primitive_register
@@ -418,6 +418,99 @@ def test_fused_block_ends_where_its_trace_keeps_rows_whole():
 
 
 @st.composite
+def _monomial_run(draw):
+    """A register of 12-20 qubits and a run of 1-60 monomial gates on it: X,
+    CNOT, CCNOT, NCNOT with 3-5 controls, Z, G and CG, parameters with any
+    mantissa from 2^-500 to 2^500. Targets lie at or above the 10-qubit
+    tail in about half the gates, so permutations move states between rows
+    and split them, and the qubit, row and factor-range caps all cut."""
+    n = draw(st.integers(12, 20))
+    param = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-500, 499))
+    run = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(("X", "CNOT", "CCNOT", "NCNOT", "Z", "G", "CG")))
+        arity = draw(st.integers(4, 6)) if kind == "NCNOT" else {"CNOT": 2, "CCNOT": 3, "CG": 2}.get(kind, 1)
+        target = draw(st.integers(10, n - 1) if draw(st.booleans()) else st.integers(0, 9))
+        controls = draw(st.permutations([q for q in range(n) if q != target]))[: arity - 1]
+        p = draw(param.filter(lambda p: p != 1.0)) if kind in ("G", "CG") else None
+        run.append(Gate(kind, (*controls, target), p))
+    return n, run
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_monomial_run())
+def test_plane_trace_cuts_and_maps_blocks_as_the_gate_loop_trace(case):
+    # conftest.fuse_run is the cut sim used before bit planes: one numpy
+    # trace per stretch, a row check after every high-target permutation,
+    # and a second trace when the block was cut short. The bit-plane cut and
+    # trace must give the same steps, qubits and maps, bit for bit.
+    n, run = case
+    got, want = list(sim._compile(tuple(run), n)), list(fuse_run(run, n))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, Gate):
+            assert a == b
+            continue
+        (gates, (dest, w, e), low, high), (ref_gates, (ref_dest, ref_w, ref_e), ref_low, ref_high) = a, b
+        assert gates == ref_gates and (low, high) == (ref_low, ref_high)
+        assert dest.dtype == ref_dest.dtype and np.array_equal(dest, ref_dest)
+        assert np.ldexp(w, e).tobytes() == np.ldexp(ref_w, ref_e).tobytes()
+
+
+def test_monomial_map_renormalizes_each_stretch_past_the_double_range():
+    # Local state 1 picks up five factors near 2^400 and local state 0 five
+    # near 2^-400, a span past 2^3000: the map holds them as w * 2^e, and the
+    # trace multiplies them in stretches of at most 2^500, here one per G.
+    # w and e must be the gate-at-a-time reference's bit for bit.
+    big = 1.2345 * 2.0**399
+    gates = [Gate("G", (0,), big), Gate("CNOT", (0, 1)), Gate("CG", (1, 2), 0.75 * 2.0**-300)]
+    gates += [Gate("G", (0,), big), Gate("X", (2,)), Gate("CCNOT", (0, 2, 1))] * 4
+    qubits = (0, 1, 2)
+    dest, w, e = sim.monomial_map(gates, qubits)
+    for want in trace_basis(sim._fold(gates), qubits):
+        pass
+    assert e.max() > 1024 and e.min() < -1024, "the factors must leave the double range both ways"
+    assert np.array_equal(dest, want[0])
+    assert w.tobytes() == want[1].tobytes() and e.tobytes() == want[2].tobytes()
+
+
+def _count_scans(monkeypatch) -> list:
+    """Record the size of every array sim._max_abs scans from now on."""
+    calls, max_abs = [], sim._max_abs
+    monkeypatch.setattr(sim, "_max_abs", lambda a: calls.append(a.size) or max_abs(a))
+    return calls
+
+
+def test_guard_scans_only_when_its_bounds_can_leave_the_range(monkeypatch):
+    # The sparse prefix leaves max|amp| = 2^-1/2 known. The first G(2^400)
+    # block moves it to at most 2^399.5, the dense H to 2^400: both proved
+    # inside 2^500, so no scan. The second G block could reach 2^800, so the
+    # guard scans once and rescales, as the gate loop's scan after each G
+    # does: mantissas and exponent must be the gate loop's bit for bit.
+    gates = [Gate("H", (0,)), Gate("H", (1,)), Gate("G", (0,), 2.0**400), Gate("H", (1,)), Gate("G", (0,), 2.0**400)]
+    want = _gate_loop(sim.new_state(12), gates)
+    scans = _count_scans(monkeypatch)
+    got = sim.apply_circuit(sim.new_state(12), gates)
+    assert len(scans) == 1
+    assert got.exponent == want.exponent > 0
+    assert sim.amplitudes(got).tobytes() == sim.amplitudes(want).tobytes()
+
+
+@pytest.mark.parametrize("lowering", majsat.LOWERINGS)
+def test_exact_corpus_solve_scans_only_for_gram(monkeypatch, lowering):
+    # n6_w5's amplification applies gains in 2 (semantic) and 9 (primitive)
+    # blocks, and a guard scanning after each would read the state every
+    # time. The bounds carried from the sparse prefix stay well inside
+    # 2^±500 through all of them, so the one scan of the exact solve is
+    # gram's, on the 11 stored qubits.
+    formula = cnf.parse_dimacs((CORPUS_DIR / "n6_w5.cnf").read_text())
+    p = majsat.plan(formula, majsat.default_config(formula.num_vars, lowering=lowering))
+    scans = _count_scans(monkeypatch)
+    majsat.run_exact(p)
+    assert scans == [1 << 11]
+
+
+@st.composite
 def _sparse_start(draw):
     """A basis state or a state with at most 4 nonzero amplitudes on up to
     8 qubits, stored whole and as it starts: whole, or storing only the
@@ -492,7 +585,7 @@ def test_sparse_prefix_stops_before_primitive_gain_rounds():
         want = sim._apply_dense(sim.state_from_amplitudes(sim.amplitudes(start)), circuit.gates)
         patch.setattr(sim, "_SPARSE_SHIFT", 2)
         prefix = start.copy()
-        assert sim._apply_sparse(prefix, circuit.gates) == len(mixed)
+        assert sim._apply_sparse(prefix, circuit.gates)[0] == len(mixed)
         assert (prefix.stored, prefix.fixed) == (len(mixed), start.fixed)
         assert np.all(prefix.amps != 0)
         got = sim.apply_circuit(start.copy(), circuit)
