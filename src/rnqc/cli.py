@@ -7,7 +7,8 @@ cross-checks).  Every machine-readable report embeds a run manifest so
 identical invocations can be diffed byte for byte.
 
 Exit codes: 0 = YES / success, 1 = NO / reported disagreement, 2 = input
-error, 3 = resource cap, 4 = invariant failure or unexpected fault.
+error, 3 = resource cap or out of memory, 4 = invariant failure or
+unexpected fault.
 """
 
 from __future__ import annotations
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
     except RnqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # an allocation failed: a resource, as the register cap is
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps faults to exit 4
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -31,14 +31,14 @@ run of monomial gates, permutations (X, CNOT, CCNOT, NCNOT) and real
 diagonals (Z, G, CG) as circuit.py defines them, into blocks of at most
 10 qubits, down to one gate; only a permutation that splits rows runs
 alone. Diagonal gates on the same qubits fold within a stretch, e.g. r
-rounds of CG(q, nh) into CG(q, nh, g^r). A pass over a block's
-permutations on bit planes finds where it may end, one trace of the
-gates it keeps gives its basis map, and the map is applied in place and
-in one pass: scale rows, permute within and between rows, then the
-guard. apply_gate is the gate-by-gate reference the tests compare the
-blocks against. With power-of-two parameters the two agree bit for bit;
-otherwise a block rounds its product of factors once where the gate loop
-rounds after every gate.
+rounds of CG(q, nh) into CG(q, nh, g^r). One pass over a block's gates
+on bit planes (_trace) finds where it may end and gives its basis map on
+the rows the state stores; the map is applied in place and in one pass:
+scale rows, permute within and between rows, then the guard. apply_gate
+is the gate-by-gate reference the tests compare the blocks against. With
+power-of-two parameters the two agree bit for bit; otherwise a block
+rounds its product of factors once where the gate loop rounds after
+every gate.
 
 A state stores only its live qubits: amps holds the low stored =
 log2(amps.size) qubits, and each qubit above them reads its bit of
@@ -46,11 +46,12 @@ fixed, so amps[j] belongs to basis state fixed | j. new_state stores
 none, and the sparse prefix writes its support into a fresh array over
 the qubits it does not hold constant. The dense steps store at least
 _DENSE_QUBITS + 1 qubits, so stored rows split as the register's do. A
-block over fixed qubits applies the rows of its map where they read
-their bits, once a check shows those rows map onto themselves
-(_on_slice); a block that fails it, or a gate that runs alone on a
-fixed qubit, first widens the array to store its qubits, a zero-filled
-data move (_widen), so a state is bit for bit the whole register's.
+block's trace reads each fixed qubit it touches as a plane of its bit;
+a block that moves one, or a gate that runs alone on one, first widens
+the array to store its qubits, a zero-filled data move (_widen). So a
+state is bit for bit the whole register's while no block permutes under
+a fixed control. A block that does is cut where that control reads its
+bit, so diagonals around the permutation may fuse and round once.
 gram reads the fixed bits from the state; amplitudes(state) expands it
 to 2^n. An exact solve (majsat) runs each plan in one apply_circuit
 call.
@@ -398,7 +399,8 @@ def _bits(planes: Sequence[int], k: int) -> np.ndarray:
     """(len(planes), 2^k) array of 0s and 1s: bit x of each plane."""
     size = max(1, (1 << k) >> 3)
     raw = b"".join([p.to_bytes(size, "little") for p in planes])
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").reshape(len(planes), -1)[:, : 1 << k]
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(planes), 8 * size)[:, : 1 << k]  # not -1: there may be no planes
 
 
 def _hot(g: Gate, pos: dict, planes: list[int], full: int) -> tuple[int, int]:
@@ -409,26 +411,39 @@ def _hot(g: Gate, pos: dict, planes: list[int], full: int) -> tuple[int, int]:
     return pos[g.qubits[-1]], hot
 
 
-def _trace(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """monomial_map's (dest, w, e) for folded gates, on bit planes. A
-    diagonal gate applies d0 and d1 (diagonal_factors) where the planes
-    say; the factors of a stretch spanning at most 2^500 are multiplied
-    onto the mantissas as one matrix of under _MOVE_CHUNK entries, in
-    gate order, and renormalized once: inside 2^±500 a product stays
-    normal, so it rounds as the plain one."""
-    k, pos = len(qubits), {q: j for j, q in enumerate(qubits)}
-    planes, full = list(_basis_planes(k)), (1 << (1 << k)) - 1
-    stretches, span = [[]], 0.0
-    for g in gates:
+def _trace(gates: Sequence[Gate], qubits: Sequence[int], kl: int, fixed: dict[int, int]) -> tuple[int, tuple | None]:
+    """One pass over folded gates on bit planes, one per qubit (bit x of
+    plane j is bit j of local state x) and one of all its bit per fixed
+    qubit. Returns (size, net): the longest prefix whose permutations keep
+    rows whole, each plane from kl up constant over every row of the kl
+    low qubits, and, if that is all the gates and no fixed plane moved,
+    their monomial_map (dest, w, e), else None. The factors of a stretch
+    spanning at most 2^500 multiply the mantissas as one matrix of under
+    _MOVE_CHUNK entries, in gate order, renormalized once: inside 2^±500 a
+    product stays normal, so it rounds as the plain one."""
+    k, pos = len(qubits), {q: j for j, q in enumerate([*qubits, *fixed])}
+    full = (1 << (1 << k)) - 1
+    planes = [*_basis_planes(k), *(full * b for b in fixed.values())]
+    start, inner = planes[k:], full ^ reduce(and_, planes[:kl], full)  # inner: bit x set unless x ends its row
+    stretches, span, size, split = [[]], 0.0, 0, set()
+    for done, g in enumerate(gates, 1):
         t, hot = _hot(g, pos, planes, full)
         if g.kind in PERMUTATION_KINDS:
             planes[t] ^= hot
-            continue
-        cost = abs(math.log2(g.param)) if g.param is not None else 0.0
-        if span + cost > _LOG2_GUARD or (2 * len(stretches[-1]) + 2) << k > _MOVE_CHUNK:
-            stretches, span = [*stretches, []], 0.0
-        stretches[-1].append((diagonal_factors(g), hot & ~planes[t], hot & planes[t]))
-        span += cost
+            if t >= kl:  # only a high target moves states between rows
+                split.discard(t)
+                if (planes[t] ^ planes[t] >> 1) & inner:
+                    split.add(t)
+        else:
+            cost = abs(math.log2(g.param)) if g.param is not None else 0.0
+            if span + cost > _LOG2_GUARD or (2 * len(stretches[-1]) + 2) << k > _MOVE_CHUNK:
+                stretches, span = [*stretches, []], 0.0
+            stretches[-1].append((diagonal_factors(g), hot & ~planes[t], hot & planes[t]))
+            span += cost
+        if not split:
+            size = done
+    if size < len(gates) or planes[k:] != start:
+        return size, None
     w, e = np.ones(1 << k), np.zeros(1 << k, dtype=np.int64)
     for stretch in filter(None, stretches):
         d = np.array([f for f, _, _ in stretch])
@@ -438,7 +453,7 @@ def _trace(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np
         np.copyto(f, d[:, 1:], where=on[:, 1])
         w, de = np.frexp(np.multiply.reduce(np.vstack((w, f)), axis=0))
         e = e + de
-    return (np.ldexp(1.0, np.arange(k)) @ _bits(planes, k)).astype(np.int64), w, e
+    return size, ((np.ldexp(1.0, np.arange(k)) @ _bits(planes[:k], k)).astype(np.int64), w, e)
 
 
 def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -446,7 +461,7 @@ def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarr
     it touches, diagonal stretches folded first as in apply_circuit's
     blocks: (dest, w, e), where local basis state x (bit j is qubits[j])
     moves to dest[x] and picks up the factor w[x] * 2^e[x]."""
-    return _trace(_fold(gates), qubits)
+    return _trace(_fold(gates), qubits, 0, {})[1]
 
 
 def _tail_width(n: int) -> int:
@@ -454,16 +469,17 @@ def _tail_width(n: int) -> int:
     return min(_DENSE_QUBITS, n - 1)
 
 
-def _fuse_run(run: list[Gate], n: int) -> Iterator:
+def _fuse_run(run: list[Gate], state: StateVector) -> Iterator:
     """Yield the blocks over a run of monomial gates, diagonal stretches
-    merged first. A block grows greedily within the qubit, row and
-    factor-range caps and ends after the longest prefix whose
-    permutations keep rows whole: each high plane p constant over every
-    row, (p ^ p >> 1) & inner == 0. Mid-way through a lowered CG (X,
-    CNOT, G, CNOT, X, G) a low control has split a high target's rows,
-    but the whole CG is diagonal again, so blocks of whole CGs qualify."""
+    merged first, each cut on the rows the state stores once the step
+    before it has run. A block grows greedily within the qubit, row and
+    factor-range caps and ends after the longest prefix that keeps rows
+    whole (_trace); a lowered CG (X, CNOT, G, CNOT, X, G) splits rows
+    mid-way but is diagonal again whole. A prefix cut short is traced
+    again on its own; a block that moves a fixed qubit widens the state
+    to store its qubits and is cut again."""
     items = _fold(run)
-    dense = _tail_width(n)
+    dense = _tail_width(state.num_qubits)
     i = 0
     while i < len(items):
         j, touched, budget = i, set(), 0.0
@@ -476,36 +492,29 @@ def _fuse_run(run: list[Gate], n: int) -> Iterator:
             ):
                 break
             touched, budget, j = joined, budget + cost, j + 1
-        low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
-        pos = {q: j for j, q in enumerate(low + high)}
-        planes, full = list(_basis_planes(len(pos))), (1 << (1 << len(pos))) - 1
-        inner = full ^ reduce(and_, planes[: len(low)], full)  # bit x set unless x ends its row
-        size, split = 0, set()
-        for k, g in enumerate(items[i:j], 1):
-            if g.kind in PERMUTATION_KINDS:
-                t, hot = _hot(g, pos, planes, full)
-                planes[t] ^= hot
-                if t >= len(low):  # only a high target moves states between rows
-                    split.discard(t)
-                    if (planes[t] ^ planes[t] >> 1) & inner:
-                        split.add(t)
-            if not split:
-                size = k
-        gates = items[i : i + max(size, 1)]
-        kept = set().union(*(g.qubits for g in gates))
-        low, high = [q for q in low if q in kept], [q for q in high if q in kept]
-        yield (gates, _trace(gates, low + high), low, high) if size else items[i]
-        i += len(gates)
+        gates = items[i:j]
+        while True:
+            qubits = sorted(set().union(*(g.qubits for g in gates)))
+            low, high = [q for q in qubits if q < dense], [q for q in qubits if dense <= q < state.stored]
+            fixed = {q: state.fixed >> q & 1 for q in qubits if q >= state.stored}
+            size, net = _trace(gates, low + high, len(low), fixed)
+            if 0 < size < len(gates):
+                gates = gates[:size]
+            elif size and net is None:
+                _widen(state, qubits[-1] + 1)
+            else:
+                break
+        yield (gates, net, low, high) if size else items[i]
+        i += max(size, 1)
 
 
-def _compile(gates: tuple[Gate, ...], n: int) -> Iterator:
-    """Yield the steps for a gate tuple on an n-qubit register: H and T
-    (and gates no block can hold) as single gates, monomial runs as blocks
-    (gates, net, low, high) for _apply_block, one gate long or more. A
-    block is cut only when the step before it has been taken, so one
-    block's map is held at a time."""
+def _compile(gates: tuple[Gate, ...], state: StateVector) -> Iterator:
+    """Yield the steps for a gate tuple on the state: H and T (and gates
+    no block can hold) as single gates, monomial runs as blocks (gates,
+    net, low, high) for _apply_block, one gate long or more, each cut once
+    the step before it has run, so one block's map is held at a time."""
     for monomial, run in groupby(gates, key=lambda g: g.kind in _MONOMIAL):
-        yield from _fuse_run(list(run), n) if monomial else run
+        yield from _fuse_run(list(run), state) if monomial else run
 
 
 @lru_cache(maxsize=64)
@@ -599,30 +608,14 @@ def _apply_sparse(state: StateVector, gates: tuple[Gate, ...]) -> tuple[int, tup
     return reach, (m, m)
 
 
-def _on_slice(state: StateVector, block):
-    """The block as it acts on the stored qubits, where every qubit above
-    them reads its bit of state.fixed: the rows of its map where those
-    qubits read their bits. When it may move amplitude out of them, the
-    state first widens to store the block's qubits and the block is whole."""
-    gates, (dest, w, e), low, high = block
-    kept = [q for q in high if q < state.stored]
-    b = len(low) + len(kept)  # the elided qubits are the block's top local bits
-    row = sum((state.fixed >> q & 1) << j for j, q in enumerate(high[len(kept) :]))
-    rows = slice(row << b, row + 1 << b)
-    if np.any(dest[rows] >> b != row):
-        _widen(state, max(high) + 1)
-        return block
-    return gates, (dest[rows] & (1 << b) - 1, w[rows], e[rows]), low, kept
-
-
 def _apply_dense(state: StateVector, gates: tuple[Gate, ...], peak: tuple[float, float] = _NO_BOUND) -> StateVector:
     """Apply the steps of _compile on the stored qubits, carrying bounds on
     max|amp| from peak (module notes). On a state stored whole, as from
     state_from_amplitudes, it is the reference for apply_circuit."""
     _widen(state, min(state.num_qubits, _DENSE_QUBITS + 1))
-    for step in _compile(gates, state.num_qubits):
+    for step in _compile(gates, state):
         if not isinstance(step, Gate):
-            peak = _apply_block(state, *_on_slice(state, step), peak)
+            peak = _apply_block(state, *step, peak)
             continue
         apply_gate(state, step)
         if step.kind not in PERMUTATION_KINDS:  # H scales max|amp| by 2^-1/2 to 2^1/2

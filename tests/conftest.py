@@ -275,10 +275,34 @@ def rows_stay_whole(dest, kl: int) -> bool:
     return bool(np.all(to_row == to_row[:, :1]))
 
 
-def fuse_run(run, n: int):
-    """sim._fuse_run as one trace per stretch the caps admit: the block is
-    its longest prefix that keeps rows whole, traced again over the qubits
-    its own gates touch when it was cut short."""
+def slice_rows(low, high, stored: int, fixed: int) -> slice:
+    """The local states over low + high (bit j is the j-th qubit) where
+    the qubits of high from stored up read their bits of fixed."""
+    b = len(low) + sum(q < stored for q in high)  # the fixed qubits are the top local bits
+    row = sum((fixed >> q & 1) << j for j, q in enumerate(q for q in high if q >= stored))
+    return slice(row << b, row + 1 << b)
+
+
+def on_slice(net, low, high, stored: int, fixed: int):
+    """A block's map (dest, w, e) over low + high on the rows of slice_rows,
+    as a map over the stored qubits; None when it moves amplitude off them."""
+    dest, w, e = net
+    rows = slice_rows(low, high, stored, fixed)
+    b = len(low) + sum(q < stored for q in high)
+    if np.any(dest[rows] >> b != rows.start >> b):
+        return None
+    return dest[rows] & (1 << b) - 1, w[rows], e[rows]
+
+
+def fuse_run(run, n: int, stored: int | None = None, fixed: int = 0):
+    """sim._fuse_run as one trace per stretch the caps admit, on a state
+    that stores the low stored qubits (default all n), each qubit above
+    them reading its bit of fixed: the block is its longest prefix that
+    keeps rows whole where those qubits read their bits, traced again over
+    the qubits its own gates touch when it was cut short, and restricted
+    to those rows. A block that moves amplitude off them widens the state
+    to store its qubits and is cut again."""
+    stored = n if stored is None else stored
     items = []
     for diagonal, stretch in groupby(run, key=lambda g: g.kind in DIAGONAL_KINDS):
         items += sim._merge_diagonal(list(stretch)) if diagonal else list(stretch)
@@ -298,10 +322,11 @@ def fuse_run(run, n: int):
                 break
             touched, budget, j = joined, budget + cost, j + 1
         low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
+        rows = slice_rows(low, high, stored, fixed)
         size, net, whole = 1, None, True
         for k, (g, trace) in enumerate(zip(items[i:j], trace_basis(items[i:j], low + high)), 1):
             if g.kind in PERMUTATION_KINDS and g.target >= dense:
-                whole = rows_stay_whole(trace[0], len(low))
+                whole = rows_stay_whole(trace[0][rows], len(low))
             if whole:
                 size, net = k, trace
         gates = items[i : i + size]
@@ -310,5 +335,13 @@ def fuse_run(run, n: int):
             low, high = [q for q in low if q in kept], [q for q in high if q in kept]
             for net in trace_basis(gates, low + high):
                 pass
-        yield items[i] if net is None else (gates, net, low, high)
+        if net is None:
+            yield items[i]
+        else:
+            net = on_slice(net, low, high, stored, fixed)
+            if net is None:  # the state widens to store the block's qubits
+                stored = max(high) + 1
+                fixed = fixed >> stored << stored
+                continue
+            yield gates, net, low, [q for q in high if q < stored]
         i += size

@@ -202,6 +202,22 @@ def test_solve_past_the_register_cap_is_resource_exit_before_building(tmp_path, 
     assert peak < 1 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 156. GiB for an array", ""])
+def test_solve_out_of_memory_is_resource_exit(files, monkeypatch, capsys, message):
+    # A gain close to 1 asks for some 2*10^10 rounds, and the plan's gate
+    # list cannot be allocated (a bare MemoryError); numpy names the size
+    # it could not get. Either way the CLI exits 3, the resource code, as
+    # at the register cap. The stand-in plan raises before anything is built.
+    def plan(formula, config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(majsat, "plan", plan)
+    assert cli.main(["solve", files["yes.cnf"], "--g", "1.0000000001"]) == 3
+    out = capsys.readouterr()
+    assert out.err == f"error: out of memory{': ' + message if message else ''}\n"
+    assert out.out == ""
+
+
 def test_solve_flags_reach_the_config(files, tmp_path):
     argv = ["solve", files["yes.cnf"], "--mode", "exact", "--seed", "3", "--g", "3", "--r", "2"]
     argv += ["--rp", "5", "--i-min", "-1", "--i-max", "2", "--sets", "2", "--runs", "4"]

@@ -309,8 +309,8 @@ def _fused_and_reference(state, gates, widths):
     the loop with a zero where the fused factor of 1 keeps the value, so
     the loop is no reference there.
     """
-    ref = state.copy()
-    mag = sim.state_from_amplitudes(np.abs(state.amps), exponent=state.exponent)
+    ref = sim._widen(state.copy(), state.num_qubits)  # the gate loop on the state stored whole
+    mag = sim.state_from_amplitudes(np.abs(ref.amps), exponent=state.exponent)
     for gate in gates:
         live = ref.amps != 0
         sim.apply_gate(ref, gate)
@@ -378,7 +378,7 @@ def test_fused_run_folds_rounds_and_cuts_at_factor_range():
     # range, so the block takes two and the third is a block of its own.
     gates = [Gate("H", (q,)) for q in range(3)]
     gates += [Gate("CG", (q, 3), 2.0**100) for _ in range(2) for q in range(3)]
-    steps = tuple(sim._compile(tuple(gates), 4))
+    steps = tuple(sim._compile(tuple(gates), _random_state(np.random.default_rng(0), 4)))
     assert steps[:3] == tuple(gates[:3])
     assert len(steps) == 5 and not any(isinstance(s, Gate) for s in steps[3:])
     assert [g.qubits for g in steps[3][0]] == [(0, 3), (1, 3)]
@@ -403,7 +403,7 @@ def test_fused_block_ends_where_its_trace_keeps_rows_whole():
     state = _random_state(np.random.default_rng(3), 4)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_DENSE_QUBITS", 2)
-        steps = tuple(sim._compile(gates, 4))
+        steps = tuple(sim._compile(gates, state.copy()))
         got = sim.apply_circuit(state.copy(), gates)
     assert len(steps) == 2 and not isinstance(steps[0], Gate) and steps[1] == gates[-1]
     block, (dest, w, e), low, high = steps[0]
@@ -419,11 +419,15 @@ def test_fused_block_ends_where_its_trace_keeps_rows_whole():
 
 @st.composite
 def _monomial_run(draw):
-    """A register of 12-20 qubits and a run of 1-60 monomial gates on it: X,
-    CNOT, CCNOT, NCNOT with 3-5 controls, Z, G and CG, parameters with any
-    mantissa from 2^-500 to 2^500. Targets lie at or above the 10-qubit
-    tail in about half the gates, so permutations move states between rows
-    and split them, and the qubit, row and factor-range caps all cut."""
+    """A register of 12-20 qubits, a run of 1-60 monomial gates on it and
+    the state the run is cut on. Gates are X, CNOT, CCNOT, NCNOT with 3-5
+    controls, Z, G and CG, parameters with any mantissa from 2^-500 to
+    2^500. Targets lie at or above the 10-qubit tail in about half the
+    gates, so permutations move states between rows and split them, and
+    the qubit, row and factor-range caps all cut. The state stores every
+    qubit, or 11 or more with the qubits above holding drawn bits, so
+    controls read fixed bits and targets move amplitude off the stored
+    rows."""
     n = draw(st.integers(12, 20))
     param = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-500, 499))
     run = []
@@ -434,18 +438,24 @@ def _monomial_run(draw):
         controls = draw(st.permutations([q for q in range(n) if q != target]))[: arity - 1]
         p = draw(param.filter(lambda p: p != 1.0)) if kind in ("G", "CG") else None
         run.append(Gate(kind, (*controls, target), p))
-    return n, run
+    stored = draw(st.one_of(st.just(n), st.integers(11, n - 1)))
+    fixed = draw(st.integers(0, (1 << n - stored) - 1)) << stored
+    return n, run, stored, fixed
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=_monomial_run())
 def test_plane_trace_cuts_and_maps_blocks_as_the_gate_loop_trace(case):
     # conftest.fuse_run is the cut sim used before bit planes: one numpy
-    # trace per stretch, a row check after every high-target permutation,
-    # and a second trace when the block was cut short. The bit-plane cut and
-    # trace must give the same steps, qubits and maps, bit for bit.
-    n, run = case
-    got, want = list(sim._compile(tuple(run), n)), list(fuse_run(run, n))
+    # trace per stretch over the whole register, a row check after every
+    # high-target permutation on the rows where the fixed qubits read their
+    # bits, a second trace when the block was cut short, and those rows
+    # kept. The bit-plane cut and trace, which read the fixed qubits as
+    # constant planes, must give the same steps, qubits and maps, bit for
+    # bit, and widen the state where the reference does.
+    n, run, stored, fixed = case
+    state = sim.StateVector(n, np.zeros(1 << stored), fixed=fixed)
+    got, want = list(sim._compile(tuple(run), state)), list(fuse_run(run, n, stored, fixed))
     assert len(got) == len(want)
     for a, b in zip(got, want):
         if isinstance(b, Gate):
@@ -648,27 +658,32 @@ def test_live_slice_matches_dense_bit_for_bit(case):
     # every byte of the register and the exponent must be _apply_dense's
     # on a state that stores every qubit.
     state, head, tail, way_out, dense, live = case
-    verdicts, on_slice = [], sim._on_slice
+    blocks, widened, apply_block, widen = [], [], sim._apply_block, sim._widen
 
-    def spy(st, block):  # (does the block reach a fixed qubit, did it widen the state)
-        before = st.stored
-        out = on_slice(st, block)
-        verdicts.append((max(block[3], default=-1) >= before, st.stored > before))
-        return out
+    def spy_block(st, gates, *rest):  # does the block reach a qubit above the live slice
+        blocks.append(max(q for g in gates for q in g.qubits) >= live)
+        return apply_block(st, gates, *rest)
+
+    def spy_widen(st, top):  # how many blocks ran before each widening
+        if top > st.stored:
+            widened.append(len(blocks))
+        return widen(st, top)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_DENSE_QUBITS", dense)
         patch.setattr(sim, "_SPARSE_SHIFT", 0)  # every H of the head runs sparse
-        patch.setattr(sim, "_on_slice", spy)
+        patch.setattr(sim, "_apply_block", spy_block)
+        patch.setattr(sim, "_widen", spy_widen)
         for gates in (head, head + tail):
             want = sim._apply_dense(state.copy(), tuple(gates))
-            verdicts.clear()
+            blocks.clear()
+            widened.clear()
             got = sim.apply_circuit(state.copy(), gates)
             assert sim.amplitudes(got).tobytes() == want.amps.tobytes()
             assert got.exponent == want.exponent
             if gates is head:
-                assert any(fixed for fixed, _ in verdicts), "no block reached a fixed qubit"
-                assert not any(widened for _, widened in verdicts[:-1])
+                assert any(blocks), "no block reached a fixed qubit"
+                assert all(w >= len(blocks) - 1 for w in widened), "a block before the last widened"
                 assert (got.stored > live) == (way_out is not None)
 
 
@@ -703,6 +718,37 @@ def test_lone_monomial_gate_on_a_fixed_qubit_keeps_the_live_slice(lowering):
     p = majsat.plan(formula, majsat.default_config(formula.num_vars, lowering=lowering))
     assert (p.layout.non_hermitian, p.layout.bhr) == (11, 12)
     assert majsat._amplified_state(p, majsat._readout_split(p)[0]).stored == 11
+
+
+def test_block_on_fixed_qubits_alone_scales_the_stored_rows(monkeypatch):
+    # Only qubits 0 and 1 of the 40-qubit register are live, so G(39) is a
+    # block none of whose qubits is stored: its map has one local state and
+    # scales every stored amplitude by 3, as CG(1, 39) scales those where
+    # qubit 1 reads 1 by 2. The whole register would take 8 TiB.
+    monkeypatch.setenv("RNQC_MAX_QUBITS", "40")
+    gates = [Gate("H", (0,)), Gate("G", (39,), 3.0), Gate("H", (1,)), Gate("CG", (1, 39), 2.0)]
+    state = sim.apply_circuit(sim.new_state(40, 1 << 39), gates)
+    assert state.stored == 11
+    assert sim.probabilities_z(state, 39) == (0.0, 1.0)
+    assert sim.norm_sq(state) == 22.499999999999993
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_is_cut_on_the_rows_the_state_stores(seed):
+    # Qubit 11 reads 0, so the CCNOT it controls moves nothing on the
+    # stored rows, and the block keeps all three gates: the amplitudes
+    # where qubit 10 reads 1 pick up 15 in one product, and 11 qubits stay
+    # stored. Cut on the whole register, the CCNOT would split
+    # rows where qubit 11 reads 1 (a low control, a high target), run
+    # alone, and widen the state to store qubit 11.
+    state = sim.StateVector(12, _random_state(np.random.default_rng(seed), 11).amps)
+    gates = [Gate("G", (10,), 3.0), Gate("CCNOT", (11, 0, 10)), Gate("G", (10,), 5.0)]
+    (step,) = sim._compile(tuple(gates), state.copy())
+    assert step[0] == gates and (step[2], step[3]) == ([0], [10])
+    assert sim.apply_circuit(state.copy(), gates).stored == 11
+    got, want, mag = _fused_and_reference(state, gates, (10, 10, 1 << 16))
+    assert np.all(np.abs(got - want) <= 10 * (len(gates) + 1) * np.finfo(np.float64).eps / 2 * mag)
 
 
 @st.composite
@@ -817,7 +863,7 @@ def test_data_moves_allocate_no_state_sized_temporary(gates):
     # and a block's trace, taken inside apply_circuit, is of its 2^k local
     # states only.
     state = _random_state(np.random.default_rng(3), 20)
-    (step,) = sim._compile(tuple(gates), 20)
+    (step,) = sim._compile(tuple(gates), state.copy())
     if len(gates) > 1:  # the block's map moves states within a row's tail and between rows
         _, (dest, _, _), low, _ = step
         rows = dest.reshape(-1, 1 << len(low))
