@@ -46,15 +46,13 @@ fixed, so amps[j] belongs to basis state fixed | j. new_state stores
 none, and the sparse prefix writes its support into a fresh array over
 the qubits it does not hold constant. The dense steps store at least
 _DENSE_QUBITS + 1 qubits, so stored rows split as the register's do. A
-block's trace reads each fixed qubit it touches as a plane of its bit;
-a block that moves one, or a gate that runs alone on one, first widens
-the array to store its qubits, a zero-filled data move (_widen). So a
-state is bit for bit the whole register's while no block permutes under
-a fixed control. A block that does is cut where that control reads its
-bit, so diagonals around the permutation may fuse and round once.
-gram reads the fixed bits from the state; amplitudes(state) expands it
-to 2^n. An exact solve (majsat) runs each plan in one apply_circuit
-call.
+block's trace reads each fixed qubit it touches as a plane of its bit,
+or of both where it controls a permutation, so the cut is the whole
+register's; a block that moves one, or a gate that runs alone on one,
+first widens the array to store its qubits, a zero-filled data move
+(_widen). So a state is bit for bit the whole register's. gram reads
+the fixed bits from the state; amplitudes(state) expands it to 2^n. An
+exact solve (majsat) runs each plan in one apply_circuit call.
 
 Gates, block rows and gram find the amplitudes where some qubits hold
 given bits through one view builder, _sub. Data moves (H's sums, the
@@ -412,19 +410,22 @@ def _hot(g: Gate, pos: dict, planes: list[int], full: int) -> tuple[int, int]:
 
 
 def _trace(gates: Sequence[Gate], qubits: Sequence[int], kl: int, fixed: dict[int, int]) -> tuple[int, tuple | None]:
-    """One pass over folded gates on bit planes, one per qubit (bit x of
-    plane j is bit j of local state x) and one of all its bit per fixed
-    qubit. Returns (size, net): the longest prefix whose permutations keep
-    rows whole, each plane from kl up constant over every row of the kl
-    low qubits, and, if that is all the gates and no fixed plane moved,
-    their monomial_map (dest, w, e), else None. The factors of a stretch
-    spanning at most 2^500 multiply the mantissas as one matrix of under
-    _MOVE_CHUNK entries, in gate order, renormalized once: inside 2^±500 a
-    product stays normal, so it rounds as the plain one."""
-    k, pos = len(qubits), {q: j for j, q in enumerate([*qubits, *fixed])}
-    full = (1 << (1 << k)) - 1
-    planes = [*_basis_planes(k), *(full * b for b in fixed.values())]
-    start, inner = planes[k:], full ^ reduce(and_, planes[:kl], full)  # inner: bit x set unless x ends its row
+    """One pass over folded gates on bit planes (bit x of plane j is bit j
+    of local state x; a fixed qubit's plane holds its bit, or both where it
+    controls a permutation, so the cut is the whole register's). Returns
+    the length of the longest prefix whose permutations keep rows whole
+    (planes from kl up constant over each row of the kl low qubits) and,
+    if that is all the gates and no fixed qubit moves, their monomial_map
+    (dest, w, e) on the stored rows, else None. A stretch's factors, at
+    most 2^500 apart, multiply as one matrix of under _MOVE_CHUNK entries,
+    renormalized once: a product inside 2^±500 rounds as the plain one."""
+    k, controls = len(qubits), {q for g in gates if g.kind in PERMUTATION_KINDS for q in g.qubits[:-1]}
+    held = sorted(fixed, key=lambda q: q not in controls)  # the fixed controls first, as local qubits k up
+    kw, pos = k + len(controls & fixed.keys()), {q: j for j, q in enumerate([*qubits, *held])}
+    full, rows = (1 << (1 << kw)) - 1, (1 << (1 << k)) - 1
+    planes = [*_basis_planes(kw), *(full * fixed[q] for q in held[kw - k :])]
+    at = sum(fixed[q] << j for j, q in enumerate(held[: kw - k])) << k  # bit x + at of a plane is x's
+    inner = full ^ reduce(and_, planes[:kl], full)  # bit x set unless x ends its row
     stretches, span, size, split = [[]], 0.0, 0, set()
     for done, g in enumerate(gates, 1):
         t, hot = _hot(g, pos, planes, full)
@@ -442,18 +443,18 @@ def _trace(gates: Sequence[Gate], qubits: Sequence[int], kl: int, fixed: dict[in
             span += cost
         if not split:
             size = done
-    if size < len(gates) or planes[k:] != start:
+    if size < len(gates) or any(p >> at & rows != rows * fixed[q] for q, p in zip(held, planes[k:])):
         return size, None
     w, e = np.ones(1 << k), np.zeros(1 << k, dtype=np.int64)
     for stretch in filter(None, stretches):
         d = np.array([f for f, _, _ in stretch])
-        on = _bits([p for _, zero, one in stretch for p in (zero, one)], k).view(bool).reshape(len(stretch), 2, -1)
+        on = _bits([p >> at & rows for _, *pair in stretch for p in pair], k).view(bool).reshape(len(stretch), 2, -1)
         f = np.ones((len(stretch), 1 << k))
         np.copyto(f, d[:, :1], where=on[:, 0])
         np.copyto(f, d[:, 1:], where=on[:, 1])
         w, de = np.frexp(np.multiply.reduce(np.vstack((w, f)), axis=0))
         e = e + de
-    return size, ((np.ldexp(1.0, np.arange(k)) @ _bits(planes[:k], k)).astype(np.int64), w, e)
+    return size, ((np.ldexp(1.0, np.arange(k)) @ _bits([p >> at & rows for p in planes[:k]], k)).astype(np.int64), w, e)
 
 
 def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,13 +472,12 @@ def _tail_width(n: int) -> int:
 
 def _fuse_run(run: list[Gate], state: StateVector) -> Iterator:
     """Yield the blocks over a run of monomial gates, diagonal stretches
-    merged first, each cut on the rows the state stores once the step
-    before it has run. A block grows greedily within the qubit, row and
-    factor-range caps and ends after the longest prefix that keeps rows
-    whole (_trace); a lowered CG (X, CNOT, G, CNOT, X, G) splits rows
-    mid-way but is diagonal again whole. A prefix cut short is traced
-    again on its own; a block that moves a fixed qubit widens the state
-    to store its qubits and is cut again."""
+    merged first, each cut once the step before it has run. A block grows
+    greedily within the qubit, row and factor-range caps and ends after
+    the longest prefix that keeps rows whole (_trace); a lowered CG (X,
+    CNOT, G, CNOT, X, G) splits rows mid-way but is diagonal again whole.
+    A prefix cut short is traced again on its own; a block that moves a
+    fixed qubit widens the state to store its qubits and is cut again."""
     items = _fold(run)
     dense = _tail_width(state.num_qubits)
     i = 0

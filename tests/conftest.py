@@ -298,10 +298,10 @@ def fuse_run(run, n: int, stored: int | None = None, fixed: int = 0):
     """sim._fuse_run as one trace per stretch the caps admit, on a state
     that stores the low stored qubits (default all n), each qubit above
     them reading its bit of fixed: the block is its longest prefix that
-    keeps rows whole where those qubits read their bits, traced again over
-    the qubits its own gates touch when it was cut short, and restricted
-    to those rows. A block that moves amplitude off them widens the state
-    to store its qubits and is cut again."""
+    keeps rows whole on the whole register, traced again over the qubits
+    its own gates touch when it was cut short, and restricted to the rows
+    where those qubits read their bits. A block that moves amplitude off
+    them widens the state to store its qubits and is cut again."""
     stored = n if stored is None else stored
     items = []
     for diagonal, stretch in groupby(run, key=lambda g: g.kind in DIAGONAL_KINDS):
@@ -322,11 +322,10 @@ def fuse_run(run, n: int, stored: int | None = None, fixed: int = 0):
                 break
             touched, budget, j = joined, budget + cost, j + 1
         low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
-        rows = slice_rows(low, high, stored, fixed)
         size, net, whole = 1, None, True
         for k, (g, trace) in enumerate(zip(items[i:j], trace_basis(items[i:j], low + high)), 1):
             if g.kind in PERMUTATION_KINDS and g.target >= dense:
-                whole = rows_stay_whole(trace[0][rows], len(low))
+                whole = rows_stay_whole(trace[0], len(low))
             if whole:
                 size, net = k, trace
         gates = items[i : i + size]

@@ -735,20 +735,20 @@ def test_block_on_fixed_qubits_alone_scales_the_stored_rows(monkeypatch):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_block_is_cut_on_the_rows_the_state_stores(seed):
+def test_permutation_under_a_fixed_control_is_cut_as_on_the_whole_register(seed):
     # Qubit 11 reads 0, so the CCNOT it controls moves nothing on the
-    # stored rows, and the block keeps all three gates: the amplitudes
-    # where qubit 10 reads 1 pick up 15 in one product, and 11 qubits stay
-    # stored. Cut on the whole register, the CCNOT would split
-    # rows where qubit 11 reads 1 (a low control, a high target), run
-    # alone, and widen the state to store qubit 11.
+    # stored rows. Where qubit 11 reads 1 it splits rows (a low control, a
+    # high target), so the block ends before it as on the whole register:
+    # the CCNOT runs alone and widens the state to store qubit 11, and the
+    # two G gates round apart. Every byte is that of the state stored whole.
     state = sim.StateVector(12, _random_state(np.random.default_rng(seed), 11).amps)
     gates = [Gate("G", (10,), 3.0), Gate("CCNOT", (11, 0, 10)), Gate("G", (10,), 5.0)]
-    (step,) = sim._compile(tuple(gates), state.copy())
-    assert step[0] == gates and (step[2], step[3]) == ([0], [10])
-    assert sim.apply_circuit(state.copy(), gates).stored == 11
-    got, want, mag = _fused_and_reference(state, gates, (10, 10, 1 << 16))
-    assert np.all(np.abs(got - want) <= 10 * (len(gates) + 1) * np.finfo(np.float64).eps / 2 * mag)
+    steps = list(sim._compile(tuple(gates), state.copy()))
+    assert [s if isinstance(s, Gate) else s[0] for s in steps] == [gates[:1], gates[1], gates[2:]]
+    got = sim.apply_circuit(state.copy(), gates)
+    want = sim._apply_dense(sim._widen(state.copy(), 12), tuple(gates))
+    assert got.stored == 12
+    assert got.amps.tobytes() == want.amps.tobytes() and got.exponent == want.exponent
 
 
 @st.composite
