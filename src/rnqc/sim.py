@@ -29,30 +29,29 @@ _apply_dense's. The dense path runs H and T one gate at a time (T is
 complex, a block's factors are real) and, as it applies them, cuts each
 run of monomial gates, permutations (X, CNOT, CCNOT, NCNOT) and real
 diagonals (Z, G, CG) as circuit.py defines them, into blocks of at most
-10 qubits, down to one gate; only a permutation that splits rows runs
-alone. Diagonal gates on the same qubits fold within a stretch, e.g. r
-rounds of CG(q, nh) into CG(q, nh, g^r). One pass over a block's gates
-on bit planes (_trace) finds where it may end and gives its basis map on
-the rows the state stores; the map is applied in place and in one pass:
-scale rows, permute within and between rows, then the guard. apply_gate
-is the gate-by-gate reference the tests compare the blocks against. With
-power-of-two parameters the two agree bit for bit; otherwise a block
-rounds its product of factors once where the gate loop rounds after
-every gate.
+10 qubits and 6 row qubits, down to one gate; a gate past those caps
+runs alone. Diagonal gates on the same qubits fold within a stretch,
+e.g. r rounds of CG(q, nh) into CG(q, nh, g^r). One pass over a block's
+gates on bit planes (_trace) gives its basis map on the rows the state
+stores; the map is applied in place and in one pass: scale rows, move
+the amplitudes, then the guard. apply_gate is the gate-by-gate
+reference the tests compare the blocks against. With power-of-two
+parameters the two agree bit for bit; otherwise a block rounds its
+product of factors once where the gate loop rounds after every gate.
 
 A state stores only its live qubits: amps holds the low stored =
 log2(amps.size) qubits, and each qubit above them reads its bit of
 fixed, so amps[j] belongs to basis state fixed | j. new_state stores
 none, and the sparse prefix writes its support into a fresh array over
 the qubits it does not hold constant. The dense steps store at least
-_DENSE_QUBITS + 1 qubits, so stored rows split as the register's do. A
-block's trace reads each fixed qubit it touches as a plane of its bit,
-or of both where it controls a permutation, so the cut is the whole
-register's; a block that moves one, or a gate that runs alone on one,
-first widens the array to store its qubits, a zero-filled data move
-(_widen). So a state is bit for bit the whole register's. gram reads
-the fixed bits from the state; amplitudes(state) expands it to 2^n. An
-exact solve (majsat) runs each plan in one apply_circuit call.
+_DENSE_QUBITS + 1 qubits, so stored rows split as the register's do,
+and which gates form a block depends on the gates and the register
+width alone. A block's trace reads each fixed qubit it touches as a
+plane of its bit; a block that moves one, or a gate that runs alone on
+one, first widens the array to store its qubits, a zero-filled data
+move (_widen). So a state is bit for bit the whole register's. gram
+reads the fixed bits from the state; amplitudes(state) expands it to
+2^n. An exact solve (majsat) runs each plan in one apply_circuit call.
 
 Gates, block rows and gram find the amplitudes where some qubits hold
 given bits through one view builder, _sub. Data moves (H's sums, the
@@ -75,9 +74,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby
-from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -339,9 +337,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 # ---------------------------------------------------------------------------
 # Gate fusion (module notes). A block's qubits split at _tail_width(n): the
 # low ones index positions inside a row's contiguous tail, the high ones
-# pick the row. A block scales rows, gathers within a row's tail and moves
-# whole rows along cycles, so it must keep rows whole: a high target under
-# a low control splits them. Blocks are traced on bit planes (_hot).
+# pick the row. A block scales rows, then gathers within a row's tail and
+# moves whole rows along cycles; a high target under a low control splits
+# rows, and then each row is gathered from the rows its states come from.
+# Blocks are traced on bit planes (_hot).
 # ---------------------------------------------------------------------------
 
 _MONOMIAL = PERMUTATION_KINDS | (DIAGONAL_KINDS - COMPLEX_KINDS)  # a block's factors are real
@@ -409,52 +408,39 @@ def _hot(g: Gate, pos: dict, planes: list[int], full: int) -> tuple[int, int]:
     return pos[g.qubits[-1]], hot
 
 
-def _trace(gates: Sequence[Gate], qubits: Sequence[int], kl: int, fixed: dict[int, int]) -> tuple[int, tuple | None]:
+def _trace(gates: Sequence[Gate], qubits: Sequence[int], fixed: dict[int, int]) -> tuple | None:
     """One pass over folded gates on bit planes (bit x of plane j is bit j
-    of local state x; a fixed qubit's plane holds its bit, or both where it
-    controls a permutation, so the cut is the whole register's). Returns
-    the length of the longest prefix whose permutations keep rows whole
-    (planes from kl up constant over each row of the kl low qubits) and,
-    if that is all the gates and no fixed qubit moves, their monomial_map
-    (dest, w, e) on the stored rows, else None. A stretch's factors, at
-    most 2^500 apart, multiply as one matrix of under _MOVE_CHUNK entries,
+    of local state x; a fixed qubit's plane holds its bit). Returns their
+    monomial_map (dest, w, e) on the stored rows, or None when a fixed
+    qubit does not end as it started. A stretch's factors, at most 2^500
+    apart, multiply as one matrix of under _MOVE_CHUNK entries,
     renormalized once: a product inside 2^±500 rounds as the plain one."""
-    k, controls = len(qubits), {q for g in gates if g.kind in PERMUTATION_KINDS for q in g.qubits[:-1]}
-    held = sorted(fixed, key=lambda q: q not in controls)  # the fixed controls first, as local qubits k up
-    kw, pos = k + len(controls & fixed.keys()), {q: j for j, q in enumerate([*qubits, *held])}
-    full, rows = (1 << (1 << kw)) - 1, (1 << (1 << k)) - 1
-    planes = [*_basis_planes(kw), *(full * fixed[q] for q in held[kw - k :])]
-    at = sum(fixed[q] << j for j, q in enumerate(held[: kw - k])) << k  # bit x + at of a plane is x's
-    inner = full ^ reduce(and_, planes[:kl], full)  # bit x set unless x ends its row
-    stretches, span, size, split = [[]], 0.0, 0, set()
-    for done, g in enumerate(gates, 1):
+    k, pos = len(qubits), {q: j for j, q in enumerate([*qubits, *fixed])}
+    full = (1 << (1 << k)) - 1
+    planes = [*_basis_planes(k), *(full * b for b in fixed.values())]
+    start, stretches, span = planes[k:], [[]], 0.0
+    for g in gates:
         t, hot = _hot(g, pos, planes, full)
         if g.kind in PERMUTATION_KINDS:
             planes[t] ^= hot
-            if t >= kl:  # only a high target moves states between rows
-                split.discard(t)
-                if (planes[t] ^ planes[t] >> 1) & inner:
-                    split.add(t)
-        else:
-            cost = abs(math.log2(g.param)) if g.param is not None else 0.0
-            if span + cost > _LOG2_GUARD or (2 * len(stretches[-1]) + 2) << k > _MOVE_CHUNK:
-                stretches, span = [*stretches, []], 0.0
-            stretches[-1].append((diagonal_factors(g), hot & ~planes[t], hot & planes[t]))
-            span += cost
-        if not split:
-            size = done
-    if size < len(gates) or any(p >> at & rows != rows * fixed[q] for q, p in zip(held, planes[k:])):
-        return size, None
+            continue
+        cost = abs(math.log2(g.param)) if g.param is not None else 0.0
+        if span + cost > _LOG2_GUARD or (2 * len(stretches[-1]) + 2) << k > _MOVE_CHUNK:
+            stretches, span = [*stretches, []], 0.0
+        stretches[-1].append((diagonal_factors(g), hot & ~planes[t], hot & planes[t]))
+        span += cost
+    if planes[k:] != start:
+        return None
     w, e = np.ones(1 << k), np.zeros(1 << k, dtype=np.int64)
     for stretch in filter(None, stretches):
         d = np.array([f for f, _, _ in stretch])
-        on = _bits([p >> at & rows for _, *pair in stretch for p in pair], k).view(bool).reshape(len(stretch), 2, -1)
+        on = _bits([p for _, *pair in stretch for p in pair], k).view(bool).reshape(len(stretch), 2, -1)
         f = np.ones((len(stretch), 1 << k))
         np.copyto(f, d[:, :1], where=on[:, 0])
         np.copyto(f, d[:, 1:], where=on[:, 1])
         w, de = np.frexp(np.multiply.reduce(np.vstack((w, f)), axis=0))
         e = e + de
-    return size, ((np.ldexp(1.0, np.arange(k)) @ _bits([p >> at & rows for p in planes[:k]], k)).astype(np.int64), w, e)
+    return (np.ldexp(1.0, np.arange(k)) @ _bits(planes[:k], k)).astype(np.int64), w, e
 
 
 def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -462,7 +448,7 @@ def monomial_map(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[np.ndarr
     it touches, diagonal stretches folded first as in apply_circuit's
     blocks: (dest, w, e), where local basis state x (bit j is qubits[j])
     moves to dest[x] and picks up the factor w[x] * 2^e[x]."""
-    return _trace(_fold(gates), qubits, 0, {})[1]
+    return _trace(_fold(gates), qubits, {})
 
 
 def _tail_width(n: int) -> int:
@@ -472,12 +458,11 @@ def _tail_width(n: int) -> int:
 
 def _fuse_run(run: list[Gate], state: StateVector) -> Iterator:
     """Yield the blocks over a run of monomial gates, diagonal stretches
-    merged first, each cut once the step before it has run. A block grows
-    greedily within the qubit, row and factor-range caps and ends after
-    the longest prefix that keeps rows whole (_trace); a lowered CG (X,
-    CNOT, G, CNOT, X, G) splits rows mid-way but is diagonal again whole.
-    A prefix cut short is traced again on its own; a block that moves a
-    fixed qubit widens the state to store its qubits and is cut again."""
+    merged first, each traced once the step before it has run. A block
+    grows greedily within the qubit, row and factor-range caps, so the
+    gates it holds depend on the gates and the register width alone; a
+    gate past the caps runs alone. A block that moves a fixed qubit
+    widens the state to store its qubits and is traced again."""
     items = _fold(run)
     dense = _tail_width(state.num_qubits)
     i = 0
@@ -492,27 +477,26 @@ def _fuse_run(run: list[Gate], state: StateVector) -> Iterator:
             ):
                 break
             touched, budget, j = joined, budget + cost, j + 1
-        gates = items[i:j]
+        if j == i:  # a gate past the caps runs alone
+            yield items[i]
+            i += 1
+            continue
+        qubits = sorted(touched)
         while True:
-            qubits = sorted(set().union(*(g.qubits for g in gates)))
             low, high = [q for q in qubits if q < dense], [q for q in qubits if dense <= q < state.stored]
             fixed = {q: state.fixed >> q & 1 for q in qubits if q >= state.stored}
-            size, net = _trace(gates, low + high, len(low), fixed)
-            if 0 < size < len(gates):
-                gates = gates[:size]
-            elif size and net is None:
-                _widen(state, qubits[-1] + 1)
-            else:
+            if (net := _trace(items[i:j], low + high, fixed)) is not None:
                 break
-        yield (gates, net, low, high) if size else items[i]
-        i += max(size, 1)
+            _widen(state, qubits[-1] + 1)
+        yield items[i:j], net, low, high
+        i = j
 
 
 def _compile(gates: tuple[Gate, ...], state: StateVector) -> Iterator:
     """Yield the steps for a gate tuple on the state: H and T (and gates
-    no block can hold) as single gates, monomial runs as blocks (gates,
-    net, low, high) for _apply_block, one gate long or more, each cut once
-    the step before it has run, so one block's map is held at a time."""
+    past the block caps) as single gates, monomial runs as blocks (gates,
+    net, low, high) for _apply_block, one gate long or more, each traced
+    once the step before it has run, so one block's map is held at a time."""
     for monomial, run in groupby(gates, key=lambda g: g.kind in _MONOMIAL):
         yield from _fuse_run(list(run), state) if monomial else run
 
@@ -531,12 +515,14 @@ def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: lis
     """Apply net, the (dest, w, e) map _trace gives for the gates over the
     local qubits low + high (all stored), in place and in one pass; which
     rows scale or permute is decided once, and only their views are built.
+    Rows scale first, then a map that splits rows stacks them piece by
+    piece, as gram stacks its views, and gathers each row from its sources.
     Takes and returns bounds on max|amp| (_rescale_guard)."""
     kl, dense = len(low), _tail_width(state.stored)
     local, spread, rest = _spread(tuple(low), dense)
     dest, w, e = (a.reshape(-1, 1 << kl) for a in net)  # (row, index over the low qubits)
     f = np.ldexp(w, e)  # in range: a block's factors stay within 2^±500
-    to = dest & ((1 << kl) - 1)
+    to, to_row = dest & ((1 << kl) - 1), dest >> kl
 
     def row(h):  # a _sub view, the run below the lowest high qubit split into (rest, tail)
         r = _sub(state, {q: h >> j & 1 for j, q in enumerate(high)})
@@ -545,18 +531,29 @@ def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: lis
     uniform = np.all(f == f[:, :1], axis=1)
     for h in np.flatnonzero(np.any(f != 1.0, axis=1)).tolist():
         np.multiply(r := row(h), f[h, 0] if uniform[h] else f[h][local], out=r)
-    moved = np.flatnonzero(np.any(to != np.arange(1 << kl), axis=1))
-    for h, back in zip(moved.tolist(), np.argsort(to[moved], axis=1)):  # back[x]: where x is gathered from
-        r, src = row(h), rest | spread[back[local]]
-        for p in _pieces(r.shape, keep=1):
-            r[p] = np.take(r[p], src, axis=-1, mode="clip")
-    to_row = dict(enumerate((dest[:, 0] >> kl).tolist()))
-    while to_row:  # walk each cycle of the row permutation once
-        cycle = [next(iter(to_row))]
-        while (nxt := to_row.pop(cycle[-1])) != cycle[0]:
-            cycle.append(nxt)
-        if len(cycle) > 1:
-            _rotate([row(c) for c in cycle])  # row cycle[j]'s data moves to row cycle[j + 1]
+    if np.any(to_row != to_row[:, :1]):  # the map splits rows
+        back = np.argsort(dest, axis=None)  # back[y]: the local state y is gathered from
+        src = (back >> kl << dense | spread[back & (1 << kl) - 1]).reshape(len(dest), -1)[:, local]
+        src |= rest  # src[h, t]: where tail position t of row h is gathered from, in the stacked rows
+        rows = [row(h) for h in range(len(dest))]
+        for p in _pieces(rows[0].shape, keep=1, limit=_MOVE_CHUNK >> len(high)):
+            stack = np.concatenate([r[p] for r in rows], axis=-1)  # the rows' tails side by side
+            for r, at in zip(rows, src):
+                r[p] = np.take(stack, at, axis=-1, mode="clip")
+            del stack  # freed before the next piece is stacked
+    else:
+        moved = np.flatnonzero(np.any(to != np.arange(1 << kl), axis=1))
+        for h, back in zip(moved.tolist(), np.argsort(to[moved], axis=1)):  # back[x]: where x is gathered from
+            r, src = row(h), rest | spread[back[local]]
+            for p in _pieces(r.shape, keep=1):
+                r[p] = np.take(r[p], src, axis=-1, mode="clip")
+        to_row = dict(enumerate(to_row[:, 0].tolist()))
+        while to_row:  # walk each cycle of the row permutation once
+            cycle = [next(iter(to_row))]
+            while (nxt := to_row.pop(cycle[-1])) != cycle[0]:
+                cycle.append(nxt)
+            if len(cycle) > 1:
+                _rotate([row(c) for c in cycle])  # row cycle[j]'s data moves to row cycle[j + 1]
     if any(g.param is not None for g in gates):  # a gain changes the norm
         peak = _rescale_guard(state, _bracket(peak, np.abs(f).min(), np.abs(f).max()))
     return peak

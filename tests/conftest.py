@@ -239,8 +239,8 @@ def count_bucket(values, nc: int):
 
 
 # ---------------------------------------------------------------------------
-# fused-block references: the gate-at-a-time basis trace and the block cut
-# that sim's bit-plane trace replaced
+# fused-block references: the gate-at-a-time basis trace that sim's
+# bit-plane trace replaced, and the blocks the caps cut
 # ---------------------------------------------------------------------------
 
 
@@ -295,13 +295,13 @@ def on_slice(net, low, high, stored: int, fixed: int):
 
 
 def fuse_run(run, n: int, stored: int | None = None, fixed: int = 0):
-    """sim._fuse_run as one trace per stretch the caps admit, on a state
-    that stores the low stored qubits (default all n), each qubit above
-    them reading its bit of fixed: the block is its longest prefix that
-    keeps rows whole on the whole register, traced again over the qubits
-    its own gates touch when it was cut short, and restricted to the rows
-    where those qubits read their bits. A block that moves amplitude off
-    them widens the state to store its qubits and is cut again."""
+    """sim._fuse_run as one gate-at-a-time trace per stretch the caps
+    admit, on a state that stores the low stored qubits (default all n),
+    each qubit above them reading its bit of fixed: the block is the whole
+    stretch, traced over the whole register and restricted to the rows
+    where its qubits above the stored ones read their bits. A block that
+    moves amplitude off them widens the state to store its qubits and is
+    restricted again; a gate past the caps runs alone."""
     stored = n if stored is None else stored
     items = []
     for diagonal, stretch in groupby(run, key=lambda g: g.kind in DIAGONAL_KINDS):
@@ -321,26 +321,17 @@ def fuse_run(run, n: int, stored: int | None = None, fixed: int = 0):
             ):
                 break
             touched, budget, j = joined, budget + cost, j + 1
-        low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
-        size, net, whole = 1, None, True
-        for k, (g, trace) in enumerate(zip(items[i:j], trace_basis(items[i:j], low + high)), 1):
-            if g.kind in PERMUTATION_KINDS and g.target >= dense:
-                whole = rows_stay_whole(trace[0], len(low))
-            if whole:
-                size, net = k, trace
-        gates = items[i : i + size]
-        kept = set().union(*(g.qubits for g in gates))
-        if net is not None and kept != touched:
-            low, high = [q for q in low if q in kept], [q for q in high if q in kept]
-            for net in trace_basis(gates, low + high):
-                pass
-        if net is None:
+        if j == i:
             yield items[i]
-        else:
-            net = on_slice(net, low, high, stored, fixed)
-            if net is None:  # the state widens to store the block's qubits
-                stored = max(high) + 1
-                fixed = fixed >> stored << stored
-                continue
-            yield gates, net, low, [q for q in high if q < stored]
-        i += size
+            i += 1
+            continue
+        low, high = sorted(q for q in touched if q < dense), sorted(q for q in touched if q >= dense)
+        for whole in trace_basis(items[i:j], low + high):
+            pass
+        net = on_slice(whole, low, high, stored, fixed)
+        if net is None:  # the state widens to store the block's qubits
+            stored = max(high) + 1
+            fixed = fixed >> stored << stored
+            net = on_slice(whole, low, high, stored, fixed)
+        yield items[i:j], net, low, [q for q in high if q < stored]
+        i = j

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import CORPUS_DIR, fuse_run, qubit_state_fidelity, trace_basis
+from conftest import CORPUS_DIR, fuse_run, qubit_state_fidelity, rows_stay_whole, trace_basis
 from freeze_amplified import random_formula
 from rnqc import cnf, majsat, sim
 from rnqc.circuit import Circuit, Gate, RegisterLayout, lower_cg, lower_to_primitive, primitive_register
@@ -392,24 +392,24 @@ def test_fused_run_folds_rounds_and_cuts_at_factor_range():
     assert sim.probabilities_z(state, 0)[1] == 1.0
 
 
-def test_fused_block_ends_where_its_trace_keeps_rows_whole():
+def test_fused_block_that_splits_rows_matches_the_gate_loop():
     # With a 2-qubit tail, qubit 3 picks the row. A lowered CG(0, 3) keeps
     # rows whole and the CNOT(1, 3) after it splits them (low control,
-    # high target), so the one trace over qubits 0, 1 and 3 ends the block
-    # after the CG. Only the CNOT touched qubit 1, so the block drops it:
-    # its map is CG(0, 3)'s diagonal over qubits 0 and 3, and the state is
+    # high target). A block ends only at its caps, so all seven gates form
+    # one block over qubits 0, 1 and 3 whose map splits rows: the move
+    # stacks the rows and gathers each from its sources, and the state is
     # the gate loop's bit for bit.
     gates = lower_cg(Circuit(4, (Gate("CG", (0, 3), 4.0),))).gates + (Gate("CNOT", (1, 3)),)
     state = _random_state(np.random.default_rng(3), 4)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_DENSE_QUBITS", 2)
-        steps = tuple(sim._compile(gates, state.copy()))
+        (step,) = sim._compile(gates, state.copy())
         got = sim.apply_circuit(state.copy(), gates)
-    assert len(steps) == 2 and not isinstance(steps[0], Gate) and steps[1] == gates[-1]
-    block, (dest, w, e), low, high = steps[0]
-    assert block == list(gates[:-1]) and (low, high) == ([0], [3])
-    assert np.array_equal(dest, np.arange(4))
-    assert np.array_equal(np.ldexp(w, e), [1.0, 0.25, 1.0, 4.0])
+    block, (dest, w, e), low, high = step
+    assert block == list(gates) and (low, high) == ([0, 1], [3])
+    assert not rows_stay_whole(dest, len(low))
+    assert np.array_equal(dest, [0, 1, 6, 7, 4, 5, 2, 3])
+    assert np.array_equal(np.ldexp(w, e), [1.0, 0.25, 1.0, 0.25, 1.0, 4.0, 1.0, 4.0])
     want = state.copy()
     for g in gates:
         sim.apply_gate(want, g)
@@ -446,13 +446,11 @@ def _monomial_run(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=_monomial_run())
 def test_plane_trace_cuts_and_maps_blocks_as_the_gate_loop_trace(case):
-    # conftest.fuse_run is the cut sim used before bit planes: one numpy
-    # trace per stretch over the whole register, a row check after every
-    # high-target permutation on the rows where the fixed qubits read their
-    # bits, a second trace when the block was cut short, and those rows
-    # kept. The bit-plane cut and trace, which read the fixed qubits as
-    # constant planes, must give the same steps, qubits and maps, bit for
-    # bit, and widen the state where the reference does.
+    # conftest.fuse_run cuts each block at the caps only and traces it one
+    # gate at a time over the whole register, then keeps the rows where the
+    # fixed qubits read their bits. The bit-plane trace, which reads the
+    # fixed qubits as constant planes, must give the same steps, qubits and
+    # maps, bit for bit, and widen the state where the reference does.
     n, run, stored, fixed = case
     state = sim.StateVector(n, np.zeros(1 << stored), fixed=fixed)
     got, want = list(sim._compile(tuple(run), state)), list(fuse_run(run, n, stored, fixed))
@@ -735,20 +733,41 @@ def test_block_on_fixed_qubits_alone_scales_the_stored_rows(monkeypatch):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_permutation_under_a_fixed_control_is_cut_as_on_the_whole_register(seed):
+def test_permutation_under_a_fixed_control_stays_in_its_block(seed):
     # Qubit 11 reads 0, so the CCNOT it controls moves nothing on the
     # stored rows. Where qubit 11 reads 1 it splits rows (a low control, a
-    # high target), so the block ends before it as on the whole register:
-    # the CCNOT runs alone and widens the state to store qubit 11, and the
-    # two G gates round apart. Every byte is that of the state stored whole.
+    # high target), yet a block ends only at its caps: the three gates form
+    # one block, the two G gates round once together, and the state keeps
+    # 11 stored qubits. Every byte is that of the state stored whole, whose
+    # block holds the same gates and splits its rows.
     state = sim.StateVector(12, _random_state(np.random.default_rng(seed), 11).amps)
     gates = [Gate("G", (10,), 3.0), Gate("CCNOT", (11, 0, 10)), Gate("G", (10,), 5.0)]
-    steps = list(sim._compile(tuple(gates), state.copy()))
-    assert [s if isinstance(s, Gate) else s[0] for s in steps] == [gates[:1], gates[1], gates[2:]]
+    (step,) = sim._compile(tuple(gates), state.copy())
+    assert step[0] == gates and (step[2], step[3]) == ([0], [10])
+    whole = sim._widen(state.copy(), 12)
+    (block,) = sim._compile(tuple(gates), whole.copy())
+    assert block[0] == gates and not rows_stay_whole(block[1][0], len(block[2]))
     got = sim.apply_circuit(state.copy(), gates)
-    want = sim._apply_dense(sim._widen(state.copy(), 12), tuple(gates))
-    assert got.stored == 12
-    assert got.amps.tobytes() == want.amps.tobytes() and got.exponent == want.exponent
+    want = sim._apply_dense(whole, tuple(gates))
+    assert got.stored == 11
+    assert sim.amplitudes(got).tobytes() == want.amps.tobytes() and got.exponent == want.exponent
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [Gate("NCNOT", (*range(10), 11)), Gate("NCNOT", (*range(10, 17), 0))],
+    ids=["eleven-qubits", "seven-row-qubits"],
+)
+def test_gate_past_the_caps_runs_alone(gate):
+    # No block holds an NCNOT on 11 qubits, nor one with 7 controls at or
+    # above the 10-qubit tail. _compile yields it as a gate step of its
+    # own between the blocks around it, and the state is the gate loop's.
+    gates = (Gate("X", (0,)), gate, Gate("CNOT", (0, 1)))
+    state = _random_state(np.random.default_rng(4), 17)
+    steps = list(sim._compile(gates, state.copy()))
+    assert [s if isinstance(s, Gate) else s[0] for s in steps] == [[gates[0]], gate, [gates[2]]]
+    got = sim.apply_circuit(state.copy(), gates)
+    assert got.amps.tobytes() == _gate_loop(state, gates).amps.tobytes()
 
 
 @st.composite
@@ -850,25 +869,34 @@ def test_fused_exact_runs_match_gate_loop_on_corpus(corpus, monkeypatch, lowerin
         [Gate("CCNOT", (4, 17, 9))],
         # one fused block: gathers on the rows of high qubit 12, a row cycle on 15
         [Gate("CCNOT", (12, 0, 1)), Gate("CNOT", (2, 4)), Gate("CNOT", (12, 15))],
+        # a block that splits rows over 6 row qubits, then CNOT(1, 19) on its own
+        [*(Gate("X", (q,)) for q in range(10, 16)), Gate("CCNOT", (0, 11, 15)), Gate("CNOT", (1, 19))],
         [Gate("H", (0,))],
         [Gate("H", (19,))],
         [Gate("CG", (3, 17), 2.0)],
     ],
-    ids=["x-top", "x-low", "ccnot", "block", "h-low", "h-top", "cg"],
+    ids=["x-top", "x-low", "ccnot", "block", "split", "h-low", "h-top", "cg"],
 )
 def test_data_moves_allocate_no_state_sized_temporary(gates):
     # A 20-qubit state is 8 MiB; each move copies pieces of at most 2^16
     # amplitudes (512 KiB), plus numpy's copy of an overlapping source.
     # H's sums and differences and CG's scaling stay within pieces too,
     # and a block's trace, taken inside apply_circuit, is of its 2^k local
-    # states only.
+    # states only. A block that splits rows stacks pieces of its 2^6 rows
+    # of at most 2^16 amplitudes in all, and gathers one row at a time.
     state = _random_state(np.random.default_rng(3), 20)
-    (step,) = sim._compile(tuple(gates), state.copy())
-    if len(gates) > 1:  # the block's map moves states within a row's tail and between rows
-        _, (dest, _, _), low, _ = step
+    steps = list(sim._compile(tuple(gates), state.copy()))
+    if len(gates) > 1:  # the first block moves states between rows, as whole rows or split
+        _, (dest, _, _), low, high = steps[0]
         rows = dest.reshape(-1, 1 << len(low))
-        assert np.any(rows % (1 << len(low)) != np.arange(1 << len(low)))
-        assert np.any(rows[:, 0] >> len(low) != np.arange(len(rows)))
+        assert rows_stay_whole(dest, len(low)) == (len(steps) == 1)
+        if len(steps) == 1:  # and within a row's tail
+            assert np.any(rows % (1 << len(low)) != np.arange(1 << len(low)))
+            assert np.any(rows[:, 0] >> len(low) != np.arange(len(rows)))
+        else:
+            assert len(high) == sim._ROW_QUBITS
+    else:
+        assert len(steps) == 1
     ref = state.copy()
     for gate in gates:
         sim.apply_gate(ref, gate)
