@@ -221,6 +221,7 @@ def cmd_simulate(args) -> int:
         mode = "complex" if needs_complex(circuit.gates) else "real"
     state = sim.new_state(circuit.qubit_count, basis_index=basis, mode=mode)
     state = sim.apply_circuit(state, circuit)
+    norm_sq = sim.norm_sq(state)  # raises before anything is printed
 
     probs = [sim.probabilities_z(state, q) for q in range(circuit.qubit_count)]
     for q, (p0, p1) in enumerate(probs):
@@ -237,7 +238,7 @@ def cmd_simulate(args) -> int:
         "mode": mode,
         "input_basis": basis,
         "probabilities": [[p0, p1] for p0, p1 in probs],
-        "norm_sq": sim.norm_sq(state),
+        "norm_sq": norm_sq,
     }
     if args.amplitudes:
         scale = math.ldexp(1.0, state.exponent)

@@ -12,15 +12,16 @@ boosted r' more times and kept only when it reads 1, and the sign of
 the BHR x-basis bias decides: strictly more -1 than +1 probability at
 some i in [i_min, i_max] means s > 2^(n-1).
 
-Both modes share one readout sweep over i. Everything after the
-amplified state is a monomial suffix on a few qubits (oracle,
-non-Hermitian, BHR, and the constant-one qubits in primitive lowering)
-plus a readout of the BHR, so the sweep reads one Gram matrix of the
-amplified state over those qubits and works out every i from it,
-without copying the state. The plan is simulated in one
-sim.apply_circuit call, through the readout's H on the oracle qubit,
-so that H runs on the state's stored qubits and gram reads only those.
-Exact mode reports the +-1 probabilities. Sampled mode draws per-shot
+Both modes share one readout sweep over i. The readout is H on the
+oracle qubit and then a monomial suffix on a few qubits (oracle,
+non-Hermitian, BHR, and the constant-one qubits in primitive lowering).
+The plan is simulated in one sim.apply_circuit call through that H, so
+the H runs on the state's stored qubits. The suffix is a matrix A that
+sends each local source to its output with its weight, so the sweep
+reads one Gram matrix M of the state over those qubits and gets every i
+from the one product A M A^T, without copying the state: it returns the
+kept probability and the BHR's reduced matrix as arrays with one row per
+i. Exact mode reports the +-1 probabilities. Sampled mode draws per-shot
 outcomes with one RNG stream per (i, set, run) job, keyed by absolute
 job index, so a seed fixes the report bit for bit. A shot needs only
 the first Philox block of its stream, so the whole sweep's shots are
@@ -31,13 +32,14 @@ the same numbers one job at a time, is the tests' reference.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .circuit import Circuit, Gate, RegisterLayout, lower_to_primitive, primitive_register
 from .cnf import COUNT_VAR_LIMIT, CnfFormula, ThreeCnf, count_models, to_3cnf
-from .errors import InputError, PostselectError, RegisterCapError
+from .errors import InputError, PostselectError, RegisterCapError, ResourceError
 from .oracle import OracleArtifact, build_oracle
 from .rng import first_uniforms
 from . import sim
@@ -244,6 +246,12 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     oracle_circuit = build_oracle(f3).circuit
     o = oracle_circuit.layout.oracle
     layout = replace(oracle_circuit.layout, non_hermitian=o + 1, bhr=o + 2)
+    # The stages' semantic gates; lowering only adds gates, and listing
+    # one takes at least a reference, 8 bytes.
+    gates = len(layout.work) + len(oracle_circuit.gates) + o * (config.r + 2) + 2 + config.r_prime
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * gates > memory:
+        raise ResourceError(f"plan needs at least {gates} gates; at 8 bytes each they pass this machine's {memory} bytes of memory")
     stages = (
         tuple(Gate("H", (q,)) for q in layout.work),
         oracle_circuit.gates,
@@ -288,85 +296,74 @@ def _amplified_state(p: MajsatPlan, more: tuple[Gate, ...] = ()) -> sim.StateVec
     return sim.apply_circuit(st, sum((c.gates for c in stages), ()) + more)
 
 
-def _readout_split(p: MajsatPlan) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-    """Split the readout at the first gate touching the BHR qubit.
+def _readout_sweep(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The readout at every i of the sweep: (prob1, rho), one row per i.
 
-    The prefix is BHR-independent, so the simulated state absorbs it
-    once; the suffix is read per i through its monomial map.
+    prob1[i] is the probability that the oracle qubit reads 1, and rho[i]
+    the BHR's unnormalized 2x2 reduced matrix on that kept branch. The
+    plan is simulated once, in one call, through the readout's first gate,
+    H on the oracle qubit, to a state ``st``. The H stays on the state:
+    moved onto the Gram matrix (H M H) it cancels, and put n6_near_no 44
+    ulp from the frozen probabilities, where H on the state is 1.13 ulp
+    from an exact readout. The rest is monomial on its qubits L, the BHR
+    among them: local basis state x goes to dest[x] with weight w[x] 2^e[x].
+    So one Gram matrix M of ``st`` over L (M[x, y] = sum over the other
+    qubits of psi(., x) psi(., y)) fixes every i, and ``st`` is never
+    copied. The BHR starts in |0>, so source x draws on M's row x with the
+    BHR bit cleared: A[dest[x], x & ~bhr] = w[x] 2^(e[x] - h) sends the
+    sources to the outputs, and output y carries c[y], the one of
+    (c0, c1) = (1, 2^i) normalized that its source's BHR bit picks. The
+    outputs' Gram matrix is diag(c) A M A^T diag(c), and rho is its
+    partial trace over the kept outputs, whose oracle bit is 1.
+
+    4^h bounds the largest live term w^2 4^e M[x, x], so no entry of
+    A M A^T passes 1 and weights like g^r' cannot overflow. A dead source
+    (zero mass) keeps a zero column: its e may overflow ldexp, and
+    inf * 0 is NaN. A kept branch below sim.ZERO_MASS on that scale
+    counts as zero mass, the rule sim.postselect applies to a state
+    vector: its prob1 and rho are zero.
     """
-    gates = p.readout_circuit.gates
-    for idx, g in enumerate(gates):
-        if p.layout.bhr in g.qubits:
-            return gates[:idx], gates[idx:]
-    return gates, ()
-
-
-def _readout_sweep(p: MajsatPlan, visit, zero_mass_ok: bool = False) -> list:
-    """Run the readout for each i in the sweep; returns visit's results in i order.
-
-    The plan is simulated once, in one call, through the amplification
-    and the BHR-independent readout prefix, to a state ``st``. The rest is
-    monomial on its qubits L, the BHR among them: it sends local basis
-    state x to dest[x] with weight w[x]. So one Gram matrix M of ``st``
-    over L (M[x, y] = sum over the other qubits of psi(., x) psi(., y))
-    fixes every i, and ``st`` is never copied. With the BHR prepared as
-    c0|0> + c1|1>, (c0, c1) = (1, 2^i) normalized, source x carries
-    c[its BHR bit] w[x] and draws on M's row x with the BHR bit cleared,
-    since the BHR starts in |0>.
-    Postselection keeps the outputs whose oracle bit is 1.
-    ``visit(i, kept probability, rho)`` reads rho, the BHR's unnormalized
-    2x2 reduced matrix on the kept branch; each entry is a quadratic form
-    in (c0, c1).
-
-    Every term is scaled by a power of two against the largest one
-    before it is summed, so weights like g^r' cannot overflow. A kept
-    branch below sim.ZERO_MASS on that scale counts as zero mass, the
-    rule sim.postselect applies to a state vector: it raises
-    PostselectError, or visits (i, 0.0, None) when zero_mass_ok is set.
-    """
-    cfg = p.config
-    lay = p.layout
-    prefix, suffix = _readout_split(p)
-    st = _amplified_state(p, prefix)
+    cfg, lay = p.config, p.layout
+    suffix = p.readout_circuit.gates[1:]
+    st = _amplified_state(p, p.readout_circuit.gates[:1])
     local = sorted({q for g in suffix for q in g.qubits} | {lay.bhr})
     gram, _ = sim.gram(st, local)
     dest, w, e = sim.monomial_map(suffix, local)
 
     x = np.arange(len(dest))
     bhr, oracle = 1 << local.index(lay.bhr), 1 << local.index(lay.oracle)
-    c_bit = ((x & bhr) != 0).astype(int)  # which of (c0, c1) source x carries
-    if np.any(np.diag(gram)[c_bit == 1]):
+    if np.any(np.diag(gram)[(x & bhr) != 0]):
         raise InputError(f"qubit {lay.bhr} is not in a definite |0> state")
     src = x & ~bhr
     mass = np.diag(gram)[src]
     live = mass > 0.0
-    # 2^top bounds the largest live weighted mass w^2 4^e M[x, x]; every
-    # term is scaled by 2^-top before it is summed.
-    top = int(np.max(2 * e[live] + np.frexp(mass[live])[1]))
-    terms = np.ldexp(w * w * mass, 2 * e - top)
-    inv = np.empty_like(dest)
-    inv[dest] = x
-    kept = x[((x & oracle) != 0) & ((x & bhr) == 0)]
-    u, v = inv[kept], inv[kept | bhr]  # the sources of each kept pair of BHR outputs
-    both = live[u] & live[v]
-    cross = np.ldexp(np.where(both, w[u] * w[v] * gram[src[u], src[v]], 0.0), e[u] + e[v] - top)
+    h = -(-int(np.max(2 * e[live] + np.frexp(mass[live])[1])) // 2)
+    a = np.zeros_like(gram)
+    a[dest[live], src[live]] = np.ldexp(w[live], e[live] - h)
+    ama = a @ gram @ a.T
+    weighed = np.diag(ama)  # each output's mass, before its BHR coefficient
+    c_bit = np.empty_like(dest)
+    c_bit[dest] = (x & bhr) != 0  # which of (c0, c1) output y carries
 
-    out = []
-    for i in range(cfg.i_min, cfg.i_max + 1):
-        beta = math.ldexp(1.0, i)
-        c = np.array([1.0, beta]) / math.hypot(1.0, beta)
-        cx = c[c_bit]
-        sq = cx * cx * terms
-        off = float(np.sum(cx[u] * cx[v] * cross))
-        rho = np.array([[float(np.sum(sq[u])), off], [off, float(np.sum(sq[v]))]])
-        kept_mass = rho[0, 0] + rho[1, 1]
-        if kept_mass < sim.ZERO_MASS:
-            if not zero_mass_ok:
-                raise PostselectError(f"postselected branch qubit{lay.oracle}=1 has zero mass")
-            out.append(visit(i, 0.0, None))
-            continue
-        out.append(visit(i, float(kept_mass / np.sum(sq)), rho))
-    return out
+    betas = [math.ldexp(1.0, i) for i in range(cfg.i_min, cfg.i_max + 1)]
+    c = (np.array([(1.0, b) for b in betas]) / np.array([[math.hypot(1.0, b)] for b in betas]))[:, c_bit]
+    y = x[((x & oracle) != 0) & ((x & bhr) == 0)]  # the kept outputs with BHR bit 0
+    rho = np.empty((len(betas), 2, 2))
+    rho[:, 0, 0] = c[:, y] ** 2 @ weighed[y]
+    rho[:, 1, 1] = c[:, y | bhr] ** 2 @ weighed[y | bhr]
+    rho[:, 0, 1] = rho[:, 1, 0] = (c[:, y] * c[:, y | bhr]) @ ama[y, y | bhr]
+    kept = rho[:, 0, 0] + rho[:, 1, 1]
+    zero = kept < sim.ZERO_MASS
+    rho[zero] = 0.0
+    return np.divide(kept, c**2 @ weighed, out=np.zeros_like(kept), where=~zero), rho
+
+
+def _kept_sweep(p: MajsatPlan):
+    """(i, prob1, rho) per i, for the readouts that need a kept branch at every i."""
+    prob1, rho = _readout_sweep(p)
+    if not np.all(prob1 > 0.0):
+        raise PostselectError(f"postselected branch qubit{p.layout.oracle}=1 has zero mass")
+    return zip(range(p.config.i_min, p.config.i_max + 1), prob1.tolist(), rho)
 
 
 def _verdict(per_i) -> str:
@@ -411,22 +408,21 @@ def run_exact(p: MajsatPlan) -> MajsatReport:
     The oracle qubit is postselected on |1> (the discarded mass is
     reported) and success at a given i means strictly more -1 than +1
     probability for the BHR x-basis readout. The state through the
-    amplification stage and the BHR-independent readout prefix is
-    simulated once, in one call, and reused across the sweep.
+    readout's H is simulated once, in one call, and read for every i.
     """
-
-    def visit(i: int, prob1: float, rho: np.ndarray) -> dict:
+    per_i = []
+    for i, prob1, rho in _kept_sweep(p):
         p_plus, p_minus = sim.x_probabilities(rho)
-        return {
-            "i": i,
-            "beta_over_alpha": math.ldexp(1.0, i),
-            "exact_p_minus": p_minus,
-            "exact_p_plus": p_plus,
-            "discarded_mass": 1.0 - prob1,
-            "all_sets_success": p_minus > p_plus,
-        }
-
-    per_i = _readout_sweep(p, visit)
+        per_i.append(
+            {
+                "i": i,
+                "beta_over_alpha": math.ldexp(1.0, i),
+                "exact_p_minus": p_minus,
+                "exact_p_plus": p_plus,
+                "discarded_mass": 1.0 - prob1,
+                "all_sets_success": p_minus > p_plus,
+            }
+        )
     return MajsatReport(
         source=p.source,
         n=p.formula.original_vars,
@@ -482,11 +478,9 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     if seed is None:
         seed = cfg.seed
 
-    def visit(i: int, prob1: float, rho: np.ndarray | None) -> tuple[float, float]:
-        return prob1, sim.x_probabilities(rho)[1] if prob1 > 0.0 else 0.0
-
-    sweep = np.array(_readout_sweep(p, visit, zero_mass_ok=True))
-    kept, minus = _tally(seed, sweep[:, 0], sweep[:, 1], cfg.sets, cfg.runs_per_set)
+    prob1, rho = _readout_sweep(p)
+    prob_minus = np.array([sim.x_probabilities(r)[1] if q > 0.0 else 0.0 for q, r in zip(prob1, rho)])
+    kept, minus = _tally(seed, prob1, prob_minus, cfg.sets, cfg.runs_per_set)
     records = []
     for i_idx, (kept_i, minus_i) in enumerate(zip(kept.tolist(), minus.tolist())):
         i = cfg.i_min + i_idx
@@ -565,4 +559,4 @@ def readout_fidelity_grid(p: MajsatPlan) -> dict[int, float]:
     s_ref = _reference_count(p)
     if s_ref is None:
         raise InputError("fidelity grid needs the brute-force count")
-    return dict(_readout_sweep(p, lambda i, _, rho: (i, _readout_bhr_fidelity(p, rho, s_ref, i))))
+    return {i: _readout_bhr_fidelity(p, rho, s_ref, i) for i, _, rho in _kept_sweep(p)}

@@ -414,7 +414,11 @@ def _trace(gates: Sequence[Gate], qubits: Sequence[int], fixed: dict[int, int]) 
     monomial_map (dest, w, e) on the stored rows, or None when a fixed
     qubit does not end as it started. A stretch's factors, at most 2^500
     apart, multiply as one matrix of under _MOVE_CHUNK entries,
-    renormalized once: a product inside 2^±500 rounds as the plain one."""
+    renormalized once: a product inside 2^±500 rounds as the plain one.
+    Bit planes stay: tracing int64 arrays of local states instead saves
+    about 28 lines, but took 5.5 ms against 2.1 ms for 880 gates and made
+    22/24-qubit primitive majsat.run_exact take 0.0092/0.0165 s against
+    0.0070/0.0124 s (2 vCPUs, numpy 2.4)."""
     k, pos = len(qubits), {q: j for j, q in enumerate([*qubits, *fixed])}
     full = (1 << (1 << k)) - 1
     planes = [*_basis_planes(k), *(full * b for b in fixed.values())]
@@ -517,7 +521,11 @@ def _apply_block(state: StateVector, gates: Sequence[Gate], net: tuple, low: lis
     rows scale or permute is decided once, and only their views are built.
     Rows scale first, then a map that splits rows stacks them piece by
     piece, as gram stacks its views, and gathers each row from its sources.
-    Takes and returns bounds on max|amp| (_rescale_guard)."""
+    Takes and returns bounds on max|amp| (_rescale_guard). The fork stays:
+    one stacked gather for every map made 22/25/27-qubit semantic
+    majsat.run_exact take 0.031/0.29/1.36 s against 0.025/0.20/1.05 s, and
+    an all-X block over 6 row qubits 0.19 s against 0.042 s, its pieces
+    shrunk to 2^10 amplitudes per row (2 vCPUs, numpy 2.4)."""
     kl, dense = len(low), _tail_width(state.stored)
     local, spread, rest = _spread(tuple(low), dense)
     dest, w, e = (a.reshape(-1, 1 << kl) for a in net)  # (row, index over the low qubits)

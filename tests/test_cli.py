@@ -10,6 +10,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
+from conftest import CORPUS_DIR
 from rnqc import cli, cnf, majsat, oracle, pathsum, sim
 
 YES_CNF = "p cnf 3 1\n1 2 0\n"
@@ -34,6 +35,8 @@ NORM_UNDERFLOW_JSON = {
     "qubits": 1,
     "gates": [{"g": "X", "q": [0]}] + [{"g": "G", "q": [0], "param": 1e-150}] * 7,
 }
+# five G(2^-499) on qubit 0 of two: |0> scaled by 2^2495
+G_SMALL_NORM_JSON = {"qubits": 2, "gates": [{"g": "G", "q": [0], "param": 2.0**-499}] * 5}
 CG_JSON = {"qubits": 2, "gates": [{"g": "CG", "q": [0, 1], "param": 4.0}]}
 # on input 1 the one path ends at 2^520: its square passes the double range
 G520_JSON = {"qubits": 1, "gates": [{"g": "G", "q": [0], "param": 2.0**p} for p in (500, 20)]}
@@ -55,6 +58,7 @@ def files(tmp_path_factory):
         ("wide_oracle.cnf", WIDE_ORACLE_CNF),
         ("norm_overflow.json", json.dumps(NORM_OVERFLOW_JSON)),
         ("norm_underflow.json", json.dumps(NORM_UNDERFLOW_JSON)),
+        ("g_small_norm.json", json.dumps(G_SMALL_NORM_JSON)),
         ("hgh.json", json.dumps(HGH_JSON)),
         ("tgate.json", json.dumps(T_JSON)),
         ("cg.json", json.dumps(CG_JSON)),
@@ -175,6 +179,29 @@ def test_solve_rejects_bad_gain(files, capsys, flags):
     # Bad input exits 2, not with an unexpected error or a silent r = 1.
     assert cli.main(["solve", files["yes.cnf"], *flags]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--r-scale", "1e300"],
+        ["--r", str(10**19)],
+        ["--rp", str(10**19)],
+        ["--r", str(2**62)],
+        ["--g", "1.0000000001"],
+    ],
+    ids=lambda flags: "=".join(flags).lstrip("-"),
+)
+def test_solve_rejects_rounds_past_memory(capsys, monkeypatch, flags):
+    # Listing the plan's gates would take more memory than the machine
+    # has (8 bytes per gate reference), so the plan exits 3 before it
+    # builds a stage, not with an OverflowError or a failed allocation.
+    built = []
+    monkeypatch.setattr(majsat, "_gain_rounds", lambda *args: built.append(args) or [])
+    assert cli.main(["solve", str(CORPUS_DIR / "n3_or2.cnf"), *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan needs at least") and "unexpected" not in err
+    assert not built
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -526,10 +553,14 @@ def test_simulate_amplitudes_cap_fails_before_simulating(tmp_path, capsys):
     assert err.startswith("error: --amplitudes is limited")
 
 
-@pytest.mark.parametrize("name", ["norm_overflow.json", "norm_underflow.json"])
+@pytest.mark.parametrize("name", ["norm_overflow.json", "norm_underflow.json", "g_small_norm.json"])
 def test_simulate_unrepresentable_norm_is_invariant_exit(files, name, capsys):
+    # Every P(0) and P(1) is a ratio and reads fine; the run must still
+    # fail before its first line is printed.
     assert cli.main(["simulate", files[name]]) == 4
-    assert capsys.readouterr().err.startswith("error:")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

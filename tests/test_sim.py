@@ -699,7 +699,7 @@ def test_bench_size_plans_run_their_dense_steps_on_the_live_slice(monkeypatch, l
     monkeypatch.setattr(sim, "apply_gate", lambda s, g: steps.append((s.amps.size, g)) or apply_gate(s, g))
     monkeypatch.setattr(sim, "_apply_block", lambda s, *b: steps.append((s.amps.size, b)) or apply_block(s, *b))
     monkeypatch.setattr(sim, "_sub", lambda s, fixed: read.append(s.amps.size) or sub(s, fixed))
-    majsat._readout_sweep(p, lambda i, prob1, rho: None)
+    majsat._readout_sweep(p)
     assert steps and {size for size, _ in steps} == {1 << live}
     assert steps[-1][1] == Gate("H", (p.layout.oracle,))
     assert read and set(read) == {1 << live}
@@ -715,7 +715,7 @@ def test_lone_monomial_gate_on_a_fixed_qubit_keeps_the_live_slice(lowering):
     formula = cnf.parse_dimacs((CORPUS_DIR / "n6_w5.cnf").read_text())
     p = majsat.plan(formula, majsat.default_config(formula.num_vars, lowering=lowering))
     assert (p.layout.non_hermitian, p.layout.bhr) == (11, 12)
-    assert majsat._amplified_state(p, majsat._readout_split(p)[0]).stored == 11
+    assert majsat._amplified_state(p, p.readout_circuit.gates[:1]).stored == 11
 
 
 def test_block_on_fixed_qubits_alone_scales_the_stored_rows(monkeypatch):
