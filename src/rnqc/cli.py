@@ -15,18 +15,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import inspect
-import json
 import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, cnf, majsat, oracle, pathsum, rng, sim
 from .circuit import Circuit, circuit_to_json, gate_census, lower_to_primitive, needs_complex, parse_circuit
 from .errors import InputError, ResourceError, RnqcError
 
 AMPLITUDE_PRINT_CAP = 12
+# solve's config flags have dests named after default_config's keywords
+_CONFIG_KEYWORDS = frozenset(inspect.signature(majsat.default_config).parameters)
 
 
 def _utc_now() -> str:
@@ -44,10 +47,52 @@ def _manifest(command: str, data: bytes, config: dict, seed, timestamp: str | No
     }
 
 
+# json.dumps's writer for each scalar type; NaN and the infinities as it writes them
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x)
+    else "NaN" if x != x else "-Infinity" if x < 0 else "Infinity",
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, nested at
+    pad, a newline and the spaces of its depth."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [_key(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    for kind, write in _SCALARS.items():  # subclasses, such as np.float64
+        if isinstance(obj, kind):
+            return write(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else _encode(key, ""))
+
+
+def _report_text(payload) -> str:
+    """The one report encoder: json.dumps(payload, indent=2, sort_keys=True)
+    byte for byte, without the json module's pure-Python indenting encoder."""
+    return _encode(payload, "\n")
+
+
 def _write_report(path: str | None, payload: dict) -> None:
     if path is None:
         return
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _report_text(payload) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -82,9 +127,7 @@ def _read_circuit(path: str) -> tuple[Circuit, bytes]:
 
 
 def _config_from_args(n: int, args) -> majsat.MajsatConfig:
-    # solve's config flags have dests named after default_config's keywords
-    names = inspect.signature(majsat.default_config).parameters
-    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYWORDS and v is not None}
     return majsat.default_config(n, **overrides)
 
 
@@ -187,7 +230,7 @@ def cmd_lower(args) -> int:
     summary = " ".join(f"{k}={v}" for k, v in sorted(census.counts.items()))
     print(f"census {summary or '(empty)'} primitive={census.is_primitive}")
     if args.json is None:
-        print(json.dumps(payload["circuit"], indent=2, sort_keys=True))
+        print(_report_text(payload["circuit"]))
     _write_report(args.json, payload)
     return 0
 
@@ -332,7 +375,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timestamp", help="pin the manifest timestamp (for reproducible reports)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once and shared by every call; parse_args fills a fresh Namespace each time."""
     parser = argparse.ArgumentParser(
         prog="rnqc",
         description="real non-Hermitian circuit toolkit",

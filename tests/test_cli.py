@@ -4,11 +4,14 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import math
 import random
 import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
 from rnqc import cli, cnf, majsat, oracle, pathsum, sim
@@ -338,6 +341,38 @@ def test_count_cap_is_resource_exit(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 3 1\np cnf 3 1\n1 0\n", "line 2: duplicate problem line"),
+        ("p cnf 3\n1 0\n", "line 1: malformed problem line 'p cnf 3'"),
+        ("c header\np dnf 3 1\n1 0\n", "line 2: malformed problem line 'p dnf 3 1'"),
+        ("p cnf three 1\n1 0\n", "line 1: malformed problem line 'p cnf three 1'"),
+        ("p cnf -3 1\n1 0\n", "line 1: negative counts in problem line"),
+        ("p cnf 3 -1\n", "line 1: negative counts in problem line"),
+        ("p cnf 3 1\n1 x2 0\n", "line 2: bad token 'x2'"),
+        ("c no problem line\n", "missing problem line"),
+        ("p cnf 3 1\n1 2\n", "unterminated clause at end of input"),
+    ],
+    ids=["duplicate", "fields", "not-cnf", "non-integer", "negative-vars", "negative-clauses",
+         "bad-token", "missing", "unterminated"],
+)
+def test_count_malformed_dimacs_is_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    assert cli.main(["count", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_count_stops_at_the_percent_terminator(tmp_path, capsys):
+    # a SATLIB-style tail: the "0" after "%" would otherwise be a second clause
+    path = tmp_path / "tail.cnf"
+    path.write_text("p cnf 3 1\n1 2 0\n%\n0\n\n")
+    assert cli.main(["count", str(path)]) == 0
+    assert capsys.readouterr().out == "6\n"
+
+
 def _random_3cnf(n: int, m: int, seed: int) -> str:
     rnd = random.Random(seed)
     clauses = [[v if rnd.random() < 0.5 else -v for v in rnd.sample(range(1, n + 1), 3)] for _ in range(m)]
@@ -444,6 +479,7 @@ def test_lower_prints_circuit_without_json_flag(files, capsys):
     out = capsys.readouterr().out
     body = out.split("\n", 1)[1]
     parsed = json.loads(body)
+    assert body == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
     assert parsed["qubits"] >= 2
     assert all(g["g"] in {"X", "CNOT", "G", "H", "CCNOT"} for g in parsed["gates"])
 
@@ -520,12 +556,15 @@ def test_simulate_amplitudes_list_the_whole_register(tmp_path, monkeypatch, caps
         assert im == 0.0 and re == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def test_simulate_without_json_encodes_no_report(files, monkeypatch, capsys):
-    encoded = []
-    monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: encoded.append(args) or "")
+def test_simulate_without_json_encodes_no_report(files, tmp_path, monkeypatch, capsys):
+    encoded, encode = [], cli._report_text
+    monkeypatch.setattr(cli, "_report_text", lambda payload: encoded.append(payload) or encode(payload))
     assert cli.main(["simulate", files["hgh.json"], "--amplitudes"]) == 0
     assert "|0> +1.25+0j" in capsys.readouterr().out
     assert not encoded
+    report = tmp_path / "report.json"
+    assert cli.main(["simulate", files["hgh.json"], "--amplitudes", "--json", str(report)]) == 0
+    assert len(encoded) == 1 and json.loads(report.read_text()) == encoded[0]
 
 
 def test_simulate_bits_width_mismatch(files, capsys):
@@ -705,3 +744,69 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "rnqc" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the shared parser and the report encoder
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(files, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["solve", files["yes.cnf"], "--check", "--lowering", "primitive", "--seed", "5"]
+    assert cli.main(argv + ["--mode", "sampled", "--json", str(a)]) == 0
+    assert cli.main(["solve", files["yes.cnf"], "--json", str(b)]) == 0
+    first, second = json.loads(a.read_text()), json.loads(b.read_text())
+    assert (first["manifest"]["config"]["lowering"], first["manifest"]["seed"]) == ("primitive", 5)
+    assert "check" in first
+    config = second["manifest"]["config"]
+    assert (config["lowering"], config["mode"], second["manifest"]["seed"]) == ("semantic", "exact", None)
+    assert "check" not in second
+
+    # --bits and --index share a mutually exclusive group
+    assert _run_json(["simulate", files["cg.json"], "--bits", "01"], tmp_path)[1]["input_basis"] == 2
+    assert _run_json(["simulate", files["cg.json"], "--index", "1"], tmp_path)[1]["input_basis"] == 1
+    assert _run_json(["simulate", files["cg.json"]], tmp_path)[1]["input_basis"] == 0
+
+    for argv in (["--version"], ["solve"], ["simulate", files["cg.json"], "--bits", "01", "--index", "1"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    capsys.readouterr()
+    assert cli.main(["count", files["yes.cnf"]]) == 0
+    assert capsys.readouterr() == ("6\n", "")
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028é☃\U0001d11e'))
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | _TEXT
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_PAYLOADS)
+def test_report_bytes_are_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "encoder_report.json"
+    cli._write_report(str(path), payload)
+    assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "payload", [np.int64(3), {"a": [1, np.int64(3)]}, {1, 2}, {"a": {"b": frozenset()}}, {(1, 2): 0}]
+)
+def test_report_encoder_refuses_what_json_dumps_refuses(tmp_path, payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._write_report(str(tmp_path / "report.json"), payload)
