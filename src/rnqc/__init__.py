@@ -10,7 +10,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import circuit, cli, cnf, errors, majsat, oracle, pathsum, rng, sim
+# cli is left out, so `python -m rnqc.cli` runs cli.py once, as __main__
+from . import circuit, cnf, errors, majsat, oracle, pathsum, rng, sim
 
 __all__ = [
     "__version__",

@@ -12,7 +12,9 @@ boosted r' more times and kept only when it reads 1, and the sign of
 the BHR x-basis bias decides: strictly more -1 than +1 probability at
 some i in [i_min, i_max] means s > 2^(n-1).
 
-Both modes share one readout sweep over i. The readout is H on the
+Both modes read one readout sweep over i as one per-i table, through
+one stacked sim.x_probabilities call, and _report alone forms the
+verdict and the report. The readout is H on the
 oracle qubit and then a monomial suffix on a few qubits (oracle,
 non-Hermitian, BHR, and the constant-one qubits in primitive lowering).
 The plan is simulated in one sim.apply_circuit call through that H, so
@@ -279,21 +281,15 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     )
 
 
-def _oracle_state(p: MajsatPlan) -> sim.StateVector:
-    """The plan's start state through the superposition and oracle stages."""
+def _amplified_state(p: MajsatPlan, more: tuple[Gate, ...] = (), upto: int | None = None) -> sim.StateVector:
+    """The plan's start state through the superposition and oracle stages,
+    the amplification stage's first upto gates (all by default) and then
+    the gates of more, in one simulation call, so the sparse prefix scans
+    the support once and every dense step after it runs on the qubits the
+    state stores."""
     st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
-    sim.apply_circuit(st, p.superposition_circuit.gates)
-    return sim.apply_circuit(st, p.oracle.circuit.gates)
-
-
-def _amplified_state(p: MajsatPlan, more: tuple[Gate, ...] = ()) -> sim.StateVector:
-    """The plan's start state through the superposition, oracle and
-    amplification stages and then the gates of more, in one simulation
-    call, so the sparse prefix scans the support once and every dense
-    step after it runs on the qubits the state stores."""
-    st = sim.new_state(p.qubit_count, basis_index=p.initial_bits, mode="real")
-    stages = (p.superposition_circuit, p.oracle.circuit, p.amplification_circuit)
-    return sim.apply_circuit(st, sum((c.gates for c in stages), ()) + more)
+    gates = p.superposition_circuit.gates + p.oracle.circuit.gates + p.amplification_circuit.gates[:upto]
+    return sim.apply_circuit(st, gates + more)
 
 
 def _readout_sweep(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -358,23 +354,33 @@ def _readout_sweep(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(kept, c**2 @ weighed, out=np.zeros_like(kept), where=~zero), rho
 
 
-def _kept_sweep(p: MajsatPlan):
-    """(i, prob1, rho) per i, for the readouts that need a kept branch at every i."""
+def _kept_readout(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's (prob1, rho), for the readouts that need a kept branch at every i."""
     prob1, rho = _readout_sweep(p)
     if not np.all(prob1 > 0.0):
         raise PostselectError(f"postselected branch qubit{p.layout.oracle}=1 has zero mass")
-    return zip(range(p.config.i_min, p.config.i_max + 1), prob1.tolist(), rho)
-
-
-def _verdict(per_i) -> str:
-    """Step rule: YES iff some i has every set successful."""
-    return "YES" if any(e["all_sets_success"] for e in per_i) else "NO"
+    return prob1, rho
 
 
 def _reference_count(p: MajsatPlan) -> int | None:
     if p.source.num_vars <= COUNT_VAR_LIMIT:
         return count_models(p.source)
     return None
+
+
+def _report(p: MajsatPlan, per_i: list[dict], discarded_mass: float, low_confidence: bool = False) -> MajsatReport:
+    """The report on per_i, with the step rule's verdict: YES iff some i
+    has every set successful."""
+    return MajsatReport(
+        source=p.source,
+        n=p.formula.original_vars,
+        config=p.config,
+        per_i=tuple(per_i),
+        verdict="YES" if any(e["all_sets_success"] for e in per_i) else "NO",
+        reference_s=_reference_count(p),
+        discarded_mass=discarded_mass,
+        low_confidence=low_confidence,
+    )
 
 
 def _amplification_fidelity(p: MajsatPlan, st: sim.StateVector, s: int) -> float:
@@ -410,28 +416,22 @@ def run_exact(p: MajsatPlan) -> MajsatReport:
     probability for the BHR x-basis readout. The state through the
     readout's H is simulated once, in one call, and read for every i.
     """
-    per_i = []
-    for i, prob1, rho in _kept_sweep(p):
-        p_plus, p_minus = sim.x_probabilities(rho)
-        per_i.append(
-            {
-                "i": i,
-                "beta_over_alpha": math.ldexp(1.0, i),
-                "exact_p_minus": p_minus,
-                "exact_p_plus": p_plus,
-                "discarded_mass": 1.0 - prob1,
-                "all_sets_success": p_minus > p_plus,
-            }
+    prob1, rho = _kept_readout(p)
+    p_plus, p_minus = sim.x_probabilities(rho)
+    per_i = [
+        {
+            "i": i,
+            "beta_over_alpha": math.ldexp(1.0, i),
+            "exact_p_minus": minus,
+            "exact_p_plus": plus,
+            "discarded_mass": 1.0 - kept,
+            "all_sets_success": minus > plus,
+        }
+        for i, kept, plus, minus in zip(
+            range(p.config.i_min, p.config.i_max + 1), prob1.tolist(), p_plus.tolist(), p_minus.tolist()
         )
-    return MajsatReport(
-        source=p.source,
-        n=p.formula.original_vars,
-        config=p.config,
-        per_i=tuple(per_i),
-        verdict=_verdict(per_i),
-        reference_s=_reference_count(p),
-        discarded_mass=max(e["discarded_mass"] for e in per_i),
-    )
+    ]
+    return _report(p, per_i, max(e["discarded_mass"] for e in per_i))
 
 
 def _tally(
@@ -479,50 +479,39 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
         seed = cfg.seed
 
     prob1, rho = _readout_sweep(p)
-    prob_minus = np.array([sim.x_probabilities(r)[1] if q > 0.0 else 0.0 for q, r in zip(prob1, rho)])
+    prob_minus = np.zeros_like(prob1)
+    live = prob1 > 0.0
+    prob_minus[live] = sim.x_probabilities(rho[live])[1]
     kept, minus = _tally(seed, prob1, prob_minus, cfg.sets, cfg.runs_per_set)
-    records = []
-    for i_idx, (kept_i, minus_i) in enumerate(zip(kept.tolist(), minus.tolist())):
-        i = cfg.i_min + i_idx
-        set_results = [
-            {"minus_count": m, "plus_count": k - m, "success": m > k - m}
-            for k, m in zip(kept_i, minus_i)
-        ]
-        records.append(
-            {
-                "i": i,
-                "beta_over_alpha": math.ldexp(1.0, i),
-                "set_results": set_results,
-                "discarded_shots": cfg.sets * cfg.runs_per_set - sum(kept_i),
-                "all_sets_success": all(s["success"] for s in set_results),
-            }
-        )
-
-    total_shots = len(records) * cfg.sets * cfg.runs_per_set
-    total_discarded = sum(rec["discarded_shots"] for rec in records)
-    if total_discarded == total_shots:
+    if not kept.any():
         raise PostselectError(
             "every shot was discarded at the oracle measurement; the kept "
             "branch carries negligible weight under this configuration"
         )
-
-    margins = []
-    for rec in records:
-        margins.append(
-            min(abs(s["minus_count"] - s["plus_count"]) for s in rec["set_results"])
+    plus = kept - minus
+    success = minus > plus
+    discarded = cfg.sets * cfg.runs_per_set - kept.sum(axis=1)
+    records = [
+        {
+            "i": i,
+            "beta_over_alpha": math.ldexp(1.0, i),
+            "set_results": [
+                {"minus_count": m, "plus_count": n, "success": ok} for m, n, ok in zip(minus_i, plus_i, success_i)
+            ],
+            "discarded_shots": discarded_i,
+            "all_sets_success": every,
+        }
+        for i, minus_i, plus_i, success_i, discarded_i, every in zip(
+            range(cfg.i_min, cfg.i_max + 1),
+            minus.tolist(),
+            plus.tolist(),
+            success.tolist(),
+            discarded.tolist(),
+            success.all(axis=1).tolist(),
         )
-    low_confidence = max(margins) <= 1
-
-    return MajsatReport(
-        source=p.source,
-        n=p.formula.original_vars,
-        config=cfg,
-        per_i=tuple(records),
-        verdict=_verdict(records),
-        reference_s=_reference_count(p),
-        discarded_mass=total_discarded / total_shots,
-        low_confidence=low_confidence,
-    )
+    ]
+    low_confidence = int(np.abs(minus - plus).min(axis=1).max()) <= 1
+    return _report(p, records, int(discarded.sum()) / (kept.size * cfg.runs_per_set), low_confidence)
 
 
 def run(p: MajsatPlan) -> MajsatReport:
@@ -545,7 +534,7 @@ def amplification_fidelity_profile(p: MajsatPlan) -> list[tuple[int, float]]:
     gates = p.amplification_circuit.gates
     head = 2 * len(p.mixed_qubits)
     width = (len(gates) - head) // p.config.r
-    st = sim.apply_circuit(_oracle_state(p), gates[:head])
+    st = _amplified_state(p, upto=head)
     out: list[tuple[int, float]] = []
     for r in range(1, p.config.r + 1):
         sim.apply_circuit(st, gates[head + (r - 1) * width : head + r * width])
@@ -559,4 +548,5 @@ def readout_fidelity_grid(p: MajsatPlan) -> dict[int, float]:
     s_ref = _reference_count(p)
     if s_ref is None:
         raise InputError("fidelity grid needs the brute-force count")
-    return {i: _readout_bhr_fidelity(p, rho, s_ref, i) for i, _, rho in _kept_sweep(p)}
+    i_range = range(p.config.i_min, p.config.i_max + 1)
+    return {i: _readout_bhr_fidelity(p, rho, s_ref, i) for i, rho in zip(i_range, _kept_readout(p)[1])}

@@ -712,8 +712,6 @@ def norm_sq(state: StateVector) -> float:
         val = math.ldexp(base, 2 * (state.exponent + k))
     except OverflowError as exc:
         raise NormOverflowError("squared norm overflows double precision") from exc
-    if math.isinf(val):
-        raise NormOverflowError("squared norm overflows double precision")
     if val == 0.0:
         raise NormOverflowError("squared norm underflows double precision")
     return val
@@ -744,13 +742,15 @@ def probabilities_z(state: StateVector, qubit: int) -> tuple[float, float]:
     return m0 / tot, m1 / tot
 
 
-def x_probabilities(rho: np.ndarray) -> tuple[float, float]:
-    """(P(+1), P(-1)) of an x-basis readout of a qubit with real 2x2 reduced matrix rho."""
-    kept = rho[0, 0] + rho[1, 1]
-    mp = max(float(kept + 2.0 * rho[0, 1]), 0.0)
-    mm = max(float(kept - 2.0 * rho[0, 1]), 0.0)
+def x_probabilities(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(+1), P(-1)) of an x-basis readout of a qubit with real 2x2 reduced
+    matrix rho, or of every matrix in a stack of shape (..., 2, 2). The ops
+    are elementwise, so a stacked row rounds as the lone matrix does."""
+    kept = rho[..., 0, 0] + rho[..., 1, 1]
+    mp = np.maximum(kept + 2.0 * rho[..., 0, 1], 0.0)
+    mm = np.maximum(kept - 2.0 * rho[..., 0, 1], 0.0)
     tot = mp + mm
-    if tot == 0.0:
+    if np.any(tot == 0.0):
         raise ZeroStateError("state vector has zero norm")
     return mp / tot, mm / tot
 

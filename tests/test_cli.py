@@ -5,7 +5,11 @@ import hashlib
 import importlib.resources
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import jsonschema
@@ -246,6 +250,40 @@ def test_solve_out_of_memory_is_resource_exit(files, monkeypatch, capsys, messag
     out = capsys.readouterr()
     assert out.err == f"error: out of memory{': ' + message if message else ''}\n"
     assert out.out == ""
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_solve_check_past_the_count_limit_exits_before_planning(tmp_path, monkeypatch, capsys, mode):
+    # 25 variables fit the register floor (28 qubits) but not exhaustive
+    # evaluation, which --check needs: it exits 3 before a plan is built
+    # or a seed is drawn
+    path = tmp_path / "n25.cnf"
+    path.write_text("p cnf 25 1\n1 0\n")
+    planned = []
+    monkeypatch.setattr(majsat, "plan", lambda *args: planned.append(args))
+    assert cli.main(["solve", str(path), "--check", "--mode", mode]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: exhaustive evaluation is capped at 24 variables, got 25\n"
+    assert not planned
+
+
+@pytest.mark.parametrize(
+    "text, flags, env, message",
+    [
+        (YES_CNF, ["--mode", "sampled", "--seed", str(2**64)], {}, "seed must fit in 64 bits"),
+        ("p cnf 0 0\n", [], {}, "majority decision needs at least one variable"),
+        (YES_CNF, [], {"RNQC_MAX_QUBITS": "0"}, "RNQC_MAX_QUBITS must be positive, got 0"),
+    ],
+    ids=["seed-past-64-bits", "no-variables", "zero-qubit-cap"],
+)
+def test_solve_rejects_bad_input_with_its_message(tmp_path, monkeypatch, capsys, text, flags, env, message):
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(["solve", str(path)] + flags) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
 
 
 def test_solve_flags_reach_the_config(files, tmp_path):
@@ -519,6 +557,35 @@ def test_circuit_json_rejects_booleans(tmp_path, capsys, command, circuit):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "circuit, message",
+    [
+        ({"qubits": 1, "gates": [{"g": "X"}]}, "bad gate entry: {'g': 'X'}"),
+        ({"qubits": 1, "layout": [0], "gates": []}, "circuit layout must be an object mapping roles to index arrays"),
+        ({"qubits": 2, "layout": {"oracle": [0, 1]}, "gates": []}, "layout role 'oracle' takes exactly one index"),
+        ({"qubits": 1, "layout": {"work": [-1]}, "gates": []}, "negative qubit index in layout role work"),
+        ({"qubits": 0, "gates": []}, "circuit needs at least one qubit, got 0"),
+    ],
+    ids=["gate-without-operands", "layout-not-object", "single-role-two-indices", "negative-index", "no-qubits"],
+)
+def test_circuit_json_errors_carry_their_message(tmp_path, capsys, circuit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(circuit))
+    assert cli.main(["simulate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_circuit_file_that_is_not_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"qubits": 1,')
+    with pytest.raises(json.JSONDecodeError) as parse:
+        json.loads(path.read_text())
+    assert cli.main(["simulate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: circuit file {path} is not valid JSON: {parse.value}\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -570,6 +637,14 @@ def test_simulate_without_json_encodes_no_report(files, tmp_path, monkeypatch, c
 def test_simulate_bits_width_mismatch(files, capsys):
     assert cli.main(["simulate", files["hgh.json"], "--bits", "00"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_index_past_the_register(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"qubits": 2, "gates": []}))
+    assert cli.main(["simulate", str(path), "--index", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --index 4 out of range for 2 qubits\n"
 
 
 def test_simulate_t_defaults_to_complex(files, tmp_path):
@@ -737,6 +812,16 @@ def test_exact_reports_identical_across_invocations(files, tmp_path):
     assert cli.main(argv + ["--json", str(out1)]) == 0
     assert cli.main(argv + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_module_entry_point_runs_cli_once():
+    # python -m rnqc.cli imports the package first; had the package imported
+    # cli, runpy would warn and run cli.py a second time as __main__
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-W", "error", "-m", "rnqc.cli", "count", str(CORPUS_DIR / "n3_or2.cnf")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "6\n", "")
 
 
 def test_version_flag(capsys):

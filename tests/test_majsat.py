@@ -385,8 +385,9 @@ def test_readout_grid_at_extreme_weights(corpus, name, i_min, i_max):
 
 
 def test_amplification_profile_runs_the_plan_gates(monkeypatch):
-    # a primitive plan's profile runs its lowered amplification circuit,
-    # one gain round per call after the mixing layer
+    # a primitive plan's profile runs its lowered amplification circuit:
+    # the superposition, the oracle and the mixing layer in one call, then
+    # one gain round per call
     p = _plan(OR_PAIR, lowering="primitive")
     calls = []
     apply_circuit = sim.apply_circuit
@@ -398,8 +399,10 @@ def test_amplification_profile_runs_the_plan_gates(monkeypatch):
     monkeypatch.setattr(sim, "apply_circuit", record)
     profile = majsat.amplification_fidelity_profile(p)
     assert len(profile) == p.config.r
-    sup, orc, mixing, *rounds = calls
-    assert (sup, orc) == (p.superposition_circuit.gates, p.oracle.circuit.gates)
+    first, *rounds = calls
+    prefix = p.superposition_circuit.gates + p.oracle.circuit.gates
+    assert first[: len(prefix)] == prefix
+    mixing = first[len(prefix) :]
     assert len(mixing) == 2 * len(p.mixed_qubits)
     assert len(rounds) == p.config.r and len({len(r) for r in rounds}) == 1
     assert mixing + sum(rounds, ()) == p.amplification_circuit.gates

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import CORPUS_DIR, fuse_run, qubit_state_fidelity, rows_stay_whole, trace_basis
 from freeze_amplified import random_formula
@@ -1176,6 +1177,45 @@ def test_probabilities_x_unbalanced():
     p_plus, p_minus = sim.probabilities_x(state, 0)
     assert abs(p_minus - 0.1) < 1e-12
     assert abs(p_plus - 0.9) < 1e-12
+
+
+def _x_probabilities_scalar(rho):
+    """The x-basis readout of one 2x2 matrix in Python floats, the formula
+    x_probabilities applies to every matrix of a stack."""
+    kept = float(rho[0, 0]) + float(rho[1, 1])
+    mp = max(kept + 2.0 * float(rho[0, 1]), 0.0)
+    mm = max(kept - 2.0 * float(rho[0, 1]), 0.0)
+    if mp + mm == 0.0:
+        raise ZeroStateError("state vector has zero norm")
+    return mp / (mp + mm), mm / (mp + mm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stack=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=5).map(lambda s: s + (2, 2)),
+        elements=st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    ),
+    zero_row=st.none() | st.integers(0, 24),
+)
+def test_stacked_x_probabilities_match_the_scalar_formula_bit_for_bit(stack, zero_row):
+    rows = stack.reshape(-1, 2, 2)
+    if zero_row is not None:
+        rows[zero_row % len(rows)] = 0.0
+    try:
+        expected = [_x_probabilities_scalar(r) for r in rows]
+    except ZeroStateError:
+        with pytest.raises(ZeroStateError):
+            sim.x_probabilities(stack)
+        return
+    assert zero_row is None  # a zero row raises
+    p_plus, p_minus = sim.x_probabilities(stack)
+    assert p_plus.shape == p_minus.shape == stack.shape[:-2]
+    bits = np.array(expected).view(np.uint64).tolist()
+    assert np.stack([p_plus.ravel(), p_minus.ravel()], axis=1).view(np.uint64).tolist() == bits
+    lone = [sim.x_probabilities(r) for r in rows]  # one 2x2 matrix, as probabilities_x passes it
+    assert np.array(lone).view(np.uint64).tolist() == bits
 
 
 # ---------------------------------------------------------------------------
