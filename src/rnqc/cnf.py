@@ -25,6 +25,9 @@ COUNT_VAR_LIMIT = 24
 # Truth tables pack 64 assignments per uint64 word, 2^20 assignments per
 # block. Variables 1-6 repeat within a word: bit b is bit v - 1 of b.
 _BLOCK_WORDS = 1 << 14
+# count_models keeps variables 1.._TABLE_VARS in its tables, 2^12 words
+# (32 KiB) each, and walks the rest.
+_TABLE_VARS = 18
 _LOW_WORDS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> v & 1)) for v in range(6))
 _M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F))
 
@@ -228,11 +231,66 @@ def formula_words(clauses, full: np.ndarray, words: dict[int, np.ndarray]) -> np
     return reduce(np.bitwise_and, (clause_words(c, words) for c in clauses), full)
 
 
+def _and_open_clauses(table: np.ndarray, clauses, path: int, words, scratch: np.ndarray) -> bool:
+    """AND into table each clause that path leaves open, cut down to its
+    literals on the table's variables. Each clause is (pos, neg, lits):
+    masks of its positive and negative literals above the table, as bits
+    of path, and its literals within it. False if an open clause has no
+    literal within the table: then no assignment below path is a model."""
+    for pos, neg, lits in clauses:
+        if path & pos or ~path & neg:
+            continue
+        if not lits:
+            return False
+        np.bitwise_or(words[lits[0]], words[lits[-1]], out=scratch)  # a unit ORs its word with itself
+        for lit in lits[1:-1]:
+            np.bitwise_or(scratch, words[lit], out=scratch)
+        np.bitwise_and(table, scratch, out=table)
+    return True
+
+
 def count_models(formula: CnfFormula) -> int:
-    """Exact model count: per block, the popcount of the AND of the
-    clauses' words. An exhaustive, assumption-free reference."""
-    blocks = truth_blocks(formula.num_vars)
-    return sum(popcount(formula_words(formula.clauses, full, words)) for _, full, words in blocks)
+    """Exact model count by Shannon expansion on a fixed variable order.
+
+    Variables 1..L (L = _TABLE_VARS) lie in one truth table from
+    truth_blocks, 32 KiB at most. The variables above L are walked depth
+    first: each node fixes one more of them and ANDs in the clauses whose
+    top variable it is, cut down to their literals on 1..L, and each leaf
+    adds its table's popcount. A subtree is dropped only when a clause is false
+    on all of it. It is still exhaustive: every assignment lies below one
+    leaf or one dropped node, and no heuristic picks the order."""
+    n = formula.num_vars
+    check_count_limit(n)
+    low = min(n, _TABLE_VARS)
+    ((_, full, words),) = truth_blocks(low)
+    depth = n - low
+    levels = [[] for _ in range(depth + 1)]  # by top variable; 0 for within 1..low
+    for clause in formula.clauses:
+        pos, neg, lits = 0, 0, []  # variable v > low is bit v - low - 1 of a path
+        for lit in clause:
+            if abs(lit) <= low:
+                lits.append(lit)
+            elif lit > 0:
+                pos |= 1 << (lit - low - 1)
+            else:
+                neg |= 1 << (-lit - low - 1)
+        levels[max(max(map(abs, clause)) - low, 0)].append((pos, neg, lits))
+    # node (k, path) fixes variables low + 1..low + k to the bits of path and
+    # fills tables[k + 1] from its parent's tables[k]
+    tables = [full] + [np.empty_like(full) for _ in range(depth + 1)]
+    scratch = np.empty_like(full)
+    total, stack = 0, [(0, 0)]
+    while stack:
+        k, path = stack.pop()
+        table = tables[k + 1]
+        np.copyto(table, tables[k])
+        if not _and_open_clauses(table, levels[k], path, words, scratch):
+            continue
+        if k == depth:
+            total += popcount(table)
+        else:
+            stack += ((k + 1, path), (k + 1, path | 1 << k))
+    return total
 
 
 def to_3cnf(formula: CnfFormula) -> ThreeCnf:

@@ -1,6 +1,7 @@
 """DIMACS parsing, brute-force counting, and the width-3 conversion."""
 from __future__ import annotations
 
+import gc
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import eval_clause, eval_formula, eval_literal, extend_assignment, table_count
 from rnqc import cnf
-from rnqc.errors import CountLimitError, DimacsError
+from rnqc.errors import CountLimitError, DimacsError, InputError
 
 
 def _formula(num_vars, clauses):
@@ -108,6 +109,21 @@ def test_to_3cnf_checks_no_clause_again(monkeypatch):
     assert f3.base == cnf.CnfFormula(f3.base.num_vars, f3.base.clauses)
 
 
+@pytest.mark.parametrize(
+    "num_vars, clauses, message",
+    [
+        (3, ((1, 0),), "clause literals must be nonzero"),
+        (-1, (), "variable count must be nonnegative, got -1"),
+    ],
+    ids=["zero-literal", "negative-count"],
+)
+def test_formula_rejects_what_dimacs_cannot_spell(num_vars, clauses, message):
+    # parse_dimacs never builds these; a formula made in code is checked alike
+    with pytest.raises(InputError) as info:
+        cnf.CnfFormula(num_vars, clauses)
+    assert str(info.value) == message
+
+
 def test_format_parse_round_trip():
     formula = _formula(4, [[1, -2, 3], [-4], [2, 4]])
     assert cnf.parse_dimacs(cnf.format_dimacs(formula)) == formula
@@ -168,7 +184,11 @@ def test_count_models_matches_direct_evaluation(data):
     assert cnf.count_models(formula) == _brute_count(formula)
 
 
-@pytest.mark.parametrize("n", [21, 22], ids=["two-blocks", "four-blocks"])
+@pytest.mark.parametrize(
+    "n",
+    [cnf._TABLE_VARS - 1, cnf._TABLE_VARS, cnf._TABLE_VARS + 1, 21, 22, cnf.COUNT_VAR_LIMIT],
+    ids=["below-table-width", "table-width", "one-level", "two-blocks", "four-blocks", "count-limit"],
+)
 def test_count_models_matches_table_reference(n):
     rnd = random.Random(n)
     clauses = [
@@ -177,6 +197,38 @@ def test_count_models_matches_table_reference(n):
     ]
     formula = _formula(n, clauses)
     assert cnf.count_models(formula) == table_count(formula)
+
+
+def _signed_literals(first, last):
+    return st.integers(min_value=first, max_value=last).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_count_models_walk_matches_table_reference(data):
+    # n from one below the table width (no walk) to three levels above it.
+    # Clauses of high literals alone, units among them, prune subtrees.
+    L = cnf._TABLE_VARS
+    n = data.draw(st.integers(min_value=L - 1, max_value=L + 3))
+    clause = st.lists(_signed_literals(1, n), min_size=1, max_size=4, unique_by=abs)
+    if n > L:
+        clause |= st.lists(_signed_literals(L + 1, n), min_size=1, max_size=3, unique_by=abs)
+    formula = _formula(n, data.draw(st.lists(clause, max_size=10)))
+    assert cnf.count_models(formula) == table_count(formula)
+
+
+def test_count_models_leaves_no_garbage_cycle():
+    # the walk's tables go when it returns; held in a cycle they would wait
+    # for the collector and raise the peak memory of a run of counts
+    L = cnf._TABLE_VARS
+    formula = _formula(L + 3, [[1, -(L + 1)], [L + 2, L + 3], [-(L + 3)]])
+    gc.collect()
+    gc.disable()
+    try:
+        assert cnf.count_models(formula) == (1 << L + 3) * 3 // 16
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -1,6 +1,7 @@
 """Majority-decision pipeline: exact and sampled sweeps over beta/alpha."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -74,6 +75,20 @@ def test_default_config_defaults():
 def test_config_validation(bad):
     with pytest.raises(InputError):
         majsat.default_config(3, **bad)
+
+
+@pytest.mark.parametrize("g", [1.0, 0.5, math.nan, math.inf])
+def test_config_checks_g_itself(g):
+    # default_config rejects these g in default_r first; the class keeps
+    # its own contract for a config made by hand
+    with pytest.raises(InputError, match="g must be a finite real > 1"):
+        dataclasses.replace(majsat.default_config(3), g=g)
+
+
+def test_plan_needs_a_variable():
+    # default_config refuses n < 1 first; plan checks the formula it is given
+    with pytest.raises(InputError, match="majority decision needs at least one variable"):
+        majsat.plan(_formula(0, []), majsat.default_config(1))
 
 
 def test_config_json_keys():
