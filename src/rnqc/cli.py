@@ -3,8 +3,9 @@
 Subcommands cover the whole toolkit: solve (decision runs), count (model
 counting), oracle-check (exhaustive oracle verification), lower (gate
 decomposition), simulate (dense state runs), and pathsum (acceptance
-cross-checks).  Every machine-readable report embeds a run manifest so
-identical invocations can be diffed byte for byte.
+cross-checks).  Every machine-readable report is formed in one place,
+_write_report, and embeds a run manifest so identical invocations can be
+diffed byte for byte.
 
 Exit codes: 0 = YES / success, 1 = NO / reported disagreement, 2 = input
 error, 3 = resource cap or out of memory, 4 = invariant failure or
@@ -34,17 +35,6 @@ _CONFIG_KEYWORDS = frozenset(inspect.signature(majsat.default_config).parameters
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _manifest(command: str, data: bytes, config: dict, seed, timestamp: str | None) -> dict:
-    return {
-        "command": command,
-        "input_sha256": hashlib.sha256(data).hexdigest(),
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "timestamp": timestamp if timestamp is not None else _utc_now(),
-    }
 
 
 # json.dumps's writer for each scalar type; NaN and the infinities as it writes them
@@ -89,11 +79,22 @@ def _report_text(payload) -> str:
     return _encode(payload, "\n")
 
 
-def _write_report(path: str | None, payload: dict) -> None:
-    if path is None:
+def _write_report(args, data: bytes, config: dict, body: dict, seed=None) -> None:
+    """The one place a report is formed: with --json, the run manifest (the
+    subcommand, the digest of the input bytes that ran, its config and seed,
+    the version and the pinned or current time) and the command's body."""
+    if args.json is None:
         return
-    text = _report_text(payload) + "\n"
-    with open(path, "w") as fh:
+    manifest = {
+        "command": args.command,
+        "input_sha256": hashlib.sha256(data).hexdigest(),
+        "config": config,
+        "seed": seed,
+        "version": __version__,
+        "timestamp": args.timestamp if args.timestamp is not None else _utc_now(),
+    }
+    text = _report_text({"manifest": manifest, **body}) + "\n"
+    with open(args.json, "w") as fh:
         fh.write(text)
 
 
@@ -145,22 +146,14 @@ def cmd_solve(args) -> int:
     yes = report.verdict == "YES"
     print(f"verdict {report.verdict}")
 
-    payload = {
-        "manifest": _manifest(
-            "solve",
-            data,
-            config.to_json_dict(),
-            config.seed if config.mode == "sampled" else None,
-            args.timestamp,
-        ),
-        "report": report.to_json_dict(),
-    }
+    body = {"report": report.to_json_dict()}
     if args.check:
         s = report.reference_s
         agree = (s > (1 << formula.num_vars) // 2) == yes
         print(f"reference count {s}, {'agree' if agree else 'DISAGREE'}")
-        payload["check"] = {"reference_s": s, "agree": agree}
-    _write_report(args.json, payload)
+        body["check"] = {"reference_s": s, "agree": agree}
+    seed = config.seed if config.mode == "sampled" else None
+    _write_report(args, data, config.to_json_dict(), body, seed)
     return 0 if yes else 1
 
 
@@ -172,14 +165,7 @@ def cmd_count(args) -> int:
     formula, data = _read_formula(args.file, args.keep_tautologies)
     s = cnf.count_models(formula)
     print(s)
-    _write_report(
-        args.json,
-        {
-            "manifest": _manifest("count", data, {}, None, args.timestamp),
-            "count": s,
-            "num_vars": formula.num_vars,
-        },
-    )
+    _write_report(args, data, {}, {"count": s, "num_vars": formula.num_vars})
     return 0
 
 
@@ -206,13 +192,7 @@ def cmd_oracle_check(args) -> int:
         for entry in report.scratch_violations:
             print(f"scratch violation {entry}")
     config = {"lowering": args.lowering, "polarity_fix": not args.no_polarity_fix}
-    _write_report(
-        args.json,
-        {
-            "manifest": _manifest("oracle-check", data, config, None, args.timestamp),
-            "report": report.to_json_dict(),
-        },
-    )
+    _write_report(args, data, config, {"report": report.to_json_dict()})
     return 0 if report.ok else 1
 
 
@@ -224,16 +204,15 @@ def cmd_lower(args) -> int:
     circuit, data = _read_circuit(args.file)
     lowered = lower_to_primitive(circuit)
     census = gate_census(lowered)
-    payload = {
-        "manifest": _manifest("lower", data, {"to": "primitive"}, None, args.timestamp),
+    body = {
         "circuit": circuit_to_json(lowered),
         "census": {"counts": dict(sorted(census.counts.items())), "is_primitive": census.is_primitive},
     }
     summary = " ".join(f"{k}={v}" for k, v in sorted(census.counts.items()))
     print(f"census {summary or '(empty)'} primitive={census.is_primitive}")
     if args.json is None:
-        print(_report_text(payload["circuit"]))
-    _write_report(args.json, payload)
+        print(_report_text(body["circuit"]))
+    _write_report(args, data, {"to": "primitive"}, body)
     return 0
 
 
@@ -272,14 +251,7 @@ def cmd_simulate(args) -> int:
     for q, (p0, p1) in enumerate(probs):
         print(f"qubit {q}: P(0)={p0:.12g} P(1)={p1:.12g}")
 
-    payload = {
-        "manifest": _manifest(
-            "simulate",
-            data,
-            {"input_basis": basis, "mode": mode, "amplitudes": bool(args.amplitudes)},
-            None,
-            args.timestamp,
-        ),
+    body = {
         "mode": mode,
         "input_basis": basis,
         "probabilities": [[p0, p1] for p0, p1 in probs],
@@ -293,8 +265,9 @@ def cmd_simulate(args) -> int:
             a = complex(flat[z]) * scale
             rows.append([a.real, a.imag])
             print(f"|{z:0{circuit.qubit_count}b}> {a.real:+.12g}{a.imag:+.12g}j")
-        payload["amplitudes"] = rows
-    _write_report(args.json, payload)
+        body["amplitudes"] = rows
+    config = {"input_basis": basis, "mode": mode, "amplitudes": bool(args.amplitudes)}
+    _write_report(args, data, config, body)
     return 0
 
 
@@ -302,33 +275,25 @@ def cmd_simulate(args) -> int:
 # pathsum
 
 
+# each --methods name and its route; pathsum's functions are looked up when called
+_ROUTES = {
+    "direct": lambda circuit, args, projector: pathsum.direct_amplitude(circuit, args.input, projector),
+    "pathsum": lambda circuit, args, projector: pathsum.path_sum_amplitude(
+        circuit, args.input, projector, budget=args.path_budget
+    ),
+    "counting": lambda circuit, args, projector: pathsum.counting_estimate(
+        circuit, args.input, projector, precision_c=args.precision_c, budget=args.path_budget
+    ),
+}
+
+
 def cmd_pathsum(args) -> int:
     circuit, data = _read_circuit(args.file)
     projector = pathsum.Projector(args.projector, args.yes_qubit)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    known = {"direct", "pathsum", "counting"}
-    bad = [m for m in methods if m not in known]
-    if bad or not methods:
-        raise InputError(f"--methods must name a subset of {sorted(known)}, got {args.methods!r}")
-
-    results = []
-    for method in methods:
-        if method == "direct":
-            results.append(pathsum.direct_amplitude(circuit, args.input, projector))
-        elif method == "pathsum":
-            results.append(
-                pathsum.path_sum_amplitude(circuit, args.input, projector, budget=args.path_budget)
-            )
-        else:
-            results.append(
-                pathsum.counting_estimate(
-                    circuit,
-                    args.input,
-                    projector,
-                    precision_c=args.precision_c,
-                    budget=args.path_budget,
-                )
-            )
+    if not methods or any(m not in _ROUTES for m in methods):
+        raise InputError(f"--methods must name a subset of {sorted(_ROUTES)}, got {args.methods!r}")
+    results = [_ROUTES[m](circuit, args, projector) for m in methods]
 
     header = f"{'method':10s} {'c_yes_sq':>18s} {'c_no_sq':>18s} {'acceptance':>12s} {'paths':>8s}"
     print(header)
@@ -346,13 +311,7 @@ def cmd_pathsum(args) -> int:
         "precision_c": args.precision_c,
         "path_budget": args.path_budget,
     }
-    _write_report(
-        args.json,
-        {
-            "manifest": _manifest("pathsum", data, config, None, args.timestamp),
-            "results": [r.to_json_dict() for r in results],
-        },
-    )
+    _write_report(args, data, config, {"results": [r.to_json_dict() for r in results]})
     return 0
 
 

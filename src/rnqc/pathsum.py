@@ -28,9 +28,6 @@ from .errors import CircuitError, GridSpacingError, InputError, InvariantError, 
 
 DEFAULT_PATH_BUDGET = 10**8
 
-# maximum float64 bound on the imaginary residue of a pair-sum bucket
-IM_TOLERANCE = 1e-9
-
 # most paths, or path pairs, in one array; 2^16 left the heap 0.5 MB larger
 _CHUNK = 1 << 14
 
@@ -193,19 +190,15 @@ def path_sum_amplitude(
     ar, ai = np.empty(len(ends)), np.empty(len(ends))
     for rows, re, im in groups:  # each endpoint's amplitude
         ar[rows], ai[rows] = _fold(np.stack((re, im)))
-    mass_re, mass_im = ar * ar - ai * -ai, ar * -ai + ai * ar  # amp * amp.conjugate()
+    # the real part of amp * amp.conjugate(); its imaginary part, ar * -ai + ai * ar,
+    # is exactly +0 wherever the real part is finite
+    mass = ar * ar - ai * -ai
     on_yes = (ends & (1 << projector.yes_qubit) != 0) | (projector.kind == "yn")
-    yes = complex(_fold(mass_re[on_yes]), _fold(mass_im[on_yes]))
-    no = complex(_fold(mass_re[~on_yes]), _fold(mass_im[~on_yes]))
-    if not (math.isfinite(yes.real) and math.isfinite(no.real)):
+    yes, no = float(_fold(mass[on_yes])), float(_fold(mass[~on_yes]))
+    if not (math.isfinite(yes) and math.isfinite(no)):
         raise NormOverflowError("squared path-sum mass overflows double precision")
-    if abs(yes.imag) > IM_TOLERANCE or abs(no.imag) > IM_TOLERANCE:
-        raise InvariantError(
-            f"pair-sum imaginary residue {max(abs(yes.imag), abs(no.imag)):.3e} "
-            "exceeds tolerance; squared masses must be real"
-        )
     path_count = sum(re.size * re.shape[1] for _, re, _ in groups)
-    return PathSumResult("pathsum", yes.real, no.real, _acceptance(yes.real, no.real), path_count)
+    return PathSumResult("pathsum", yes, no, _acceptance(yes, no), path_count)
 
 
 def _grid_total(x, nc: int) -> int:
@@ -300,12 +293,28 @@ def counting_estimate(
     on_yes = (ends & (1 << projector.yes_qubit) != 0) | (projector.kind == "yn")
     yes_pos, yes_neg, yes_res = _count_pairs(groups, on_yes, nc)
     no_pos, no_neg, no_res = _count_pairs(groups, ~on_yes, nc)
-    yes_im, tot_im = _fold(yes_res[on_yes]), _fold(np.where(on_yes, yes_res, no_res))
-    if abs(yes_im) > IM_TOLERANCE or abs(tot_im) > IM_TOLERANCE:
-        raise InvariantError(
-            f"pair-product imaginary residue {max(abs(yes_im), abs(tot_im)):.3e} "
-            "exceeds tolerance; squared masses must be real"
-        )
+    # The pairs' imaginary parts sum to Im |amp|^2 = 0 at each endpoint, so
+    # a residue is rounding alone. A term rounds twice (its two products and
+    # their sum), then at most once per pair and once per endpoint as the
+    # sums add it, m times in all; recursive summation of terms x errs by at
+    # most gamma_m sum |x| (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., ch. 3-4), and at one endpoint the terms |Re a Im b|
+    # + |Im a Re b| sum to at most (sum |Re a| + |Im a|)^2. Twice m u covers
+    # gamma_m and the rounding of those squares; m * 2^-1074 covers products
+    # that underflow.
+    mag = np.zeros(len(ends))
+    for rows, re, im in groups:
+        mag[rows] = (np.abs(re).sum(axis=1) + np.abs(im).sum(axis=1)) ** 2
+    m = path_count + len(ends) + 2
+    for res, scale in (
+        (_fold(yes_res[on_yes]), _fold(mag[on_yes])),
+        (_fold(np.where(on_yes, yes_res, no_res)), _fold(mag)),
+    ):
+        if abs(res) > 2 * m * 2.0**-53 * scale + m * 2.0**-1074:
+            raise InvariantError(
+                f"pair-product imaginary residue {abs(res):.3e} exceeds its rounding bound; "
+                "squared masses must be real"
+            )
     try:  # int / int rounds once, also where a count passes the double range
         yes_sq = (yes_pos - yes_neg) / (1 << nc)  # under "yn" the no side is empty
         no_sq = max((yes_pos + no_pos - yes_neg - no_neg) / (1 << nc) - yes_sq, 0.0)

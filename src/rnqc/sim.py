@@ -38,6 +38,10 @@ the amplitudes, then the guard. apply_gate is the gate-by-gate
 reference the tests compare the blocks against. With power-of-two
 parameters the two agree bit for bit; otherwise a block rounds its
 product of factors once where the gate loop rounds after every gate.
+One shared exponent holds amplitudes within about 2^1074 of the largest:
+G(q, 2^390) twice and then G(q, 2^-390) twice zeroes the q = 0 branch
+one gate at a time, while one apply_circuit call folds the four factors
+to 1 and returns its input.
 
 A state stores only its live qubits: amps holds the low stored =
 log2(amps.size) qubits, and each qubit above them reads its bit of

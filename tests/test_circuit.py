@@ -16,6 +16,7 @@ from rnqc.circuit import (
     RegisterLayout,
     circuit_from_json,
     circuit_to_json,
+    diagonal_factors,
     gate_census,
     lower_cg,
     lower_to_primitive,
@@ -72,6 +73,11 @@ def test_parameter_only_on_scaling_gates():
         Gate("G", (0,))
     with pytest.raises(CircuitError):
         Gate("H", (0,), 2.0)
+
+
+def test_diagonal_factors_refuses_a_permutation():
+    with pytest.raises(CircuitError, match=r"^X is not a diagonal gate$"):
+        diagonal_factors(Gate("X", (0,)))
 
 
 def test_circuit_rejects_gate_beyond_register():

@@ -1,6 +1,7 @@
 """End-to-end command-line checks run in process through cli.main."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.resources
 import json
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
-from rnqc import cli, cnf, majsat, oracle, pathsum, sim
+from rnqc import __version__, cli, cnf, majsat, oracle, pathsum, sim
+from rnqc.circuit import Gate
 
 YES_CNF = "p cnf 3 1\n1 2 0\n"
 NO_CNF = "p cnf 3 2\n1 0\n2 0\n"
@@ -471,6 +473,30 @@ def test_oracle_check_broken_polarity_reports_mismatches(files, capsys):
     assert out.count("mismatch") == 4
 
 
+def test_oracle_check_reports_scratch_violations(files, monkeypatch, capsys):
+    # an oracle that leaves its first clause flag flipped still computes the
+    # formula, but dirties its scratch on every input
+    build = oracle.build_oracle
+
+    def dirty(three, polarity_fix=True):
+        art = build(three, polarity_fix=polarity_fix)
+        flip = Gate("X", (art.circuit.layout.clause[0],))
+        return dataclasses.replace(art, circuit=dataclasses.replace(art.circuit, gates=art.circuit.gates + (flip,)))
+
+    monkeypatch.setattr(oracle, "build_oracle", dirty)
+    assert cli.main(["oracle-check", files["yes.cnf"]]) == 1
+    assert capsys.readouterr() == ("".join(f"scratch violation {x}\n" for x in range(8)), "")
+
+
+def test_unexpected_fault_exits_4(files, monkeypatch, capsys):
+    def fault(formula):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cnf, "count_models", fault)
+    assert cli.main(["count", files["yes.cnf"]]) == 4
+    assert capsys.readouterr() == ("", "unexpected error: ValueError: boom\n")
+
+
 def test_oracle_check_at_the_cap_holds_one_block_per_qubit(tmp_path, capsys):
     # 24 variables and 40 clauses lower to a register of 105 qubits:
     # one block of 2^20 inputs is 128 KiB per qubit
@@ -623,15 +649,56 @@ def test_simulate_amplitudes_list_the_whole_register(tmp_path, monkeypatch, caps
         assert im == 0.0 and re == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def test_simulate_without_json_encodes_no_report(files, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "yes.cnf"],
+        ["solve", "yes.cnf", "--mode", "sampled", "--seed", "7"],
+        ["count", "yes.cnf"],
+        ["oracle-check", "yes.cnf"],
+        ["lower", "hgh.json"],
+        ["simulate", "hgh.json", "--amplitudes"],
+        ["pathsum", "hgh.json"],
+    ],
+    ids=["solve", "solve-sampled", "count", "oracle-check", "lower", "simulate", "pathsum"],
+)
+def test_reports_are_formed_only_with_json(files, tmp_path, monkeypatch, capsys, argv):
+    # Without --json nothing is encoded (but lower's printed circuit) and no
+    # file is opened for writing; with it, one report whose manifest names
+    # the subcommand, the seed of a sampled solve only, the version and the
+    # pinned timestamp.
     encoded, encode = [], cli._report_text
     monkeypatch.setattr(cli, "_report_text", lambda payload: encoded.append(payload) or encode(payload))
-    assert cli.main(["simulate", files["hgh.json"], "--amplitudes"]) == 0
-    assert "|0> +1.25+0j" in capsys.readouterr().out
-    assert not encoded
-    report = tmp_path / "report.json"
-    assert cli.main(["simulate", files["hgh.json"], "--amplitudes", "--json", str(report)]) == 0
+    writes = []
+
+    def spy_open(path, mode="r"):
+        if "w" in mode:
+            writes.append(path)
+        return open(path, mode)
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    command, argv = argv[0], [argv[0], files[argv[1]], *argv[2:]]
+    code = cli.main(argv)
+    bare = capsys.readouterr()
+    assert bare.err == "" and not writes
+    if command == "lower":
+        assert encoded == [json.loads(bare.out.split("\n", 1)[1])]
+    else:
+        assert not encoded
+    if command == "simulate":
+        assert "|0> +1.25+0j" in bare.out
+    encoded.clear()
+    report, stamp = tmp_path / "report.json", "2026-01-01T00:00:00Z"
+    assert cli.main(argv + ["--json", str(report), "--timestamp", stamp]) == code
+    out = capsys.readouterr()
+    assert out.err == "" and writes == [str(report)]
+    assert bare.out == out.out + (encode(encoded[0]["circuit"]) + "\n" if command == "lower" else "")
     assert len(encoded) == 1 and json.loads(report.read_text()) == encoded[0]
+    manifest = encoded[0]["manifest"]
+    assert manifest["command"] == command
+    assert manifest["seed"] == (7 if "--seed" in argv else None)
+    assert manifest["version"] == __version__
+    assert manifest["timestamp"] == stamp
 
 
 def test_simulate_bits_width_mismatch(files, capsys):
@@ -881,17 +948,15 @@ _PAYLOADS = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(payload=_PAYLOADS)
-def test_report_bytes_are_json_dumps(tmp_path_factory, payload):
-    path = tmp_path_factory.getbasetemp() / "encoder_report.json"
-    cli._write_report(str(path), payload)
-    assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+def test_report_bytes_are_json_dumps(payload):
+    assert cli._report_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
     "payload", [np.int64(3), {"a": [1, np.int64(3)]}, {1, 2}, {"a": {"b": frozenset()}}, {(1, 2): 0}]
 )
-def test_report_encoder_refuses_what_json_dumps_refuses(tmp_path, payload):
+def test_report_encoder_refuses_what_json_dumps_refuses(payload):
     with pytest.raises(TypeError):
         json.dumps(payload, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
-        cli._write_report(str(tmp_path / "report.json"), payload)
+        cli._report_text(payload)

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from rnqc import cnf, majsat, sim
-from rnqc.circuit import circuit_to_json, gate_census
+from rnqc.circuit import Gate, circuit_to_json, gate_census
 from rnqc.errors import InputError, PostselectError, RegisterCapError
 
 
@@ -193,6 +193,18 @@ def test_plan_register_cap():
     formula = _formula(25, [[1]])
     with pytest.raises(RegisterCapError):
         _plan(formula)
+
+
+def test_fidelity_checks_need_the_count_and_run_nothing(monkeypatch):
+    # 25 variables plan in 28 qubits under the default cap, past the
+    # brute-force count's 24; neither check may start a simulation
+    p = majsat.plan(_formula(25, []), majsat.default_config(25))
+    assert p.qubit_count == 28
+    monkeypatch.setattr(sim, "apply_circuit", lambda *args: pytest.fail("simulated"))
+    with pytest.raises(InputError, match=r"^fidelity profile needs the brute-force count$"):
+        majsat.amplification_fidelity_profile(p)
+    with pytest.raises(InputError, match=r"^fidelity grid needs the brute-force count$"):
+        majsat.readout_fidelity_grid(p)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +433,15 @@ def test_amplification_profile_runs_the_plan_gates(monkeypatch):
     assert len(mixing) == 2 * len(p.mixed_qubits)
     assert len(rounds) == p.config.r and len({len(r) for r in rounds}) == 1
     assert mixing + sum(rounds, ()) == p.amplification_circuit.gates
+
+
+def test_exact_run_needs_the_bhr_at_zero():
+    # a superposition that also flips the BHR leaves it at |1> for the readout
+    p = _plan(OR_PAIR)
+    flip = Gate("X", (p.layout.bhr,))
+    sup = dataclasses.replace(p.superposition_circuit, gates=p.superposition_circuit.gates + (flip,))
+    with pytest.raises(InputError, match=rf"^qubit {p.layout.bhr} is not in a definite \|0> state$"):
+        majsat.run_exact(dataclasses.replace(p, superposition_circuit=sup))
 
 
 # ---------------------------------------------------------------------------

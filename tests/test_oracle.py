@@ -9,7 +9,7 @@ import pytest
 from conftest import eval_clause, eval_formula, extend_assignment, table_oracle_report
 from rnqc import cnf, oracle, sim
 from rnqc.circuit import Circuit, Gate, gate_census, lower_to_primitive, propagate_basis
-from rnqc.errors import CircuitError, ResourceError
+from rnqc.errors import CircuitError, InputError, ResourceError
 
 
 def _artifact(num_vars, clauses, polarity_fix=True):
@@ -126,6 +126,13 @@ def test_verify_oracle_flags_broken_polarity_single_clause():
     report = oracle.verify_oracle(art, formula)
     assert not report.ok
     assert len(report.mismatches) == 8, "single broken clause computes the negation"
+
+
+def test_verify_oracle_refuses_another_formulas_artifact():
+    _, art = _artifact(3, [[1, 2]])
+    other = cnf.CnfFormula(num_vars=4, clauses=((1, 2), (3, 4)))
+    with pytest.raises(InputError, match=r"^artifact layout does not match the formula's register needs$"):
+        oracle.verify_oracle(art, other)
 
 
 def test_verify_oracle_accepts_lowered_artifact():

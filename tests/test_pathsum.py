@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from conftest import count_bucket, forward_paths, frontier_paths
 from rnqc import cli, cnf, majsat, pathsum, sim
 from rnqc.circuit import KINDS, Circuit, Gate, circuit_to_json
-from rnqc.errors import CircuitError, GridSpacingError, InputError, NormOverflowError, PathBudgetError
+from rnqc.errors import (
+    CircuitError,
+    GridSpacingError,
+    InputError,
+    InvariantError,
+    NormOverflowError,
+    PathBudgetError,
+)
 from rnqc.pathsum import Projector
 
 H0 = Gate("H", (0,))
@@ -254,8 +261,6 @@ def test_frontier_matches_python_dfs(case, chunk, ncs):
                 assert (pos, neg) == ref[:2]
                 assert residues[ends == z][0].hex() == ref[2].hex()
         yes, no = _pathsum_by_loop(circuit, start, 1 << yes_qubit)
-        if abs(yes.imag) > pathsum.IM_TOLERANCE or abs(no.imag) > pathsum.IM_TOLERANCE:
-            return
         if not (math.isfinite(yes.real) and math.isfinite(no.real)):
             with pytest.raises(NormOverflowError):
                 pathsum.path_sum_amplitude(circuit, start, Projector("yes", yes_qubit))
@@ -383,6 +388,20 @@ def test_counting_grid_underflow():
         pathsum.counting_estimate(HGH, 0, YES0, precision_c=1100)
 
 
+def test_counting_precision_below_one_is_refused():
+    with pytest.raises(CircuitError, match=r"^precision_c must be at least 1$"):
+        pathsum.counting_estimate(HGH, 0, YES0, precision_c=0)
+
+
+def test_counting_mass_past_the_double_range_raises():
+    # the two paths ending at |01> each carry 2^513 / (2 sqrt 2): every pair
+    # product, 2^1023, is a double, their sum of 2^1025 is not
+    g = (H0, Gate("G", (0,), 2.0**500), Gate("G", (0,), 2.0**13), Gate("CNOT", (0, 1)))
+    circ = Circuit(2, g + (Gate("H", (1,)),) * 2)
+    with pytest.raises(NormOverflowError, match=r"^squared counting mass overflows double precision$"):
+        pathsum.counting_estimate(circ, 0, YES0)
+
+
 def test_counting_finest_grid_is_2_to_minus_1074(tmp_path):
     # one path of value 2^-40, so 2^-80 counts 2^994 thresholds at nc = 1074
     tiny = Circuit(1, (Gate("G", (0,), 2.0**-40),))
@@ -395,6 +414,55 @@ def test_counting_finest_grid_is_2_to_minus_1074(tmp_path):
     argv = ["pathsum", str(path), "--input", "1", "--methods", "counting"]
     assert cli.main(argv + ["--precision-c", "1074"]) == 0
     assert cli.main(argv + ["--precision-c", "1075"]) == 2
+
+
+def _t_gain_circuit(p):
+    # H0, H1, T0, CNOT(1,0), T1, H0, G0(2^p), H1, T0, H0: T gives the paths
+    # imaginary parts, and G grows the masses, about 2^(2p), and with them
+    # the rounding of the pair terms' imaginary parts
+    kinds = [("H", (0,)), ("H", (1,)), ("T", (0,)), ("CNOT", (1, 0)), ("T", (1,)), ("H", (0,))]
+    kinds += [("G", (0,)), ("H", (1,)), ("T", (0,)), ("H", (0,))]
+    return Circuit(2, tuple(Gate(k, q, 2.0**p if k == "G" else None) for k, q in kinds))
+
+
+@pytest.mark.parametrize("p", [10, 20, 30, 40])
+def test_counting_residue_bound_grows_with_the_masses(p):
+    # An absolute tolerance of 1e-9 read the residue 7.6e-6 at 2^20, 8.0 at
+    # 2^30 and 8.4e6 at 2^40 as an invariant failure.
+    circ = _t_gain_circuit(p)
+    direct = pathsum.direct_amplitude(circ, 0, YES0)
+    paths = pathsum.path_sum_amplitude(circ, 0, YES0)
+    res = pathsum.counting_estimate(circ, 0, YES0)
+    assert paths.c_yes_sq == pytest.approx(direct.c_yes_sq, rel=1e-14)
+    # error_bound covers the grid, not the rounding of the pair products: at
+    # 2^40 it is 3.4e-21, and counting sits one ulp (1.7e7) from direct
+    for got, want in ((res.c_yes_sq, direct.c_yes_sq), (res.c_no_sq, direct.c_no_sq)):
+        assert abs(got - want) <= res.error_bound + 2 * math.ulp(want)
+
+
+def test_counting_residue_past_its_bound_raises(monkeypatch):
+    circ = _t_gain_circuit(20)
+    mass = pathsum.path_sum_amplitude(circ, 0, YN).c_yes_sq
+    count_pairs = pathsum._count_pairs
+
+    def pushed(groups, keep, nc):
+        pos, neg, residues = count_pairs(groups, keep, nc)
+        return pos, neg, residues + 1e-9 * mass  # 161 at each endpoint; the bound is below 0.19
+
+    monkeypatch.setattr(pathsum, "_count_pairs", pushed)
+    with pytest.raises(InvariantError, match="imaginary residue 3.220e[+]02 exceeds its rounding bound"):
+        pathsum.counting_estimate(circ, 0, YES0)
+
+
+def test_cli_pathsum_routes_agree_on_large_masses(tmp_path, capsys):
+    path = tmp_path / "t_gain.json"
+    path.write_text(json.dumps(circuit_to_json(_t_gain_circuit(20))))
+    report = tmp_path / "report.json"
+    assert cli.main(["pathsum", str(path), "--json", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    results = {r["method"]: r for r in json.loads(report.read_text())["results"]}
+    assert results["direct"]["c_yes_sq"] == results["pathsum"]["c_yes_sq"] == 80509874945.53275
+    assert abs(results["counting"]["c_yes_sq"] - 80509874945.53275) <= results["counting"]["error_bound"]
 
 
 def _counting_two_pass(circuit, input_basis, projector, precision_c):

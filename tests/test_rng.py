@@ -28,3 +28,16 @@ def test_first_uniforms_match_make_stream_bit_for_bit(seed, start, stop):
 def test_first_uniforms_rejects_ids_outside_64_bits(seed, start, stop):
     with pytest.raises(InputError):
         first_uniforms(seed, start, stop)
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id, message",
+    [
+        (U64, 0, "seed must fit in 64 bits, got 18446744073709551616"),
+        (0, U64, "stream id must fit in 64 bits, got 18446744073709551616"),
+    ],
+    ids=["seed", "stream-id"],
+)
+def test_make_stream_rejects_ids_outside_64_bits(seed, stream_id, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        make_stream(seed, stream_id)

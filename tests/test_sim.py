@@ -92,6 +92,36 @@ def test_state_from_amplitudes_validates():
         sim.state_from_amplitudes([1.0, complex(0.0, math.nan)], mode="complex")
 
 
+def test_new_state_validates():
+    with pytest.raises(InputError, match=r"^register needs at least one qubit, got 0$"):
+        sim.new_state(0)
+    with pytest.raises(InputError, match=r"^mode must be 'real' or 'complex', got 'quaternion'$"):
+        sim.new_state(1, mode="quaternion")
+
+
+def test_zero_state_raises_at_every_read():
+    # state_from_amplitudes refuses a zero vector, so these build one directly
+    def zero():
+        return sim.StateVector(1, np.zeros(2))
+
+    with pytest.raises(ZeroStateError, match=r"^state vector collapsed to zero$"):
+        sim.apply_gate(zero(), Gate("G", (0,), 2.0))
+    for read in (sim.norm_sq, lambda st: sim.probabilities_z(st, 0), lambda st: sim.postselect(st, 0, 0)):
+        with pytest.raises(ZeroStateError, match=r"^state vector has zero norm$"):
+            read(zero())
+    with pytest.raises(ZeroStateError, match=r"^fidelity of a zero state is undefined$"):
+        sim.fidelity(zero(), sim.new_state(1))
+    with pytest.raises(InputError, match=r"^postselect bit must be 0 or 1, got 2$"):
+        sim.postselect(sim.new_state(1), 0, 2)
+
+
+def test_pure_fidelity_refuses_zero_norms():
+    with pytest.raises(ZeroStateError, match=r"^target qubit state has zero norm$"):
+        sim.pure_fidelity(np.eye(2), 0.0, 0.0)
+    with pytest.raises(ZeroStateError, match=r"^state vector has zero norm$"):
+        sim.pure_fidelity(np.zeros((2, 2)), 1.0, 1.0)
+
+
 def test_state_from_amplitudes_runs_rescale_guard():
     state = sim.state_from_amplitudes([2**600] * 4, exponent=3)
     assert _amps(state).tolist() == [1.0] * 4
@@ -371,6 +401,31 @@ def test_fused_circuit_matches_gate_loop(case):
     got, want, mag = _fused_and_reference(*case)
     c = 10 * (len(case[1]) + 1)
     assert np.all(np.abs(got - want) <= c * np.finfo(np.float64).eps / 2 * mag)
+
+
+# G(0, 2^390) twice, then G(0, 2^-390) twice: the q = 0 amplitudes sink to
+# 2^-780 of the q = 1 ones before the inverse gates raise them again
+_GAIN_THEN_UNDO = [Gate("G", (0,), 2.0**390)] * 2 + [Gate("G", (0,), 2.0**-390)] * 2
+
+
+def test_fused_run_of_a_gain_and_its_inverse_keeps_the_state():
+    # the four factors fold to 1 on every row, so the fused run returns its input
+    start = np.random.default_rng(0).standard_normal(8)
+    st = sim.apply_circuit(sim.state_from_amplitudes(start), _GAIN_THEN_UNDO)
+    assert np.array_equal(_amps(st) * 2.0**st.exponent, start)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="one shared exponent: the rescale guard scales the q = 1 amplitudes into range, "
+    "and the q = 0 ones, 2^-780 below them, underflow to zero",
+)
+def test_gate_loop_of_a_gain_and_its_inverse_keeps_the_state():
+    start = np.random.default_rng(0).standard_normal(8)
+    st = sim.state_from_amplitudes(start)
+    for gate in _GAIN_THEN_UNDO:
+        sim.apply_gate(st, gate)
+    assert np.array_equal(_amps(st) * 2.0**st.exponent, start)
 
 
 def test_fused_run_folds_rounds_and_cuts_at_factor_range():
