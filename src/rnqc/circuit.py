@@ -63,10 +63,10 @@ _FIXED_ARITY = {"H": 1, "X": 1, "Z": 1, "T": 1, "G": 1, "CNOT": 2, "CG": 2, "CCN
 _PARAM_KINDS = frozenset({"G", "CG"})
 _FIXED_FACTORS = {"Z": (1.0, -1.0), "T": (1.0, complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))}
 
-# Scale parameters are capped so that one gate application can never push a
-# guarded mantissa array past the double-precision range (see sim.py).
-_PARAM_LO = 2.0**-500
-_PARAM_HI = 2.0**500
+# Scale parameters are capped at 2^±PARAM_LOG2_CAP so that one gate application
+# can never push a guarded mantissa array past the double-precision range (see sim.py).
+PARAM_LOG2_CAP = 500
+_PARAM_LO, _PARAM_HI = 2.0**-PARAM_LOG2_CAP, 2.0**PARAM_LOG2_CAP
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ cross-checks).  Every machine-readable report is formed in one place,
 _write_report, and embeds a run manifest so identical invocations can be
 diffed byte for byte.
 
-Exit codes: 0 = YES / success, 1 = NO / reported disagreement, 2 = input
-error, 3 = resource cap or out of memory, 4 = invariant failure or
-unexpected fault.
+Exit codes: 0 = YES / success, 1 = NO / reported disagreement, a package
+error's exit_code from errors.py (2 = input, 3 = resource cap, 4 =
+invariant failure), 3 = out of memory and 4 = any other fault.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__, cnf, majsat, oracle, pathsum, rng, sim
 from .circuit import Circuit, circuit_to_json, gate_census, lower_to_primitive, needs_complex, parse_circuit
-from .errors import InputError, ResourceError, RnqcError
+from .errors import InputError, RnqcError
 
 AMPLITUDE_PRINT_CAP = 12
 # solve's config flags have dests named after default_config's keywords
@@ -94,8 +94,11 @@ def _write_report(args, data: bytes, config: dict, body: dict, seed=None) -> Non
         "timestamp": args.timestamp if args.timestamp is not None else _utc_now(),
     }
     text = _report_text({"manifest": manifest, **body}) + "\n"
-    with open(args.json, "w") as fh:
-        fh.write(text)
+    try:
+        with open(args.json, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.json}: {exc}") from exc
 
 
 def _read_input(path: str) -> bytes:
@@ -348,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="majority-satisfiability verdict for a DIMACS formula")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    p.add_argument("--mode", choices=majsat.MODES, default="exact")
     p.add_argument("--g", type=float, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--rp", dest="r_prime", type=int, default=None)
@@ -358,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", type=int, default=None)
     p.add_argument("--runs", dest="runs_per_set", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lowering", choices=("semantic", "primitive"), default=None)
-    p.add_argument("--g-orientation", dest="g_orientation", choices=("boost", "literal"), default=None)
+    p.add_argument("--lowering", choices=majsat.LOWERINGS, default=None)
+    p.add_argument("--g-orientation", dest="g_orientation", choices=majsat.ORIENTATIONS, default=None)
     _add_jobs(p)
     p.add_argument("--check", action="store_true", help="append a brute-force count comparison")
     p.add_argument("--keep-tautologies", action="store_true")
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="verify a synthesized oracle on all basis inputs")
     p.add_argument("file")
-    p.add_argument("--lowering", choices=("semantic", "primitive"), default="semantic")
+    p.add_argument("--lowering", choices=majsat.LOWERINGS, default="semantic")
     p.add_argument("--no-polarity-fix", action="store_true")
     p.add_argument("--keep-tautologies", action="store_true")
     _add_common(p)
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=int, default=0, help="input basis index")
     p.add_argument("--projector", choices=("yes", "yn"), default="yes")
     p.add_argument("--yes-qubit", dest="yes_qubit", type=int, default=0)
-    p.add_argument("--methods", default="direct,pathsum,counting")
+    p.add_argument("--methods", default=",".join(_ROUTES))
     p.add_argument("--precision-c", dest="precision_c", type=_positive_int, default=None)
     p.add_argument(
         "--path-budget", dest="path_budget", type=_positive_int, default=pathsum.DEFAULT_PATH_BUDGET
@@ -417,15 +420,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RnqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except MemoryError as exc:  # an allocation failed: a resource, as the register cap is
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -165,13 +164,6 @@ def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
     return CnfFormula._normalized(num_vars, tuple(clauses))
 
 
-def format_dimacs(formula: CnfFormula) -> str:
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def check_count_limit(n: int) -> None:
     """COUNT_VAR_LIMIT is the package's one limit on exhaustive evaluation."""
     if n > COUNT_VAR_LIMIT:
@@ -205,9 +197,13 @@ def truth_blocks(n: int, mapping=()) -> Iterator[tuple[int, np.ndarray, dict[int
         yield first << 6, full, words
 
 
-def clause_words(clause: tuple[int, ...], words: dict[int, np.ndarray]) -> np.ndarray:
-    """A clause's words over one block: the OR of its literals' words."""
-    return reduce(np.bitwise_or, (words[lit] for lit in clause))
+def clause_words(clause, words: dict[int, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """A nonempty clause's words over one block: the OR of its literals'
+    words, formed in out when given."""
+    out = np.bitwise_or(words[clause[0]], words[clause[-1]], out=out)  # a unit ORs its word with itself
+    for lit in clause[1:-1]:
+        np.bitwise_or(out, words[lit], out=out)
+    return out
 
 
 def popcount(words: np.ndarray) -> int:
@@ -226,11 +222,6 @@ def set_assignments(first: int, words: np.ndarray) -> list[int]:
     return (np.flatnonzero(np.unpackbits(raw, bitorder="little")) + first).tolist()
 
 
-def formula_words(clauses, full: np.ndarray, words: dict[int, np.ndarray]) -> np.ndarray:
-    """A conjunction's words over one block: the AND of its clauses' words."""
-    return reduce(np.bitwise_and, (clause_words(c, words) for c in clauses), full)
-
-
 def _and_open_clauses(table: np.ndarray, clauses, path: int, words, scratch: np.ndarray) -> bool:
     """AND into table each clause that path leaves open, cut down to its
     literals on the table's variables. Each clause is (pos, neg, lits):
@@ -242,10 +233,7 @@ def _and_open_clauses(table: np.ndarray, clauses, path: int, words, scratch: np.
             continue
         if not lits:
             return False
-        np.bitwise_or(words[lits[0]], words[lits[-1]], out=scratch)  # a unit ORs its word with itself
-        for lit in lits[1:-1]:
-            np.bitwise_or(scratch, words[lit], out=scratch)
-        np.bitwise_and(table, scratch, out=table)
+        np.bitwise_and(table, clause_words(lits, words, scratch), out=table)
     return True
 
 

@@ -1,6 +1,6 @@
 """Exception hierarchy.
 
-Three branches, matching the CLI exit-code convention (see cli.py):
+Three branches, each with the exit code the CLI returns for it:
 input problems exit 2, resource-limit problems exit 3, and violated
 runtime invariants exit 4. Exit codes 0 and 1 are reserved for the
 YES/NO verdict of the decision pipeline.
@@ -9,10 +9,12 @@ YES/NO verdict of the decision pipeline.
 
 class RnqcError(Exception):
     """Base class for all package errors."""
+    exit_code = 4
 
 
 class InputError(RnqcError):
     """Malformed or out-of-contract user input."""
+    exit_code = 2
 
 
 class DimacsError(InputError):
@@ -33,6 +35,7 @@ class GridSpacingError(InputError):
 
 class ResourceError(RnqcError):
     """A configured resource cap would be exceeded."""
+    exit_code = 3
 
 
 class RegisterCapError(ResourceError):

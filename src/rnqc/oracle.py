@@ -21,16 +21,13 @@ callers that need them clean must uncompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
 from .circuit import PERMUTATION_KINDS, Circuit, Gate, RegisterLayout
-from .cnf import (
-    CnfFormula, ThreeCnf, clause_words, formula_words, popcount, set_assignments, to_3cnf,
-    truth_blocks,
-)
+from .cnf import CnfFormula, ThreeCnf, clause_words, popcount, set_assignments, to_3cnf, truth_blocks
 from .errors import CircuitError, InputError
 
 
@@ -49,13 +46,7 @@ class OracleCheckReport:
     satisfying_inputs: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "inputs_checked": self.inputs_checked,
-            "mismatches": list(self.mismatches),
-            "scratch_violations": list(self.scratch_violations),
-            "satisfying_inputs": self.satisfying_inputs,
-        }
+        return asdict(self)
 
 
 def reduced_clauses(f3: ThreeCnf) -> tuple[tuple[int, ...], ...]:
@@ -142,7 +133,7 @@ def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckR
         for q, clause in zip(layout.clause, clauses):
             t = clause_words(clause, words)
             expected[q] = t if artifact.polarity_fix else full ^ t
-        expected[o] = formula_words(formula.clauses, full, words)
+        expected[o] = reduce(np.bitwise_and, (clause_words(c, words) for c in formula.clauses), full)
 
         for g in artifact.circuit.gates:
             if g.kind not in PERMUTATION_KINDS:

@@ -7,8 +7,9 @@ resulting products.  ``counting`` replays the same pair enumeration but
 recovers each product's real part from two exhaustive threshold counts on
 a dyadic grid, which is how a counting oracle would see the sum.  Paths
 are walked as numpy arrays and paired in batches, in Python's complex
-arithmetic and summation order, so every value, sum and count is the one
-a path-by-path loop gets.
+arithmetic and summation order, so every reported value, sum and count
+is the one a path-by-path loop gets; the counting route's imaginary
+residue, which only its rounding bound reads, is summed in batch order.
 
 All three agree on well-formed circuits; the point of keeping them
 separate is that they fail independently.
@@ -96,8 +97,8 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     total = sim.norm_sq(state)
     if projector.kind == "yn":
         return PathSumResult("direct", total, 0.0, _acceptance(total, 0.0), 0)
-    _, yes, e = sim._branch_masses(state, projector.yes_qubit)
-    yes = math.ldexp(yes, 2 * e)
+    m, e = sim.gram(state, [projector.yes_qubit])
+    yes = math.ldexp(float(np.real(m[1, 1])), 2 * e)
     no = max(total - yes, 0.0)
     return PathSumResult("direct", yes, no, _acceptance(yes, no), 0)
 
@@ -223,27 +224,28 @@ def _grid_total(x, nc: int) -> int:
 
 
 def _count_pairs(groups, keep, nc: int):
-    """(positive_count, negative_count, residues) over all path pairs at the
-    endpoints keep selects, formed about _CHUNK pairs at a time; residues[e]
-    is endpoint e's imaginary parts added pair by pair."""
+    """(positive_count, negative_count, residue, scale) over all path pairs at
+    the endpoints keep selects, formed about _CHUNK pairs at a time: residue
+    sums the pairs' imaginary parts, and scale each endpoint's
+    (sum |Re a| + |Im a|)^2 over its values a."""
     pos = neg = 0
-    residues = np.zeros(len(keep))
+    residue = scale = 0.0
     for rows, re, im in groups:
         rows, re, im = rows[keep[rows]], re[keep[rows]], im[keep[rows]]
+        scale += float(((np.abs(re).sum(axis=1) + np.abs(im).sum(axis=1)) ** 2).sum())
         k = re.shape[1]
         step, span = max(1, _CHUNK // (k * k)), min(k, max(1, _CHUNK // k))
         for r in range(0, len(rows), step):
-            br, nbi, at = re[r : r + step, None, :], -im[r : r + step, None, :], rows[r : r + step]
+            br, nbi = re[r : r + step, None, :], -im[r : r + step, None, :]
             for c in range(0, k, span):
                 ar, ai = re[r : r + step, c : c + span, None], im[r : r + step, c : c + span, None]
                 prod = ar * br - ai * nbi  # a * b.conjugate(), as complex.__mul__ forms it
-                parts = (ar * nbi + ai * br).reshape(len(ar), -1)
-                residues[at] = _fold(np.concatenate((residues[at, None], parts), axis=1))
+                residue += float((ar * nbi + ai * br).sum())
                 if np.isinf(prod).any():
                     raise NormOverflowError("a path-pair product overflows double precision")
                 pos += _grid_total(prod[prod > 0], nc)
                 neg += _grid_total(-prod[prod < 0], nc)
-    return pos, neg, residues
+    return pos, neg, residue, scale
 
 
 @np.errstate(all="ignore")
@@ -291,25 +293,19 @@ def counting_estimate(
         raise GridSpacingError(f"grid spacing 2**-{nc} underflows to zero")
 
     on_yes = (ends & (1 << projector.yes_qubit) != 0) | (projector.kind == "yn")
-    yes_pos, yes_neg, yes_res = _count_pairs(groups, on_yes, nc)
-    no_pos, no_neg, no_res = _count_pairs(groups, ~on_yes, nc)
+    yes_pos, yes_neg, yes_res, yes_scale = _count_pairs(groups, on_yes, nc)
+    no_pos, no_neg, no_res, no_scale = _count_pairs(groups, ~on_yes, nc)
     # The pairs' imaginary parts sum to Im |amp|^2 = 0 at each endpoint, so
     # a residue is rounding alone. A term rounds twice (its two products and
-    # their sum), then at most once per pair and once per endpoint as the
-    # sums add it, m times in all; recursive summation of terms x errs by at
-    # most gamma_m sum |x| (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 2nd ed., ch. 3-4), and at one endpoint the terms |Re a Im b|
-    # + |Im a Re b| sum to at most (sum |Re a| + |Im a|)^2. Twice m u covers
-    # gamma_m and the rounding of those squares; m * 2^-1074 covers products
-    # that underflow.
-    mag = np.zeros(len(ends))
-    for rows, re, im in groups:
-        mag[rows] = (np.abs(re).sum(axis=1) + np.abs(im).sum(axis=1)) ** 2
+    # their sum), then at most once per other pair and once as the buckets
+    # add, under m times in all; a sum of terms x, added in any order, errs
+    # by at most gamma_m sum |x| (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., ch. 3-4), and at one endpoint the terms
+    # |Re a Im b| + |Im a Re b| sum to at most (sum |Re a| + |Im a|)^2.
+    # Twice m u covers gamma_m and the rounding of those squares and their
+    # sum; m * 2^-1074 covers products that underflow.
     m = path_count + len(ends) + 2
-    for res, scale in (
-        (_fold(yes_res[on_yes]), _fold(mag[on_yes])),
-        (_fold(np.where(on_yes, yes_res, no_res)), _fold(mag)),
-    ):
+    for res, scale in ((yes_res, yes_scale), (yes_res + no_res, yes_scale + no_scale)):
         if abs(res) > 2 * m * 2.0**-53 * scale + m * 2.0**-1074:
             raise InvariantError(
                 f"pair-product imaginary residue {abs(res):.3e} exceeds its rounding bound; "

@@ -84,7 +84,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuit import COMPLEX_KINDS, DIAGONAL_KINDS, PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
+from .circuit import COMPLEX_KINDS, DIAGONAL_KINDS, PARAM_LOG2_CAP, PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
 from .errors import (
     CircuitError,
     InputError,
@@ -97,8 +97,7 @@ from .errors import (
 
 _DEFAULT_MAX_QUBITS = 28
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_GUARD_HI = 2.0**500
-_GUARD_LO = 2.0**-500
+_GUARD_HI, _GUARD_LO = 2.0**PARAM_LOG2_CAP, 2.0**-PARAM_LOG2_CAP  # the gate parameters' cap
 _MOVE_CHUNK = 1 << 16  # most amplitudes one piece of a data move or |x| temporary holds
 _NO_BOUND = (0.0, math.inf)  # bounds on max|amp| that prove nothing
 
@@ -351,7 +350,6 @@ _MONOMIAL = PERMUTATION_KINDS | (DIAGONAL_KINDS - COMPLEX_KINDS)  # a block's fa
 _DENSE_QUBITS = 10  # qubits below this index form the contiguous tail of a row
 _BLOCK_QUBITS = 10  # most qubits one block touches
 _ROW_QUBITS = 6  # most block qubits above the tail: at most 2^6 rows per block
-_LOG2_GUARD = 500  # log2 of _GUARD_HI: the widest factor range one block may apply
 _SPARSE_SHIFT = 7  # apply_circuit starts sparse while at most 2^-7 of the amplitudes are nonzero
 
 
@@ -373,7 +371,7 @@ def _merge_diagonal(stretch: list[Gate]) -> list[Gate]:
                 out[j] = None
                 del slot[key]
                 continue
-            if abs(math.log2(p)) <= _LOG2_GUARD:
+            if abs(math.log2(p)) <= PARAM_LOG2_CAP:
                 out[j][1] = p
                 continue
         slot[key] = len(out)
@@ -433,7 +431,7 @@ def _trace(gates: Sequence[Gate], qubits: Sequence[int], fixed: dict[int, int]) 
             planes[t] ^= hot
             continue
         cost = abs(math.log2(g.param)) if g.param is not None else 0.0
-        if span + cost > _LOG2_GUARD or (2 * len(stretches[-1]) + 2) << k > _MOVE_CHUNK:
+        if span + cost > PARAM_LOG2_CAP or (2 * len(stretches[-1]) + 2) << k > _MOVE_CHUNK:
             stretches, span = [*stretches, []], 0.0
         stretches[-1].append((diagonal_factors(g), hot & ~planes[t], hot & planes[t]))
         span += cost
@@ -480,7 +478,7 @@ def _fuse_run(run: list[Gate], state: StateVector) -> Iterator:
             g = items[j]
             joined = touched.union(g.qubits)
             cost = abs(math.log2(g.param)) if g.param is not None else 0.0
-            if budget + cost > _LOG2_GUARD or len(joined) > len(touched) and (
+            if budget + cost > PARAM_LOG2_CAP or len(joined) > len(touched) and (
                 len(joined) > _BLOCK_QUBITS or sum(q >= dense for q in joined) > _ROW_QUBITS
             ):
                 break
@@ -639,15 +637,11 @@ def apply_circuit(state: StateVector, circuit: Circuit | Iterable[Gate]) -> Stat
     applied. Runs the sparse prefix, then the gates and blocks of _compile
     on the rest (see the module notes).
     """
-    if isinstance(circuit, Circuit):
-        if circuit.qubit_count != state.num_qubits:
-            raise CircuitError(f"circuit has {circuit.qubit_count} qubits, state has {state.num_qubits}")
-        gates = circuit.gates
-    else:
-        gates = tuple(circuit)
-    for g in gates:
-        if max(g.qubits) >= state.num_qubits:
-            raise CircuitError(f"gate {g.kind}{g.qubits} exceeds register of {state.num_qubits} qubits")
+    if not isinstance(circuit, Circuit):
+        circuit = Circuit(state.num_qubits, circuit)  # checks each gate against the register
+    elif circuit.qubit_count != state.num_qubits:
+        raise CircuitError(f"circuit has {circuit.qubit_count} qubits, state has {state.num_qubits}")
+    gates = circuit.gates
     reach, peak = _apply_sparse(state, gates)
     return _apply_dense(state, gates[reach:], peak)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rnqc import cnf, oracle, pathsum, sim
-from rnqc.circuit import DIAGONAL_KINDS, PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
+from rnqc.circuit import DIAGONAL_KINDS, PARAM_LOG2_CAP, PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
 from rnqc.errors import InputError, PathBudgetError
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "corpus"
@@ -317,7 +317,7 @@ def fuse_run(run, n: int, stored: int | None = None, fixed: int = 0):
             if (
                 len(joined) > sim._BLOCK_QUBITS
                 or sum(q >= dense for q in joined) > sim._ROW_QUBITS
-                or budget + cost > sim._LOG2_GUARD
+                or budget + cost > PARAM_LOG2_CAP
             ):
                 break
             touched, budget, j = joined, budget + cost, j + 1

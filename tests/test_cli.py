@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
-from rnqc import __version__, cli, cnf, majsat, oracle, pathsum, sim
+from rnqc import __version__, cli, cnf, errors, majsat, oracle, pathsum, sim
 from rnqc.circuit import Gate
 
 YES_CNF = "p cnf 3 1\n1 2 0\n"
@@ -497,6 +497,38 @@ def test_unexpected_fault_exits_4(files, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "unexpected error: ValueError: boom\n")
 
 
+# README's exit code for each branch of errors.py
+_README_EXIT_CODES = {errors.InputError: 2, errors.ResourceError: 3, errors.RnqcError: 4}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.RnqcError)],
+    ids=lambda c: c.__name__,
+)
+def test_every_package_error_exits_with_its_readme_code(files, monkeypatch, capsys, kind):
+    def fault(formula):
+        raise kind("boom")
+
+    monkeypatch.setattr(cnf, "count_models", fault)
+    want = next(code for base, code in _README_EXIT_CODES.items() if issubclass(kind, base))
+    assert cli.main(["count", files["yes.cnf"]]) == want
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("argv", [["count"], ["solve", "--mode", "sampled", "--seed", "7"]], ids=["count", "solve-sampled"])
+def test_unwritable_report_path_is_input_exit(files, tmp_path, capsys, argv, where):
+    path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    with pytest.raises(OSError) as info:
+        open(path, "w")
+    argv = [argv[0], files["yes.cnf"], *argv[1:]]
+    cli.main(argv)
+    bare = capsys.readouterr().out
+    assert cli.main(argv + ["--json", str(path)]) == 2
+    assert capsys.readouterr() == (bare, f"error: cannot write {path}: {info.value}\n")
+
+
 def test_oracle_check_at_the_cap_holds_one_block_per_qubit(tmp_path, capsys):
     # 24 variables and 40 clauses lower to a register of 105 qubits:
     # one block of 2^20 inputs is 128 KiB per qubit
@@ -693,7 +725,7 @@ def test_reports_are_formed_only_with_json(files, tmp_path, monkeypatch, capsys,
     out = capsys.readouterr()
     assert out.err == "" and writes == [str(report)]
     assert bare.out == out.out + (encode(encoded[0]["circuit"]) + "\n" if command == "lower" else "")
-    assert len(encoded) == 1 and json.loads(report.read_text()) == encoded[0]
+    assert len(encoded) == 1 and report.read_text() == encode(encoded[0]) + "\n"
     manifest = encoded[0]["manifest"]
     assert manifest["command"] == command
     assert manifest["seed"] == (7 if "--seed" in argv else None)

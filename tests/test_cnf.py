@@ -124,11 +124,6 @@ def test_formula_rejects_what_dimacs_cannot_spell(num_vars, clauses, message):
     assert str(info.value) == message
 
 
-def test_format_parse_round_trip():
-    formula = _formula(4, [[1, -2, 3], [-4], [2, 4]])
-    assert cnf.parse_dimacs(cnf.format_dimacs(formula)) == formula
-
-
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------

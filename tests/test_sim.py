@@ -1041,6 +1041,16 @@ def test_apply_circuit_register_mismatch():
         sim.apply_circuit(sim.new_state(3), circuit)
 
 
+def test_apply_circuit_register_errors_keep_their_text():
+    # a bare sequence past the register, before any gate runs
+    state = sim.new_state(3)
+    with pytest.raises(CircuitError, match=r"^gate CCNOT\(0, 1, 3\) exceeds register of 3 qubits$"):
+        sim.apply_circuit(state, (Gate("H", (0,)), Gate("CCNOT", (0, 1, 3))))
+    assert np.array_equal(sim.amplitudes(state), sim.amplitudes(sim.new_state(3)))
+    with pytest.raises(CircuitError, match=r"^circuit has 2 qubits, state has 3$"):
+        sim.apply_circuit(state, Circuit(2, (Gate("H", (0,)),)))
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
