@@ -48,10 +48,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .errors import CircuitError, RealModeError
+from .errors import CircuitError, RealModeError, ResourceError
 
 KINDS = ("H", "X", "Z", "T", "CNOT", "CCNOT", "NCNOT", "G", "CG")
 PRIMITIVE_KINDS = frozenset({"H", "CCNOT", "G"})
@@ -172,9 +173,10 @@ class RegisterLayout:
         return tuple(sorted(out))
 
     def validate_covering(self, qubit_count: int) -> None:
-        """Roles must partition exactly the register [0, qubit_count)."""
+        """Roles must partition exactly the register [0, qubit_count); the
+        check costs the layout's size, not the register's."""
         idxs = self.all_indices()
-        if idxs != tuple(range(qubit_count)):
+        if len(idxs) != qubit_count or idxs != tuple(range(qubit_count)):
             raise CircuitError(
                 f"layout covers {len(idxs)} of {qubit_count} qubits "
                 f"(indices {idxs})"
@@ -207,6 +209,14 @@ class Circuit:
             self.layout.validate_covering(n)
 
 
+def check_listable(count: int, what: str) -> None:
+    """Raise ResourceError, saying what is listed, when count items at 8
+    bytes each (a reference) would pass the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * count > memory:
+        raise ResourceError(f"{what}; at 8 bytes each they pass this machine's {memory} bytes of memory")
+
+
 def diagonal_factors(gate: Gate) -> tuple:
     """(d0, d1) of a diagonal gate: where every control reads 1, it
     multiplies by d1 when the target reads 1 and by d0 when it reads 0."""
@@ -217,9 +227,9 @@ def diagonal_factors(gate: Gate) -> tuple:
     raise CircuitError(f"{gate.kind} is not a diagonal gate")
 
 
-def needs_complex(gates: Iterable[Gate]) -> bool:
-    """True when some gate has no real form, so only complex amplitudes run it."""
-    return any(g.kind in COMPLEX_KINDS for g in gates)
+def amplitude_mode(gates: Iterable[Gate]) -> str:
+    """The amplitudes that run the gates: complex when one has no real form."""
+    return "complex" if any(g.kind in COMPLEX_KINDS for g in gates) else "real"
 
 
 @dataclass(frozen=True)
@@ -396,6 +406,7 @@ def primitive_register(circuit: Circuit) -> Circuit:
     )
     layout = circuit.layout
     if layout is None:
+        check_listable(circuit.qubit_count, f"lowering lists {circuit.qubit_count} qubits")
         layout = RegisterLayout(work=tuple(range(circuit.qubit_count)))
     next_q = circuit.qubit_count
     if chain_need > len(layout.chain_ancilla):

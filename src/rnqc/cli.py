@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, cnf, majsat, oracle, pathsum, rng, sim
-from .circuit import Circuit, circuit_to_json, gate_census, lower_to_primitive, needs_complex, parse_circuit
+from .circuit import Circuit, amplitude_mode, circuit_to_json, gate_census, lower_to_primitive, parse_circuit
 from .errors import InputError, RnqcError
 
 AMPLITUDE_PRINT_CAP = 12
@@ -232,10 +232,9 @@ def _parse_input_basis(args, qubit_count: int) -> int:
             )
         # character k is qubit k, so the string reads least significant first
         return sum(1 << k for k, ch in enumerate(text) if ch == "1")
-    index = args.index
-    if not 0 <= index < (1 << qubit_count):
-        raise InputError(f"--index {index} out of range for {qubit_count} qubits")
-    return index
+    if not sim.in_register(args.index, qubit_count):
+        raise InputError(f"--index {args.index} out of range for {qubit_count} qubits")
+    return args.index
 
 
 def cmd_simulate(args) -> int:
@@ -243,9 +242,7 @@ def cmd_simulate(args) -> int:
     if args.amplitudes and circuit.qubit_count > AMPLITUDE_PRINT_CAP:
         raise InputError(f"--amplitudes is limited to registers of {AMPLITUDE_PRINT_CAP} qubits")
     basis = _parse_input_basis(args, circuit.qubit_count)
-    mode = args.mode
-    if mode is None:
-        mode = "complex" if needs_complex(circuit.gates) else "real"
+    mode = args.mode or amplitude_mode(circuit.gates)
     state = sim.new_state(circuit.qubit_count, basis_index=basis, mode=mode)
     state = sim.apply_circuit(state, circuit)
     norm_sq = sim.norm_sq(state)  # raises before anything is printed

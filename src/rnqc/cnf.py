@@ -31,39 +31,28 @@ _LOW_WORDS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> v & 1)) for v
 _M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F))
 
 
-def _tautology(lits: list[int]) -> int | None:
-    """The first literal whose negation comes earlier in the clause, if any."""
-    seen: set[int] = set()
-    for lit in lits:
-        if -lit in seen:
-            return lit
-        seen.add(lit)
-    return None
-
-
-def _literals(raw, num_vars: int) -> list[int]:
-    """A clause's literals, every one checked to be nonzero and in range."""
-    lits = [int(lit) for lit in raw]
-    for lit in lits:
+def _normalize_clause(raw, num_vars: int, drop_tautologies: bool = False) -> tuple[int, ...] | None:
+    """A clause's literals, each checked to be nonzero and in range, with
+    repeats dropped, in one pass. A tautology, found at the first literal
+    whose negation comes earlier, is rejected once every literal is
+    checked, or with drop_tautologies comes back as None."""
+    lits: dict[int, None] = {}
+    clash = None
+    for lit in [int(x) for x in raw]:
         if lit == 0:
             raise InputError("clause literals must be nonzero")
         if abs(lit) > num_vars:
             raise InputError(f"literal {lit} out of range for {num_vars} variables")
+        if clash is None and -lit in lits:
+            clash = lit
+        lits[lit] = None
     if not lits:
         raise InputError("empty clause")
-    return lits
-
-
-def _normalize_clause(raw, num_vars: int, drop_tautology: bool = False) -> tuple[int, ...] | None:
-    """Checked literals with repeats dropped. A tautology is rejected, or
-    with drop_tautology comes back as None."""
-    lits = _literals(raw, num_vars)
-    lit = _tautology(lits)
-    if lit is None:
-        return tuple(dict.fromkeys(lits))
-    if drop_tautology:
+    if clash is None:
+        return tuple(lits)
+    if drop_tautologies:
         return None
-    raise InputError(f"tautological clause: contains both {lit} and {-lit}")
+    raise InputError(f"tautological clause: contains both {clash} and {-clash}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +91,12 @@ class ThreeCnf:
     original_vars: int
     aux_vars: int
     mapping: tuple[tuple[int, int, int], ...]
+
+    @property
+    def reduced(self) -> tuple[tuple[int, ...], ...]:
+        """The input's clauses after width reduction, in input order: to_3cnf
+        puts the three defining clauses of each mapping entry first."""
+        return self.base.clauses[3 * len(self.mapping):]
 
 
 def parse_dimacs(text: str, keep_tautologies: bool = False) -> CnfFormula:
@@ -288,7 +283,8 @@ def to_3cnf(formula: CnfFormula) -> ThreeCnf:
     three clauses forcing y <-> (l1 v l2). The biconditional matters:
     one-directional splitting would admit spurious aux values and
     inflate counts. Defining clauses are emitted first, in creation
-    order, followed by the reduced originals in input order.
+    order, followed by the reduced originals in input order, which
+    ThreeCnf.reduced reads back.
     """
     n = formula.num_vars
     reduced: list[tuple[int, ...]] = []

@@ -34,12 +34,11 @@ the same numbers one job at a time, is the tests' reference.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, Gate, RegisterLayout, lower_to_primitive, primitive_register
+from .circuit import Circuit, Gate, RegisterLayout, check_listable, lower_to_primitive, primitive_register
 from .cnf import COUNT_VAR_LIMIT, CnfFormula, ThreeCnf, count_models, to_3cnf
 from .errors import InputError, PostselectError, RegisterCapError, ResourceError
 from .oracle import OracleArtifact, build_oracle
@@ -58,7 +57,10 @@ def default_r(n: int, g: float, scale: float = 1.0) -> int:
         raise InputError(f"scaling base must be finite and exceed 1, got {g}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise InputError(f"r scale must be finite and positive, got {scale}")
-    return max(1, math.ceil(scale * n * math.log(2.0) / math.log(g)))
+    rounds = scale * n * math.log(2.0) / math.log(g)
+    if math.isinf(rounds):
+        raise ResourceError(f"r scale {scale} asks for more rounds than a double can count")
+    return max(1, math.ceil(rounds))
 
 
 @dataclass(frozen=True)
@@ -248,12 +250,9 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
     oracle_circuit = build_oracle(f3).circuit
     o = oracle_circuit.layout.oracle
     layout = replace(oracle_circuit.layout, non_hermitian=o + 1, bhr=o + 2)
-    # The stages' semantic gates; lowering only adds gates, and listing
-    # one takes at least a reference, 8 bytes.
+    # The stages' semantic gates; lowering only adds gates.
     gates = len(layout.work) + len(oracle_circuit.gates) + o * (config.r + 2) + 2 + config.r_prime
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * gates > memory:
-        raise ResourceError(f"plan needs at least {gates} gates; at 8 bytes each they pass this machine's {memory} bytes of memory")
+    check_listable(gates, f"plan needs at least {gates} gates")
     stages = (
         tuple(Gate("H", (q,)) for q in layout.work),
         oracle_circuit.gates,
@@ -477,6 +476,9 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     cfg = p.config
     if seed is None:
         seed = cfg.seed
+    jobs = (cfg.i_max - cfg.i_min + 1) * cfg.sets * cfg.runs_per_set
+    if jobs >= 1 << 63:  # _tally's int64 job indices, inside rng's 64-bit stream ids
+        raise InputError(f"a sampled sweep of {jobs} jobs, (i_max - i_min + 1) * sets * runs_per_set, must stay below 2^63")
 
     prob1, rho = _readout_sweep(p)
     prob_minus = np.zeros_like(prob1)

@@ -49,15 +49,6 @@ class OracleCheckReport:
         return asdict(self)
 
 
-def reduced_clauses(f3: ThreeCnf) -> tuple[tuple[int, ...], ...]:
-    """The input formula's clauses after width reduction, in input order.
-
-    to_3cnf emits three defining clauses per mapping entry ahead of the
-    reduced originals, so the originals are the tail of the clause list.
-    """
-    return f3.base.clauses[3 * len(f3.mapping):]
-
-
 def _flip_if_all_false(lits: tuple[int, ...], target: int) -> list[Gate]:
     """Flip target when every literal is false: controls fire on 1, so
     the qubits of positive literals are conjugated with X."""
@@ -76,7 +67,7 @@ def build_oracle(f3: ThreeCnf, polarity_fix: bool = True) -> OracleArtifact:
     the unsatisfied flag into a satisfied flag; the result computes the
     wrong function on purpose (negative-control testing).
     """
-    clauses = reduced_clauses(f3)
+    clauses = f3.reduced
     n, a, p = f3.original_vars, f3.aux_vars, len(clauses)
     layout = RegisterLayout(
         work=tuple(range(n)),
@@ -114,7 +105,7 @@ def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckR
     inputs, up to the cap of 24 variables; the register width has no cap.
     """
     f3 = to_3cnf(formula)
-    n, clauses, layout = f3.original_vars, reduced_clauses(f3), artifact.circuit.layout
+    n, clauses, layout = f3.original_vars, f3.reduced, artifact.circuit.layout
     if layout is None or layout.oracle is None or (
         (len(layout.work), len(layout.aux), len(layout.clause)) != (n, f3.aux_vars, len(clauses))
     ):

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import sim
-from .circuit import PERMUTATION_KINDS, Circuit, Gate, diagonal_factors, needs_complex
+from .circuit import PERMUTATION_KINDS, Circuit, Gate, amplitude_mode, diagonal_factors
 from .errors import CircuitError, GridSpacingError, InputError, InvariantError, NormOverflowError, PathBudgetError
 
 DEFAULT_PATH_BUDGET = 10**8
@@ -74,7 +74,7 @@ def _acceptance(yes_sq: float, no_sq: float) -> float:
 
 
 def _check_inputs(circuit: Circuit, input_basis: int, projector: Projector) -> None:
-    if not isinstance(input_basis, int) or not 0 <= input_basis < (1 << circuit.qubit_count):
+    if not isinstance(input_basis, int) or not sim.in_register(input_basis, circuit.qubit_count):
         raise CircuitError(
             f"input basis index {input_basis} out of range for {circuit.qubit_count} qubits"
         )
@@ -91,8 +91,7 @@ def direct_amplitude(circuit: Circuit, input_basis: int, projector: Projector) -
     norm-changing circuit reports its true final norm under kind "yn".
     """
     _check_inputs(circuit, input_basis, projector)
-    mode = "complex" if needs_complex(circuit.gates) else "real"
-    state = sim.new_state(circuit.qubit_count, basis_index=input_basis, mode=mode)
+    state = sim.new_state(circuit.qubit_count, basis_index=input_basis, mode=amplitude_mode(circuit.gates))
     state = sim.apply_circuit(state, circuit)
     total = sim.norm_sq(state)
     if projector.kind == "yn":
@@ -128,11 +127,12 @@ def _step(gate: Gate, z, re, im):
 
 def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     """Contributing forward paths, walked depth first in trail-order chunks:
-    (ends, groups), the endpoints ascending and, per group size k, the
+    (ends, groups, pairs), the endpoints ascending; per group size k, the
     (rows, re, im) parts of the values ending at ends[rows], each row in
-    lexicographic order of the paths' basis-state trails. The worst case
-    pairs every forward path with every other at one endpoint, so the walk
-    aborts once that pair count could exceed the budget."""
+    lexicographic order of the paths' basis-state trails; and the number
+    of path pairs that share an endpoint. The worst case pairs every
+    forward path with every other at one endpoint, so the walk aborts
+    once that pair count could exceed the budget."""
     if budget < 1:
         raise InputError(f"path budget must be at least 1, got {budget}")
     gates, fwd_cap, found, leaves = circuit.gates, math.isqrt(budget), 0, []
@@ -158,12 +158,13 @@ def _forward_paths(circuit: Circuit, input_basis: int, budget: int):
     z, re, im = (np.concatenate(part) for part in zip(*leaves))
     order = np.argsort(z, kind="stable")
     ends, starts, counts = np.unique(z[order], return_index=True, return_counts=True)
-    groups = []
+    groups, pairs = [], 0
     for k in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == k)
         idx = order[starts[rows, None] + np.arange(k)]
         groups.append((rows, re[idx], im[idx]))
-    return ends, groups
+        pairs += len(rows) * k * k
+    return ends, groups, pairs
 
 
 def _fold(values):
@@ -187,7 +188,7 @@ def path_sum_amplitude(
     number of contributing pairs over both projector buckets.
     """
     _check_inputs(circuit, input_basis, projector)
-    ends, groups = _forward_paths(circuit, input_basis, budget)
+    ends, groups, path_count = _forward_paths(circuit, input_basis, budget)
     ar, ai = np.empty(len(ends)), np.empty(len(ends))
     for rows, re, im in groups:  # each endpoint's amplitude
         ar[rows], ai[rows] = _fold(np.stack((re, im)))
@@ -198,7 +199,6 @@ def path_sum_amplitude(
     yes, no = float(_fold(mass[on_yes])), float(_fold(mass[~on_yes]))
     if not (math.isfinite(yes) and math.isfinite(no)):
         raise NormOverflowError("squared path-sum mass overflows double precision")
-    path_count = sum(re.size * re.shape[1] for _, re, _ in groups)
     return PathSumResult("pathsum", yes, no, _acceptance(yes, no), path_count)
 
 
@@ -266,8 +266,7 @@ def counting_estimate(
     term.
     """
     _check_inputs(circuit, input_basis, projector)
-    ends, groups = _forward_paths(circuit, input_basis, budget)
-    path_count = sum(re.size * re.shape[1] for _, re, _ in groups)
+    ends, groups, path_count = _forward_paths(circuit, input_basis, budget)
     n = circuit.qubit_count
     if precision_c is None:
         largest = 0.0

@@ -151,10 +151,15 @@ def _dtype_for(mode: str):
     raise InputError(f"mode must be 'real' or 'complex', got {mode!r}")
 
 
+def in_register(index: int, num_qubits: int) -> bool:
+    """0 <= index < 2^num_qubits, told without forming 2^num_qubits."""
+    return index >= 0 and not index >> num_qubits
+
+
 def new_state(num_qubits: int, basis_index: int = 0, mode: str = "real") -> StateVector:
     """Basis state |basis_index> on a fresh register; it stores no qubit."""
     _check_register(num_qubits)
-    if not 0 <= basis_index < 1 << num_qubits:
+    if not in_register(basis_index, num_qubits):
         raise InputError(f"basis index {basis_index} out of range for {num_qubits} qubits")
     return StateVector(num_qubits, np.ones(1, dtype=_dtype_for(mode)), fixed=basis_index)
 
@@ -725,19 +730,19 @@ def renormalize(state: StateVector) -> StateVector:
     return state
 
 
-def _branch_masses(state: StateVector, qubit: int) -> tuple[float, float, int]:
-    """Squared masses m0, m1 of the qubit's 0 and 1 branches and the
-    exponent e they go with: the true masses are m * 4^e."""
-    m, e = gram(state, [qubit])
-    return float(np.real(m[0, 0])), float(np.real(m[1, 1])), e
+def _branch_masses(state: StateVector, qubit: int) -> tuple[float, float, float]:
+    """Squared masses m0, m1 of the qubit's 0 and 1 branches on gram's
+    scale, and their total, which a zero state cannot have."""
+    m, _ = gram(state, [qubit])
+    m0, m1 = float(np.real(m[0, 0])), float(np.real(m[1, 1]))
+    if m0 + m1 == 0.0:
+        raise ZeroStateError("state vector has zero norm")
+    return m0, m1, m0 + m1
 
 
 def probabilities_z(state: StateVector, qubit: int) -> tuple[float, float]:
-    m0, m1, _ = _branch_masses(state, qubit)
-    tot = m0 + m1
-    if tot == 0.0:
-        raise ZeroStateError("state vector has zero norm")
-    return m0 / tot, m1 / tot
+    m0, m1, total = _branch_masses(state, qubit)
+    return m0 / total, m1 / total
 
 
 def x_probabilities(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -766,16 +771,13 @@ def postselect(state: StateVector, qubit: int, bit: int) -> tuple[float, StateVe
     """
     if bit not in (0, 1):
         raise InputError(f"postselect bit must be 0 or 1, got {bit}")
-    m0, m1, _ = _branch_masses(state, qubit)
-    tot = m0 + m1
-    if tot == 0.0:
-        raise ZeroStateError("state vector has zero norm")
+    m0, m1, total = _branch_masses(state, qubit)
     keep = m1 if bit else m0
     if keep < ZERO_MASS:
         raise PostselectError(f"postselected branch qubit{qubit}={bit} has zero mass")
     _halves(state, qubit)[1 - bit][...] = 0.0
     renormalize(state)
-    return keep / tot, state
+    return keep / total, state
 
 
 def prepare_superposed_qubit(state: StateVector, qubit: int, alpha: float, beta: float) -> StateVector:

@@ -129,7 +129,7 @@ def table_oracle_report(artifact: oracle.OracleArtifact, formula: cnf.CnfFormula
     n = f3.original_vars
     full, tables = truth_tables(n)
     layout = artifact.circuit.layout
-    clauses = oracle.reduced_clauses(f3)
+    clauses = f3.reduced
     for _, la, lb in f3.mapping:  # y = la OR lb, in dependency order
         tables.append(clause_table((la, lb), full, tables))
     ones = layout.initial_one_bits()
@@ -206,7 +206,7 @@ def forward_paths(circuit: Circuit, input_basis: int, budget: int) -> dict:
 
 def frontier_paths(circuit: Circuit, input_basis: int, budget: int = 10**8) -> dict:
     """pathsum._forward_paths in forward_paths's form."""
-    ends, groups = pathsum._forward_paths(circuit, input_basis, budget)
+    ends, groups, _ = pathsum._forward_paths(circuit, input_basis, budget)
     ends, out = ends.tolist(), {}
     for rows, re, im in groups:
         for row, r, i in zip(rows.tolist(), re.tolist(), im.tolist()):

@@ -92,8 +92,8 @@ def test_parse_errors_name_the_line_that_ends_the_clause(text, keep, message):
 
 def test_parse_checks_each_clause_once(monkeypatch):
     calls = []
-    literals = cnf._literals
-    monkeypatch.setattr(cnf, "_literals", lambda raw, n: calls.append(raw) or literals(raw, n))
+    normalize = cnf._normalize_clause
+    monkeypatch.setattr(cnf, "_normalize_clause", lambda raw, n, *drop: calls.append(raw) or normalize(raw, n, *drop))
     formula = cnf.parse_dimacs("p cnf 3 4\n1 -2 0\n2 2 3 0\n-3 0\n1 -1 0\n", keep_tautologies=True)
     assert len(calls) == 4
     assert formula == cnf.CnfFormula(3, ((1, -2), (2, 3), (-3,)))
@@ -102,8 +102,8 @@ def test_parse_checks_each_clause_once(monkeypatch):
 def test_to_3cnf_checks_no_clause_again(monkeypatch):
     formula = _formula(6, [[1, -2, 3, 4, -5, 6], [-1, 2], [3, -4, 5, 6]])
     calls = []
-    literals = cnf._literals
-    monkeypatch.setattr(cnf, "_literals", lambda raw, n: calls.append(raw) or literals(raw, n))
+    normalize = cnf._normalize_clause
+    monkeypatch.setattr(cnf, "_normalize_clause", lambda raw, n, *drop: calls.append(raw) or normalize(raw, n, *drop))
     f3 = cnf.to_3cnf(formula)
     assert calls == []
     assert f3.base == cnf.CnfFormula(f3.base.num_vars, f3.base.clauses)

@@ -186,7 +186,7 @@ def _reference_report(artifact, formula):
     f3 = cnf.to_3cnf(formula)
     n = f3.original_vars
     layout = artifact.circuit.layout
-    clauses = oracle.reduced_clauses(f3)
+    clauses = f3.reduced
     ones = layout.initial_one_bits()
     oracle_mask = 1 << layout.oracle
     mismatches, scratch, satisfying = [], [], 0

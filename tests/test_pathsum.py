@@ -237,6 +237,53 @@ def _pathsum_by_loop(circuit, start, bit):
     return yes, no
 
 
+# Most path pairs a drawn circuit may have for the Python pair loop
+# (count_bucket) to check its counts: the loop takes about 3 us a pair at
+# nc near 1074, so 12 H gates on one qubit, 8.4M pairs, took 26 s.
+PAIR_LOOP_BUDGET = 1 << 14
+
+
+def _pair_counts_match_loop(want: dict, ends, groups, nc: int) -> None:
+    """_count_pairs against the pair loop at each endpoint: the same counts,
+    and a residue within counting_estimate's bound for one endpoint."""
+    for z, values in want.items():
+        try:
+            ref = count_bucket(values, nc)
+        except OverflowError:  # an infinite product has no integer floor
+            with pytest.raises(NormOverflowError):
+                pathsum._count_pairs(groups, ends == z, nc)
+            continue
+        pos, neg, residue, scale = pathsum._count_pairs(groups, ends == z, nc)
+        assert (pos, neg) == ref[:2]
+        if math.isfinite(ref[2]):
+            m = len(values) ** 2 + 3
+            assert abs(residue) <= 2 * m * 2.0**-53 * scale + m * 2.0**-1074
+        else:  # inf and NaN terms sum alike in any order
+            assert repr(residue) == repr(ref[2])
+
+
+def _counting_matches_direct(circuit: Circuit, start: int, yes_qubit: int, want: dict) -> None:
+    """counting_estimate against the direct route, for circuits with more
+    pairs than the pair loop checks. Both routes' masses err from the exact
+    one by at most gamma_m * scale (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3), where scale sums (sum |a|)^2
+    over the endpoints' path values a and m bounds the roundings a value
+    passes: gates, paths and the gram sum over 2^n amplitudes. The counts
+    add their grid bound. A path value past the double range, or a squared
+    norm below it, is a mass one route cannot hold, so it is skipped."""
+    projector = Projector("yes", yes_qubit)
+    try:
+        got = pathsum.counting_estimate(circuit, start, projector)
+        ref = pathsum.direct_amplitude(circuit, start, projector)
+    except (NormOverflowError, GridSpacingError):
+        return
+    scale = sum(sum(abs(v) for v in values) ** 2 for values in want.values())
+    m = len(circuit.gates) + sum(map(len, want.values())) + (1 << circuit.qubit_count) + 4
+    tol = got.error_bound + 16 * m * 2.0**-53 * scale + m * 2.0**-1074
+    assert abs(got.c_yes_sq - ref.c_yes_sq) <= tol
+    assert abs(got.c_no_sq - ref.c_no_sq) <= tol
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     case=_circuits(),
@@ -248,22 +295,12 @@ def test_frontier_matches_python_dfs(case, chunk, ncs):
     want = forward_paths(circuit, start, 10**8)
     with mock.patch.object(pathsum, "_CHUNK", chunk), np.errstate(all="ignore"):
         assert _hexed(frontier_paths(circuit, start)) == _hexed(want)
-        ends, groups = pathsum._forward_paths(circuit, start, 10**8)
-        for nc in ncs:
-            for z, values in want.items():
-                try:
-                    ref = count_bucket(values, nc)
-                except OverflowError:  # an infinite product has no integer floor
-                    with pytest.raises(NormOverflowError):
-                        pathsum._count_pairs(groups, ends == z, nc)
-                    continue
-                pos, neg, residue, scale = pathsum._count_pairs(groups, ends == z, nc)
-                assert (pos, neg) == ref[:2]
-                if math.isfinite(ref[2]):  # within counting_estimate's bound for one endpoint
-                    m = len(values) ** 2 + 3
-                    assert abs(residue) <= 2 * m * 2.0**-53 * scale + m * 2.0**-1074
-                else:  # inf and NaN terms sum alike in any order
-                    assert repr(residue) == repr(ref[2])
+        if sum(len(values) ** 2 for values in want.values()) <= PAIR_LOOP_BUDGET:
+            ends, groups, _ = pathsum._forward_paths(circuit, start, 10**8)
+            for nc in ncs:
+                _pair_counts_match_loop(want, ends, groups, nc)
+        else:
+            _counting_matches_direct(circuit, start, yes_qubit, want)
         yes, no = _pathsum_by_loop(circuit, start, 1 << yes_qubit)
         if not (math.isfinite(yes.real) and math.isfinite(no.real)):
             with pytest.raises(NormOverflowError):
@@ -309,7 +346,7 @@ def test_seventy_qubit_register_runs(tmp_path):
 
 
 def test_count_bucket_all_positive_has_empty_negative_side():
-    ends, groups = pathsum._forward_paths(Circuit(1, (H0,)), 0, 10**6)
+    ends, groups, _ = pathsum._forward_paths(Circuit(1, (H0,)), 0, 10**6)
     for z in ends.tolist():
         pos, neg, im, _ = pathsum._count_pairs(groups, ends == z, 20)
         assert neg == 0
