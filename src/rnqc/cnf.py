@@ -89,8 +89,11 @@ class ThreeCnf:
 
     base: CnfFormula
     original_vars: int
-    aux_vars: int
     mapping: tuple[tuple[int, int, int], ...]
+
+    @property
+    def aux_vars(self) -> int:
+        return len(self.mapping)
 
     @property
     def reduced(self) -> tuple[tuple[int, ...], ...]:
@@ -299,4 +302,4 @@ def to_3cnf(formula: CnfFormula) -> ThreeCnf:
     # the input's clauses are normalized, and each y is a fresh variable
     defining = [c for y, la, lb in mapping for c in ((-y, la, lb), (y, -la), (y, -lb))]
     base = CnfFormula._normalized(n + len(mapping), tuple(defining + reduced))
-    return ThreeCnf(base=base, original_vars=n, aux_vars=len(mapping), mapping=tuple(mapping))
+    return ThreeCnf(base=base, original_vars=n, mapping=tuple(mapping))

@@ -13,8 +13,8 @@ the BHR x-basis bias decides: strictly more -1 than +1 probability at
 some i in [i_min, i_max] means s > 2^(n-1).
 
 Both modes read one readout sweep over i as one per-i table, through
-one stacked sim.x_probabilities call, and _report alone forms the
-verdict and the report. The readout is H on the
+one stacked sim.x_probabilities call, and _report alone forms each
+per-i record, the verdict and the report. The readout is H on the
 oracle qubit and then a monomial suffix on a few qubits (oracle,
 non-Hermitian, BHR, and the constant-one qubits in primitive lowering).
 The plan is simulated in one sim.apply_circuit call through that H, so
@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .circuit import Circuit, Gate, RegisterLayout, check_listable, lower_to_primitive, primitive_register
-from .cnf import COUNT_VAR_LIMIT, CnfFormula, ThreeCnf, count_models, to_3cnf
+from .cnf import COUNT_VAR_LIMIT, CnfFormula, count_models, to_3cnf
 from .errors import InputError, PostselectError, RegisterCapError, ResourceError
 from .oracle import OracleArtifact, build_oracle
 from .rng import first_uniforms
@@ -99,6 +99,12 @@ class MajsatConfig:
                 f"g_orientation must be one of {ORIENTATIONS}, got {self.g_orientation!r}"
             )
 
+    @property
+    def i_values(self) -> range:
+        """The sweep's i axis. Its size is i_max - i_min + 1: len() of a
+        range of 2^63 or more values raises OverflowError."""
+        return range(self.i_min, self.i_max + 1)
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -143,7 +149,6 @@ class MajsatPlan:
     """The four stage circuits on one register; the oracle circuit's
     layout is the plan's only record of that register."""
 
-    formula: ThreeCnf
     source: CnfFormula
     oracle: OracleArtifact
     superposition_circuit: Circuit
@@ -177,7 +182,6 @@ class MajsatPlan:
 @dataclass(frozen=True)
 class MajsatReport:
     source: CnfFormula
-    n: int
     config: MajsatConfig
     per_i: tuple[dict, ...]
     verdict: str
@@ -191,7 +195,7 @@ class MajsatReport:
                 "num_vars": self.source.num_vars,
                 "clauses": [list(c) for c in self.source.clauses],
             },
-            "n": self.n,
+            "n": self.source.num_vars,
             "config": self.config.to_json_dict(),
             "per_i": list(self.per_i),
             "verdict": self.verdict,
@@ -270,7 +274,6 @@ def plan(formula: CnfFormula, config: MajsatConfig) -> MajsatPlan:
         circuits = [lower_to_primitive(c) for c in circuits]
     sup_circuit, oracle_circuit, amp_circuit, read_circuit = circuits
     return MajsatPlan(
-        formula=f3,
         source=formula,
         oracle=OracleArtifact(circuit=oracle_circuit),
         superposition_circuit=sup_circuit,
@@ -319,6 +322,8 @@ def _readout_sweep(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
     vector: its prob1 and rho are zero.
     """
     cfg, lay = p.config, p.layout
+    size = cfg.i_max - cfg.i_min + 1
+    check_listable(size, f"the readout sweep lists {size} values of i")
     suffix = p.readout_circuit.gates[1:]
     st = _amplified_state(p, p.readout_circuit.gates[:1])
     local = sorted({q for g in suffix for q in g.qubits} | {lay.bhr})
@@ -340,7 +345,7 @@ def _readout_sweep(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
     c_bit = np.empty_like(dest)
     c_bit[dest] = (x & bhr) != 0  # which of (c0, c1) output y carries
 
-    betas = [math.ldexp(1.0, i) for i in range(cfg.i_min, cfg.i_max + 1)]
+    betas = [math.ldexp(1.0, i) for i in cfg.i_values]
     c = (np.array([(1.0, b) for b in betas]) / np.array([[math.hypot(1.0, b)] for b in betas]))[:, c_bit]
     y = x[((x & oracle) != 0) & ((x & bhr) == 0)]  # the kept outputs with BHR bit 0
     rho = np.empty((len(betas), 2, 2))
@@ -361,21 +366,30 @@ def _kept_readout(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
     return prob1, rho
 
 
-def _reference_count(p: MajsatPlan) -> int | None:
+def _reference_count(p: MajsatPlan, needed_by: str = "") -> int | None:
+    """The brute-force model count, or None past COUNT_VAR_LIMIT, where the
+    check named by needed_by (if any) raises instead."""
     if p.source.num_vars <= COUNT_VAR_LIMIT:
         return count_models(p.source)
+    if needed_by:
+        raise InputError(f"{needed_by} needs the brute-force count")
     return None
 
 
-def _report(p: MajsatPlan, per_i: list[dict], discarded_mass: float, low_confidence: bool = False) -> MajsatReport:
-    """The report on per_i, with the step rule's verdict: YES iff some i
-    has every set successful."""
+def _report(p: MajsatPlan, columns: dict, success: list, discarded_mass: float, low_confidence=False) -> MajsatReport:
+    """The report with one record per i: i, beta/alpha = 2^i, the mode's
+    columns (one value per i each) and success[i], whether every set
+    succeeded at that i. The step rule reads the verdict off that same
+    list: YES iff some i has every set successful."""
+    per_i = tuple(
+        {"i": i, "beta_over_alpha": math.ldexp(1.0, i), **dict(zip(columns, row)), "all_sets_success": ok}
+        for i, ok, *row in zip(p.config.i_values, success, *columns.values())
+    )
     return MajsatReport(
         source=p.source,
-        n=p.formula.original_vars,
         config=p.config,
-        per_i=tuple(per_i),
-        verdict="YES" if any(e["all_sets_success"] for e in per_i) else "NO",
+        per_i=per_i,
+        verdict="YES" if any(success) else "NO",
         reference_s=_reference_count(p),
         discarded_mass=discarded_mass,
         low_confidence=low_confidence,
@@ -387,7 +401,7 @@ def _amplification_fidelity(p: MajsatPlan, st: sim.StateVector, s: int) -> float
     mixed register saturated at all-ones, oracle carrying
     (N-s)|0> + s|1>, everything else parked. Those are the prediction's
     only two nonzero amplitudes."""
-    big_n = 1 << p.formula.original_vars
+    big_n = 1 << p.source.num_vars
     base = p.initial_bits
     for q in p.mixed_qubits:
         base |= 1 << q
@@ -401,7 +415,7 @@ def _readout_bhr_fidelity(p: MajsatPlan, rho: np.ndarray, s: int, i: int) -> flo
 
     The target is scaled by 2^-max(i, 0), so neither component
     overflows at large i; powers of two scale exactly."""
-    big_n = 1 << p.formula.original_vars
+    big_n = 1 << p.source.num_vars
     return sim.pure_fidelity(
         rho, math.ldexp(big_n - 2 * s, -max(i, 0)), math.ldexp(big_n, min(i, 0))
     )
@@ -417,20 +431,9 @@ def run_exact(p: MajsatPlan) -> MajsatReport:
     """
     prob1, rho = _kept_readout(p)
     p_plus, p_minus = sim.x_probabilities(rho)
-    per_i = [
-        {
-            "i": i,
-            "beta_over_alpha": math.ldexp(1.0, i),
-            "exact_p_minus": minus,
-            "exact_p_plus": plus,
-            "discarded_mass": 1.0 - kept,
-            "all_sets_success": minus > plus,
-        }
-        for i, kept, plus, minus in zip(
-            range(p.config.i_min, p.config.i_max + 1), prob1.tolist(), p_plus.tolist(), p_minus.tolist()
-        )
-    ]
-    return _report(p, per_i, max(e["discarded_mass"] for e in per_i))
+    discarded = (1.0 - prob1).tolist()
+    columns = {"exact_p_minus": p_minus.tolist(), "exact_p_plus": p_plus.tolist(), "discarded_mass": discarded}
+    return _report(p, columns, (p_minus > p_plus).tolist(), max(discarded))
 
 
 def _tally(
@@ -474,11 +477,12 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     bit-identical across repeat invocations with the same seed.
     """
     cfg = p.config
-    if seed is None:
-        seed = cfg.seed
-    jobs = (cfg.i_max - cfg.i_min + 1) * cfg.sets * cfg.runs_per_set
+    seed = cfg.seed if seed is None else seed
+    groups = (cfg.i_max - cfg.i_min + 1) * cfg.sets
+    jobs = groups * cfg.runs_per_set
     if jobs >= 1 << 63:  # _tally's int64 job indices, inside rng's 64-bit stream ids
         raise InputError(f"a sampled sweep of {jobs} jobs, (i_max - i_min + 1) * sets * runs_per_set, must stay below 2^63")
+    check_listable(groups, f"a sampled sweep tallies {groups} (i, set) groups")
 
     prob1, rho = _readout_sweep(p)
     prob_minus = np.zeros_like(prob1)
@@ -493,27 +497,14 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     plus = kept - minus
     success = minus > plus
     discarded = cfg.sets * cfg.runs_per_set - kept.sum(axis=1)
-    records = [
-        {
-            "i": i,
-            "beta_over_alpha": math.ldexp(1.0, i),
-            "set_results": [
-                {"minus_count": m, "plus_count": n, "success": ok} for m, n, ok in zip(minus_i, plus_i, success_i)
-            ],
-            "discarded_shots": discarded_i,
-            "all_sets_success": every,
-        }
-        for i, minus_i, plus_i, success_i, discarded_i, every in zip(
-            range(cfg.i_min, cfg.i_max + 1),
-            minus.tolist(),
-            plus.tolist(),
-            success.tolist(),
-            discarded.tolist(),
-            success.all(axis=1).tolist(),
-        )
+    set_results = [
+        [{"minus_count": m, "plus_count": n, "success": ok} for m, n, ok in zip(*row)]
+        for row in zip(minus.tolist(), plus.tolist(), success.tolist())
     ]
+    columns = {"set_results": set_results, "discarded_shots": discarded.tolist()}
     low_confidence = int(np.abs(minus - plus).min(axis=1).max()) <= 1
-    return _report(p, records, int(discarded.sum()) / (kept.size * cfg.runs_per_set), low_confidence)
+    mass = int(discarded.sum()) / (kept.size * cfg.runs_per_set)
+    return _report(p, columns, success.all(axis=1).tolist(), mass, low_confidence)
 
 
 def run(p: MajsatPlan) -> MajsatReport:
@@ -530,9 +521,7 @@ def amplification_fidelity_profile(p: MajsatPlan) -> list[tuple[int, float]]:
     simulation. The circuit is the mixing layer, 2 gates per mixed qubit
     in either lowering, then r gain rounds of equal length.
     """
-    s_ref = _reference_count(p)
-    if s_ref is None:
-        raise InputError("fidelity profile needs the brute-force count")
+    s_ref = _reference_count(p, "fidelity profile")
     gates = p.amplification_circuit.gates
     head = 2 * len(p.mixed_qubits)
     width = (len(gates) - head) // p.config.r
@@ -547,8 +536,5 @@ def amplification_fidelity_profile(p: MajsatPlan) -> list[tuple[int, float]]:
 def readout_fidelity_grid(p: MajsatPlan) -> dict[int, float]:
     """Fidelity of the postselected state against its closed-form
     prediction, for every i in the configured range."""
-    s_ref = _reference_count(p)
-    if s_ref is None:
-        raise InputError("fidelity grid needs the brute-force count")
-    i_range = range(p.config.i_min, p.config.i_max + 1)
-    return {i: _readout_bhr_fidelity(p, rho, s_ref, i) for i, rho in zip(i_range, _kept_readout(p)[1])}
+    s_ref = _reference_count(p, "fidelity grid")
+    return {i: _readout_bhr_fidelity(p, rho, s_ref, i) for i, rho in zip(p.config.i_values, _kept_readout(p)[1])}

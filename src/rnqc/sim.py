@@ -204,38 +204,32 @@ def amplitudes(state: StateVector) -> np.ndarray:
     return _widen(replace(state), state.num_qubits).amps
 
 
-@lru_cache(maxsize=256)  # apply_gate asks on every gate; a small state feels the cost
-def _gaps(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A reshape of a 2^n state giving each of the qubits its own length-2
-    axis, and the axis of each. Each run of the other qubits is one axis,
-    most significant first; an empty run gets none, so at most n + 1 axes."""
-    shape, axis, prev = [], {}, n
-    for q in sorted(qubits, reverse=True):
+@lru_cache(maxsize=1024)  # apply_gate asks on every gate; a small state feels the cost
+def _view(n: int, fixed: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], tuple]:
+    """A reshape of a 2^n state and the index into it where each fixed
+    (qubit, bit) pair reads its bit. Each fixed qubit gets its own length-2
+    axis; each run of the other qubits is one axis, most significant first,
+    and an empty run gets none, so at most n + 1 axes. The trailing
+    Ellipsis keeps the index a view even when every axis is fixed."""
+    bits = dict(fixed)
+    shape, idx, prev = [], [], n
+    for q in sorted(bits, reverse=True):
         if prev - q > 1:
             shape.append(1 << (prev - q - 1))
-        axis[q] = len(shape)
+            idx.append(slice(None))
         shape.append(2)
+        idx.append(bits[q])
         prev = q
     if prev:
         shape.append(1 << prev)
-    return tuple(shape), tuple(axis[q] for q in qubits)
-
-
-@lru_cache(maxsize=1024)
-def _index(axes: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
-    """Index that fixes each of the axes to its bit and keeps the rest; the
-    trailing Ellipsis keeps it a view even when every axis is fixed."""
-    idx: list = [slice(None)] * (max(axes, default=-1) + 1)
-    for a, b in zip(axes, bits):
-        idx[a] = b
-    return (*idx, ...)
+    return tuple(shape), (*idx, ...)
 
 
 def _sub(state: StateVector, fixed: dict[int, int]) -> np.ndarray:
     """View of the amplitudes where each qubit q reads fixed[q]; its axes are
     the runs of the other stored qubits. Writes go through to the state."""
-    shape, axes = _gaps(state.stored, tuple(fixed))
-    return state.amps.reshape(shape)[_index(axes, tuple(fixed.values()))]
+    shape, index = _view(state.stored, tuple(fixed.items()))
+    return state.amps.reshape(shape)[index]
 
 
 def _halves(state: StateVector, target: int, controls: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:

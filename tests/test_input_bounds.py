@@ -88,19 +88,45 @@ def test_r_scale_past_a_double_is_resource_exit(capsys):
     [
         (["--runs", str(2**63), "--sets", "1", "--i-min", "0", "--i-max", "0"], 2**63),
         (["--sets", str(2**70)], 7 * 2**70 * 24),
+        (["--i-min", str(-WIDE)], (2**70 + 4) * 3 * 24),
     ],
-    ids=["runs-2^63", "sets-2^70"],
+    ids=["runs-2^63", "sets-2^70", "i-min-minus-2^70"],
 )
 def test_sampled_sweep_past_its_job_indices_is_input_error(capsys, monkeypatch, flags, jobs):
     # _tally keys each shot's stream by an int64 job index, so a sweep of
     # 2^63 jobs or more exits 2 before the readout sweep runs
     swept = []
     monkeypatch.setattr("rnqc.majsat._readout_sweep", lambda p: swept.append(p))
-    code, out, err, _ = _main(["solve", OR2, "--mode", "sampled", "--seed", "7", *flags], capsys)
+    code, out, err, peak = _main(["solve", OR2, "--mode", "sampled", "--seed", "7", *flags], capsys)
     want = f"error: a sampled sweep of {jobs} jobs, (i_max - i_min + 1) * sets * runs_per_set, must stay below 2^63\n"
     assert (code, err) == (2, want)
     assert out == ""
     assert not swept
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "flags, listed",
+    [
+        (["--i-min", str(-WIDE)], f"the readout sweep lists {2**70 + 4} values of i"),
+        (
+            ["--mode", "sampled", "--seed", "7", "--sets", str(2**60), "--runs", "1", "--i-min", "0", "--i-max", "0"],
+            f"a sampled sweep tallies {2**60} (i, set) groups",
+        ),
+    ],
+    ids=["exact-i-min-minus-2^70", "sampled-groups-2^60"],
+)
+def test_sweep_table_past_memory_is_resource_exit(capsys, monkeypatch, flags, listed):
+    # the exact sweep's per-i table and the sampled (i, set) tally hold 8
+    # bytes or more per entry, so past the machine's memory both exit 3
+    # before the plan is simulated (the 2^60 groups stay below 2^63 jobs)
+    simulated = []
+    monkeypatch.setattr("rnqc.majsat._amplified_state", lambda *args: simulated.append(args))
+    code, out, err, peak = _main(["solve", OR2, *flags], capsys)
+    assert (code, err) == (3, f"error: {listed}; at 8 bytes each they pass this machine's {MEMORY} bytes of memory\n")
+    assert out == ""
+    assert not simulated
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 @pytest.mark.parametrize("flag", ["--runs", "--sets"])
@@ -113,8 +139,9 @@ def test_exact_mode_ignores_the_sampling_flags(capsys, flag):
 # Fuzzing through cli.main: mutated corpus DIMACS, circuit JSON of any width
 # with and without a layout, and the numeric solve flags. Every run must end
 # with a documented exit code, never "unexpected error". Counts such as
-# --runs, --sets and --r are drawn small or past their bounds: values in
-# between are work that was asked for, and run for minutes by design.
+# --runs, --sets and --r, and --i-min, are drawn small or past their
+# bounds: values in between are work that was asked for, and run for
+# minutes by design.
 # ---------------------------------------------------------------------------
 
 CORPUS = sorted(CORPUS_DIR.glob("n[345]_*.cnf"))
@@ -192,7 +219,7 @@ def _solve_flags_run(draw) -> tuple[list[str], str]:
         "--r": st.one_of(st.integers(-1, 6), _PAST_GATE_MEMORY),
         "--rp": st.one_of(st.integers(-1, 6), _PAST_GATE_MEMORY),
         "--r-scale": st.sampled_from(["0.5", "1", "2", "0", "-1", "nan", "inf", "1e300", "1e308"]),
-        "--i-min": st.integers(-4, 4),
+        "--i-min": st.one_of(st.integers(-4, 4), st.sampled_from([-(2**40), -(2**70)])),
         "--i-max": st.one_of(st.integers(-4, 4), st.just(1024)),
         "--sets": count,
         "--runs": count,

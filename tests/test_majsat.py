@@ -197,9 +197,11 @@ def test_plan_register_cap():
 
 def test_fidelity_checks_need_the_count_and_run_nothing(monkeypatch):
     # 25 variables plan in 28 qubits under the default cap, past the
-    # brute-force count's 24; neither check may start a simulation
+    # brute-force count's 24, where a report has no reference count;
+    # neither check may start a simulation
     p = majsat.plan(_formula(25, []), majsat.default_config(25))
     assert p.qubit_count == 28
+    assert majsat._reference_count(p) is None
     monkeypatch.setattr(sim, "apply_circuit", lambda *args: pytest.fail("simulated"))
     with pytest.raises(InputError, match=r"^fidelity profile needs the brute-force count$"):
         majsat.amplification_fidelity_profile(p)

@@ -68,7 +68,7 @@ def _gram_entries(p, s):
 
 
 def _reference_entries(p, st, s):
-    big_n = 1 << p.formula.original_vars
+    big_n = 1 << p.source.num_vars
     sweep = _reference_sweep(p, st)
     # The fidelity against the unscaled closed form, read off the BHR's
     # Gram matrix as conftest.qubit_state_fidelity reads it.
@@ -84,7 +84,7 @@ def _dense_amplification_fidelity(p, st, s):
     for q in p.mixed_qubits:
         base |= 1 << q
     amps = np.zeros(1 << p.qubit_count)
-    amps[base] = float((1 << p.formula.original_vars) - s)
+    amps[base] = float((1 << p.source.num_vars) - s)
     amps[base | (1 << p.layout.oracle)] = float(s)
     return sim.fidelity(st, sim.state_from_amplitudes(amps))
 

@@ -234,7 +234,7 @@ def test_sub_views_the_amplitudes_with_fixed_bits(case):
     for q, bit in fixed.items():
         mask &= (idx >> q) & 1 == bit
     assert np.shares_memory(view, state.amps)
-    assert len(sim._gaps(n, tuple(fixed))[0]) <= n + 1
+    assert len(sim._view(n, tuple(fixed.items()))[0]) <= n + 1
     assert np.array_equal(view.ravel(), state.amps[mask])
     *controls, target = fixed
     v0, v1 = sim._halves(state, target, tuple(controls))
