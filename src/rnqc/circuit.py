@@ -209,12 +209,12 @@ class Circuit:
             self.layout.validate_covering(n)
 
 
-def check_listable(count: int, what: str) -> None:
-    """Raise ResourceError, saying what is listed, when count items at 8
-    bytes each (a reference) would pass the machine's physical memory."""
+def check_listable(count: int, what: str, item_bytes: int = 8) -> None:
+    """Raise ResourceError, saying what is listed, when count items at
+    item_bytes each (8: a reference) would pass the machine's physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * count > memory:
-        raise ResourceError(f"{what}; at 8 bytes each they pass this machine's {memory} bytes of memory")
+    if item_bytes * count > memory:
+        raise ResourceError(f"{what}; at {item_bytes} bytes each they pass this machine's {memory} bytes of memory")
 
 
 def diagonal_factors(gate: Gate) -> tuple:

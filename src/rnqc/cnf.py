@@ -15,20 +15,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
 from .errors import CountLimitError, DimacsError, InputError
 
 COUNT_VAR_LIMIT = 24
-# Truth tables pack 64 assignments per uint64 word, 2^20 assignments per
-# block. Variables 1-6 repeat within a word: bit b is bit v - 1 of b.
-_BLOCK_WORDS = 1 << 14
-# count_models keeps variables 1.._TABLE_VARS in its tables, 2^12 words
-# (32 KiB) each, and walks the rest.
+# A truth table is a Python int: bit x stands for assignment x. count_models
+# keeps variables 1.._TABLE_VARS in its tables, 2^18 bits (32 KiB) each and
+# walks the rest; truth_blocks walks the assignments in blocks of that size.
 _TABLE_VARS = 18
-_LOW_WORDS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> v & 1)) for v in range(6))
-_M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F))
 
 
 def _normalize_clause(raw, num_vars: int, drop_tautologies: bool = False) -> tuple[int, ...] | None:
@@ -168,71 +166,53 @@ def check_count_limit(n: int) -> None:
         raise CountLimitError(f"exhaustive evaluation is capped at {COUNT_VAR_LIMIT} variables, got {n}")
 
 
-def truth_blocks(n: int, mapping=()) -> Iterator[tuple[int, np.ndarray, dict[int, np.ndarray]]]:
-    """The 2^n assignments as bitset truth tables, one block at a time.
+@lru_cache(maxsize=32)
+def variable_tables(k: int) -> tuple[int, ...]:
+    """The truth tables of k variables over their 2^k assignments: bit x of
+    table j is bit j of x. Each repeats one period of 2^j zeros and 2^j ones."""
+    tables = []
+    for j in range(k):
+        table, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while span < 1 << k:
+            table, span = table | table << span, span << 1
+        tables.append(table)
+    return tuple(tables)
 
-    A block is (first, full, words): bit x & 63 of word x >> 6 stands for
-    assignment first + x, full has all of them set, and words[lit] those
+
+def truth_blocks(n: int, mapping=()) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """The 2^n assignments as truth tables, one block of at most
+    2^_TABLE_VARS at a time.
+
+    A block is (first, full, tables): bit x of a table stands for
+    assignment first + x, full has all of them set, and tables[lit] those
     where literal +v or -v holds, for the n variables and those a
-    ThreeCnf's mapping defines. The one dict is refilled for each block,
-    so memory is two tables of at most 128 KiB per variable."""
+    ThreeCnf's mapping defines. Variables above the block's are all ones or
+    all zeros in it. A dict is formed per block, so memory is two tables of
+    at most 32 KiB per variable."""
     check_count_limit(n)
-    count = 1 << max(n - 6, 0)
-    size = min(count, _BLOCK_WORDS)
-    full = np.full(size, ~np.uint64(0) >> np.uint64(64 - (1 << min(n, 6))))  # n < 6: pad bits 0
-    words = {}
-    for first in range(0, count, size):
-        index = np.arange(first, first + size, dtype=np.uint64)
+    k = min(n, _TABLE_VARS)
+    full, low = (1 << (1 << k)) - 1, variable_tables(k)
+    for first in range(0, 1 << n, 1 << k):
+        tables = {}
         for v in range(1, n + 1):
-            if v <= 6:
-                words[v] = full & _LOW_WORDS[v - 1]
-            else:  # all ones or zero, by bit v - 7 of the word index
-                words[v] = np.uint64(0) - (index >> np.uint64(v - 7) & np.uint64(1))
-            words[-v] = full ^ words[v]
+            tables[v] = low[v - 1] if v <= k else full * (first >> (v - 1) & 1)
+            tables[-v] = full ^ tables[v]
         for y, la, lb in mapping:  # y = la OR lb, in dependency order
-            words[y] = words[la] | words[lb]
-            words[-y] = full ^ words[y]
-        yield first << 6, full, words
+            tables[y] = tables[la] | tables[lb]
+            tables[-y] = full ^ tables[y]
+        yield first, full, tables
 
 
-def clause_words(clause, words: dict[int, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """A nonempty clause's words over one block: the OR of its literals'
-    words, formed in out when given."""
-    out = np.bitwise_or(words[clause[0]], words[clause[-1]], out=out)  # a unit ORs its word with itself
-    for lit in clause[1:-1]:
-        np.bitwise_or(out, words[lit], out=out)
-    return out
+def clause_words(clause, tables: dict[int, int]) -> int:
+    """A clause's truth table over one block: the OR of its literals'
+    tables, 0 for no literals."""
+    return reduce(or_, [tables[lit] for lit in clause] or [0])
 
 
-def popcount(words: np.ndarray) -> int:
-    """Set bits in uint64 words, by the SWAR sums over bit pairs, nibbles and
-    bytes of Knuth, TAOCP 4A, 7.1.3; numpy 1.24 has no np.bitwise_count."""
-    w = words - (words >> np.uint64(1) & _M1)
-    w = (w & _M2) + (w >> np.uint64(2) & _M2)
-    return int(((w + (w >> np.uint64(4))) & _M4).view(np.uint8).sum())
-
-
-def set_assignments(first: int, words: np.ndarray) -> list[int]:
-    """The assignments whose bits are set in a block's words, ascending."""
-    if not words.any():
-        return []
-    raw = words.astype("<u8", copy=False).view(np.uint8)
+def set_assignments(first: int, table: int) -> list[int]:
+    """The assignments whose bits are set in a block's table, ascending."""
+    raw = np.frombuffer(table.to_bytes((table.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return (np.flatnonzero(np.unpackbits(raw, bitorder="little")) + first).tolist()
-
-
-def _and_open_clauses(table: np.ndarray, clauses, path: int, words, scratch: np.ndarray) -> bool:
-    """AND into table each clause that path leaves open, cut down to its
-    literals on the table's variables. Each clause is (pos, neg, lits):
-    masks of its positive and negative literals above the table, as bits
-    of path, and its literals within it. False if an open clause has no
-    literal within the table: then no assignment below path is a model."""
-    for pos, neg, lits in clauses:
-        if path & pos or ~path & neg:
-            continue
-        if not lits:
-            return False
-        np.bitwise_and(table, clause_words(lits, words, scratch), out=table)
-    return True
 
 
 def count_models(formula: CnfFormula) -> int:
@@ -240,15 +220,17 @@ def count_models(formula: CnfFormula) -> int:
 
     Variables 1..L (L = _TABLE_VARS) lie in one truth table from
     truth_blocks, 32 KiB at most. The variables above L are walked depth
-    first: each node fixes one more of them and ANDs in the clauses whose
-    top variable it is, cut down to their literals on 1..L, and each leaf
-    adds its table's popcount. A subtree is dropped only when a clause is false
-    on all of it. It is still exhaustive: every assignment lies below one
-    leaf or one dropped node, and no heuristic picks the order."""
+    first: each node fixes one more of them and ANDs into its parent's
+    table the clauses whose top variable it is, cut down to their literals
+    on 1..L, and each leaf adds its table's bit count. A clause true on the
+    path is skipped, and a subtree is dropped when its table is 0, as it is
+    after a clause with no literal on 1..L. It is still exhaustive: every
+    assignment lies below one leaf or one dropped node, and no heuristic
+    picks the order."""
     n = formula.num_vars
     check_count_limit(n)
     low = min(n, _TABLE_VARS)
-    ((_, full, words),) = truth_blocks(low)
+    ((_, full, tables),) = truth_blocks(low)
     depth = n - low
     levels = [[] for _ in range(depth + 1)]  # by top variable; 0 for within 1..low
     for clause in formula.clauses:
@@ -261,21 +243,20 @@ def count_models(formula: CnfFormula) -> int:
             else:
                 neg |= 1 << (-lit - low - 1)
         levels[max(max(map(abs, clause)) - low, 0)].append((pos, neg, lits))
-    # node (k, path) fixes variables low + 1..low + k to the bits of path and
-    # fills tables[k + 1] from its parent's tables[k]
-    tables = [full] + [np.empty_like(full) for _ in range(depth + 1)]
-    scratch = np.empty_like(full)
-    total, stack = 0, [(0, 0)]
+    # node (k, path, table) has fixed variables low + 1..low + k to the bits
+    # of path, and its table ANDs the clauses of levels 0..k - 1
+    total, stack = 0, [(0, 0, full)]
     while stack:
-        k, path = stack.pop()
-        table = tables[k + 1]
-        np.copyto(table, tables[k])
-        if not _and_open_clauses(table, levels[k], path, words, scratch):
+        k, path, table = stack.pop()
+        for pos, neg, lits in levels[k]:
+            if not (path & pos or ~path & neg):
+                table &= clause_words(lits, tables)
+        if not table:
             continue
         if k == depth:
-            total += popcount(table)
+            total += table.bit_count()
         else:
-            stack += ((k + 1, path), (k + 1, path | 1 << k))
+            stack += ((k + 1, path, table), (k + 1, path | 1 << k, table))
     return total
 
 

@@ -323,7 +323,9 @@ def _readout_sweep(p: MajsatPlan) -> tuple[np.ndarray, np.ndarray]:
     """
     cfg, lay = p.config, p.layout
     size = cfg.i_max - cfg.i_min + 1
-    check_listable(size, f"the readout sweep lists {size} values of i")
+    # an exact sweep took about 1.1 KiB per value of i (max RSS at i_min
+    # -2 * 10^4 and -2 * 10^5), so 1 KiB each refuses no run that fits
+    check_listable(size, f"the readout sweep lists {size} values of i", 1024)
     suffix = p.readout_circuit.gates[1:]
     st = _amplified_state(p, p.readout_circuit.gates[:1])
     local = sorted({q for g in suffix for q in g.qubits} | {lay.bhr})
@@ -482,7 +484,9 @@ def run_sampled(p: MajsatPlan, seed: int | None = None) -> MajsatReport:
     jobs = groups * cfg.runs_per_set
     if jobs >= 1 << 63:  # _tally's int64 job indices, inside rng's 64-bit stream ids
         raise InputError(f"a sampled sweep of {jobs} jobs, (i_max - i_min + 1) * sets * runs_per_set, must stay below 2^63")
-    check_listable(groups, f"a sampled sweep tallies {groups} (i, set) groups")
+    # the tallies and per-set records took about 630 bytes per (i, set)
+    # group (max RSS at 2 * 10^4 and 2 * 10^5 sets of one i)
+    check_listable(groups, f"a sampled sweep tallies {groups} (i, set) groups", 512)
 
     prob1, rho = _readout_sweep(p)
     prob_minus = np.zeros_like(prob1)

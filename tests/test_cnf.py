@@ -4,7 +4,6 @@ from __future__ import annotations
 import gc
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -228,32 +227,23 @@ def test_count_models_leaves_no_garbage_cycle():
 
 @pytest.mark.parametrize("n", range(9))
 def test_truth_blocks_hold_each_assignment(n):
-    ((first, full, words),) = cnf.truth_blocks(n)
-    assert first == 0 and full.dtype == np.uint64
-    bits = np.unpackbits(full.astype("<u8").view(np.uint8), bitorder="little")
-    assert bits.sum() == 1 << n and bits[: 1 << n].all(), "pad bits past 2^n stay 0"
+    ((first, full, tables),) = cnf.truth_blocks(n)
+    assert first == 0 and full == (1 << (1 << n)) - 1
     for v in range(1, n + 1):
         for lit in (v, -v):
-            row = np.unpackbits(words[lit].astype("<u8").view(np.uint8), bitorder="little")
-            want = [((x >> (v - 1)) & 1) == (lit > 0) for x in range(1 << n)]
-            assert row[: 1 << n].tolist() == want and not row[1 << n :].any()
+            table = tables[lit]
+            assert [table >> x & 1 for x in range(1 << n)] == [(x >> (v - 1) & 1) == (lit > 0) for x in range(1 << n)]
+            assert table >> (1 << n) == 0, "no bit at or past 2^n is set"
 
 
-def test_truth_blocks_walk_two_blocks_at_n21():
-    blocks = [(first, words[21].copy(), words[7][:3].copy()) for first, _, words in cnf.truth_blocks(21)]
-    assert [first for first, _, _ in blocks] == [0, 1 << 20]
-    ones = np.uint64(2**64 - 1)
-    assert not blocks[0][1].any() and (blocks[1][1] == ones).all()
-    for _, _, low in blocks:
-        assert low.tolist() == [0, 2**64 - 1, 0]  # variable 7 is bit 0 of the word index
-
-
-def test_popcount_matches_int_bit_count():
-    rnd = random.Random(7)
-    values = [0, 2**64 - 1, 1, 2**63] + [rnd.getrandbits(64) for _ in range(200)]
-    for w in values:
-        assert cnf.popcount(np.array([w], dtype=np.uint64)) == w.bit_count()
-    assert cnf.popcount(np.array(values, dtype=np.uint64)) == sum(w.bit_count() for w in values)
+def test_truth_blocks_walk_two_blocks_at_n19():
+    # the first n with two blocks: variable 19 is the block index
+    L = cnf._TABLE_VARS
+    blocks = [(first, full, tables[L + 1], tables[1]) for first, full, tables in cnf.truth_blocks(L + 1)]
+    assert [first for first, *_ in blocks] == [0, 1 << L]
+    assert blocks[0][2] == 0 and blocks[1][2] == blocks[1][1] == (1 << (1 << L)) - 1
+    for _, full, _, low in blocks:  # variable 1 repeats in each block
+        assert low == full // 3 * 2  # 0b1010...: bit 0 of the assignment
 
 
 # ---------------------------------------------------------------------------

@@ -106,24 +106,28 @@ def test_sampled_sweep_past_its_job_indices_is_input_error(capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "flags, listed",
+    "flags, listed, item_bytes",
     [
-        (["--i-min", str(-WIDE)], f"the readout sweep lists {2**70 + 4} values of i"),
+        (["--i-min", str(-WIDE)], f"the readout sweep lists {2**70 + 4} values of i", 1024),
+        (["--i-min", str(-(10**8))], f"the readout sweep lists {10**8 + 4} values of i", 1024),
         (
             ["--mode", "sampled", "--seed", "7", "--sets", str(2**60), "--runs", "1", "--i-min", "0", "--i-max", "0"],
             f"a sampled sweep tallies {2**60} (i, set) groups",
+            512,
         ),
     ],
-    ids=["exact-i-min-minus-2^70", "sampled-groups-2^60"],
+    ids=["exact-i-min-minus-2^70", "exact-i-min-minus-10^8", "sampled-groups-2^60"],
 )
-def test_sweep_table_past_memory_is_resource_exit(capsys, monkeypatch, flags, listed):
-    # the exact sweep's per-i table and the sampled (i, set) tally hold 8
-    # bytes or more per entry, so past the machine's memory both exit 3
-    # before the plan is simulated (the 2^60 groups stay below 2^63 jobs)
+def test_sweep_table_past_memory_is_resource_exit(capsys, monkeypatch, flags, listed, item_bytes):
+    # the exact sweep holds about 1.1 KiB per value of i and the sampled
+    # tally about 630 bytes per (i, set) group, so past the machine's memory
+    # both exit 3 before the plan is simulated: 10^8 values of i would take
+    # about 110 GB (the 2^60 groups stay below 2^63 jobs)
     simulated = []
     monkeypatch.setattr("rnqc.majsat._amplified_state", lambda *args: simulated.append(args))
     code, out, err, peak = _main(["solve", OR2, *flags], capsys)
-    assert (code, err) == (3, f"error: {listed}; at 8 bytes each they pass this machine's {MEMORY} bytes of memory\n")
+    want = f"error: {listed}; at {item_bytes} bytes each they pass this machine's {MEMORY} bytes of memory\n"
+    assert (code, err) == (3, want)
     assert out == ""
     assert not simulated
     assert peak < 1 << 20, f"peak {peak / (1 << 20):.1f} MiB"

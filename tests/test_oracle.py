@@ -252,7 +252,7 @@ def test_verify_oracle_matches_per_input_reference():
 
 
 def test_verify_oracle_across_blocks_matches_table_reference():
-    # n = 21 is two blocks of 2^20 inputs. The stray CCNOT runs while the
+    # n = 21 is eight blocks of 2^18 inputs. The stray CCNOT runs while the
     # qubit of y23 = (x1 v x2) v x3 still holds NOT y23, so it flips x7 on
     # the 2^17 inputs with x1 = x2 = x3 = 0 and x6 = 1: each is a scratch
     # violation, and the oracle then reads (x7 v x21)(-x7 v x8) at the
@@ -269,7 +269,7 @@ def test_verify_oracle_across_blocks_matches_table_reference():
     assert len(report.scratch_violations) == 1 << 17
     assert len(report.mismatches) == 3 << 14
     for found in (report.mismatches, report.scratch_violations):
-        assert found[0] < 1 << 20 <= found[-1], "both blocks"
+        assert found[0] < 1 << 20 <= found[-1], "more than one block"
         assert list(found) == sorted(set(found))
 
 
